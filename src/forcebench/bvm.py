@@ -239,10 +239,6 @@ def quantifier_depth(phi: Formula) -> int:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def is_sigma1(phi: Formula) -> bool:
-    return isinstance(phi, Exists)
-
-
 # -- truth values ----------------------------------------------------------------
 
 _ATOMIC_MEMO: dict[tuple, int] = {}

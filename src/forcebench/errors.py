@@ -57,6 +57,10 @@ class FiberNotRegular(ForcebenchError):
         super().__init__(f"fiber homomorphism at atom {atom} is not regular")
 
 
+class InvariantViolation(ForcebenchError):
+    """An identity that a construction guarantees failed on its own output."""
+
+
 class ShapeMismatch(ForcebenchError):
     """Inconsistent shapes in a layered presentation."""
 

@@ -7,7 +7,7 @@ bit operation, so all the identities of the theory are decidable exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ImproperFilter
 
@@ -103,6 +103,35 @@ class FiniteCBA:
         return self.sup(xs) == self.one
 
 
+def atom_map(images: Sequence[int]) -> Callable[[int], int]:
+    """x -> the join of ``images[k]`` over the set bits k of x.
+
+    Every finite homomorphism and reindexing is such a map on atoms.  It
+    reads one byte-indexed table per 8 atoms, so a call costs one lookup
+    per byte of x; bits past ``len(images)`` are ignored.
+    """
+    tables = []
+    for base in range(0, len(images), 8):
+        table = [0]
+        for image in images[base : base + 8]:
+            table += [x | image for x in table]
+        tables.append(table)
+    *full, last = tables or [[0]]
+    top = len(last) - 1
+    if not full:
+        return lambda x: last[x & top]
+    shift = 8 * len(full)
+
+    def mapped(x: int) -> int:
+        out = last[x >> shift & top]
+        for table in full:
+            out |= table[x & 0xFF]
+            x >>= 8
+        return out
+
+    return mapped
+
+
 def format_element(algebra: FiniteCBA, a: int) -> str:
     """Canonical element syntax: atom-index set, e.g. ``{0,2}``."""
     return "{" + ",".join(str(k) for k in algebra.atom_indices(a)) + "}"
@@ -192,32 +221,30 @@ class Restriction:
     mask: int
     algebra: FiniteCBA = field(init=False)
     atom_of_sub: tuple[int, ...] = field(init=False)  # sub atom index -> parent atom index
+    sub_of_atom: dict[int, int] = field(init=False, compare=False)  # the inverse, on the mask
+    _to_sub: Callable[[int], int] = field(init=False, repr=False, compare=False)
+    _from_sub: Callable[[int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.parent.contains(self.mask):
             raise ValueError("restriction mask outside the algebra")
         atoms = tuple(self.parent.atom_indices(self.mask))
+        sub_of_atom = {k: j for j, k in enumerate(atoms)}
+        compress = [0] * self.parent.atom_count
+        for k, j in sub_of_atom.items():
+            compress[k] = 1 << j
         object.__setattr__(self, "atom_of_sub", atoms)
+        object.__setattr__(self, "sub_of_atom", sub_of_atom)
         object.__setattr__(self, "algebra", FiniteCBA(len(atoms)))
+        object.__setattr__(self, "_to_sub", atom_map(compress))
+        object.__setattr__(self, "_from_sub", atom_map([1 << k for k in atoms]))
 
     def to_sub(self, parent_element: int) -> int:
         """Compress a parent element (implicitly meeting with the mask)."""
-        out = 0
-        for j, k in enumerate(self.atom_of_sub):
-            if parent_element >> k & 1:
-                out |= 1 << j
-        return out
+        return self._to_sub(parent_element)
 
     def from_sub(self, sub_element: int) -> int:
-        out = 0
-        for j, k in enumerate(self.atom_of_sub):
-            if sub_element >> j & 1:
-                out |= 1 << k
-        return out
-
-
-def restrict_algebra(algebra: FiniteCBA, mask: int) -> Restriction:
-    return Restriction(algebra, mask)
+        return self._from_sub(sub_element)
 
 
 def quotient_by_filter(
@@ -245,7 +272,7 @@ class QuotientMap:
     view: Restriction
 
     def __call__(self, c: int) -> int:
-        return self.view.to_sub(c & self.view.mask)
+        return self.view.to_sub(c)
 
     def same_class(self, c: int, d: int) -> bool:
         return (c ^ d) & self.view.mask == 0

@@ -178,6 +178,10 @@ class FreeElement:
     def __invert__(self) -> "FreeElement":
         return FreeElement(_not(self._node))
 
+    def __bool__(self) -> bool:
+        """Nonzero, as for the bitmask elements of finite algebras."""
+        return self._node is not _FALSE
+
     def __repr__(self) -> str:
         return f"FreeElement({format_free(self)})"
 
@@ -227,11 +231,6 @@ def free_project(e: FreeElement, gens: Iterable[str]) -> FreeElement:
     return FreeElement(_exists(e._node, frozenset(gens)))
 
 
-def free_coproject(e: FreeElement, gens: Iterable[str]) -> FreeElement:
-    """Greatest element independent of ``gens`` below e: universal projection."""
-    return ~free_project(~e, gens)
-
-
 @dataclass(frozen=True)
 class FreeAlgebra:
     """The free boolean algebra on a fixed finite generator set."""
@@ -253,6 +252,12 @@ class FreeAlgebra:
 
     def contains(self, e: FreeElement) -> bool:
         return e.support <= self.generators
+
+    def leq(self, a: FreeElement, b: FreeElement) -> bool:
+        return a.leq(b)
+
+    def neg(self, a: FreeElement) -> FreeElement:
+        return ~a
 
 
 # -- expression syntax ---------------------------------------------------------

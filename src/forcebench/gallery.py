@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvariantViolation
 from .free_algebra import (
     FREE_ONE,
     FreeAlgebra,
@@ -72,8 +73,10 @@ def build_fresh_tower(depth: int, base_size: int | None = None) -> FreshTower:
     for n in range(depth):
         step = system.step_at(n)
         y = generator(fresh_gen(n))
-        assert step.project(y) == FREE_ONE
-        assert step.project(~y) == FREE_ONE
+        if step.project(y) != FREE_ONE:
+            raise InvariantViolation(f"fresh generator {fresh_gen(n)} does not project to 1")
+        if step.project(~y) != FREE_ONE:
+            raise InvariantViolation(f"the complement of {fresh_gen(n)} does not project to 1")
     return FreshTower(depth, base_size, system)
 
 

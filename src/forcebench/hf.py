@@ -30,10 +30,6 @@ def parse_hf(data) -> HF:
     return frozenset(parse_hf(m) for m in data)
 
 
-def hf_to_lists(x: HF) -> list:
-    return sorted((hf_to_lists(m) for m in x), key=lambda v: (len(v), repr(v)))
-
-
 @lru_cache(maxsize=None)
 def von_neumann(k: int) -> HF:
     """The k-th von Neumann natural: {0, 1, ..., k-1}."""

@@ -18,38 +18,11 @@ from .errors import (
     NotEager,
     NotRegular,
 )
-from .finite_cba import FiniteCBA, Ultrafilter
-from .free_algebra import FreeAlgebra, FreeElement
+from .finite_cba import Ultrafilter
+from .free_algebra import FreeAlgebra
 from .morphisms import FreeInclusion, identity_hom
 from .poset import Poset, boolean_completion
 from .two_step import GenericQuotient, Triangle, canonical_representative, quotient_hom
-
-
-# -- generic element helpers (ints for finite algebras, FreeElement for free) ----
-
-
-def elem_is_zero(x) -> bool:
-    return x.is_zero if isinstance(x, FreeElement) else x == 0
-
-
-def elem_leq(algebra, x, y) -> bool:
-    if isinstance(x, FreeElement):
-        return x.leq(y)
-    return algebra.leq(x, y)
-
-
-def elem_meet(x, y):
-    return x & y
-
-
-def elem_join(x, y):
-    return x | y
-
-
-def elem_neg(algebra, x):
-    if isinstance(x, FreeElement):
-        return ~x
-    return algebra.neg(x)
 
 
 def _identity_step(algebra):
@@ -185,12 +158,6 @@ def coordinate(system: IterationSystem, thread: Thread, n: int):
     raise TypeError(f"not a thread: {thread!r}")
 
 
-def zero_thread(system: IterationSystem) -> ConstantThread:
-    alg = system.algebra(0)
-    zero = alg.zero if isinstance(alg, (FiniteCBA, FreeAlgebra)) else 0
-    return ConstantThread(0, zero)
-
-
 @dataclass(frozen=True)
 class ThreadCertificate:
     depth: int
@@ -222,7 +189,7 @@ def pointwise_sup(system: IterationSystem, threads: list[Thread]) -> Thread:
             vals = [coordinate(system, t, n) for t in threads]
             out = vals[0]
             for v in vals[1:]:
-                out = elem_join(out, v)
+                out = out | v
             coords.append(out)
         return VectorThread(tuple(coords))
 
@@ -230,7 +197,7 @@ def pointwise_sup(system: IterationSystem, threads: list[Thread]) -> Thread:
         vals = [coordinate(system, t, n) for t in threads]
         out = vals[0]
         for v in vals[1:]:
-            out = elem_join(out, v)
+            out = out | v
         return out
 
     return RuleThread(rule, description="pointwise sup")
@@ -244,10 +211,8 @@ def meet_with_constant(
 
     def rule(n: int):
         if n >= stage:
-            return elem_meet(coordinate(system, g, n), coordinate(system, h, n))
-        return system.hom(n, stage).project(
-            elem_meet(coordinate(system, g, stage), h.seed)
-        )
+            return coordinate(system, g, n) & coordinate(system, h, n)
+        return system.hom(n, stage).project(coordinate(system, g, stage) & h.seed)
 
     if system.eager:
         return VectorThread(tuple(rule(n) for n in system.stages()))
@@ -285,10 +250,10 @@ def antichain_sup_audit(
     """
     projections = [coordinate(system, t, stage) for t in threads]
     for i, x in enumerate(projections):
-        if elem_is_zero(x):
+        if not x:
             raise NotAntichainAtStage(stage, "zero projection")
         for y in projections[i + 1 :]:
-            if not elem_is_zero(elem_meet(x, y)):
+            if x & y:
                 raise NotAntichainAtStage(stage, "overlapping projections")
 
     report = AntichainSupReport(stage)
@@ -300,6 +265,7 @@ def antichain_sup_audit(
             raise NotEager("constant-candidate search needs an eager system")
         found: list[Thread] = []
         last = system.length - 1
+        alg_last = system.algebra(last)
         sup_last = coordinate(system, sup, last)
         for s in stages:
             s_alg = system.algebra(s)
@@ -307,12 +273,10 @@ def antichain_sup_audit(
                 g = ConstantThread(s, seed)
                 report.searched += 1
                 g_last = coordinate(system, g, last)
-                if not elem_leq(system.algebra(last), g_last, sup_last):
+                if not alg_last.leq(g_last, sup_last):
                     continue
                 if all(
-                    not elem_leq(
-                        system.algebra(last), g_last, coordinate(system, t, last)
-                    )
+                    not alg_last.leq(g_last, coordinate(system, t, last))
                     for t in threads
                 ):
                     found.append(g)
@@ -323,7 +287,7 @@ def antichain_sup_audit(
         g_stage = coordinate(system, g, stage)
         chosen = None
         for t, proj in zip(threads, projections):
-            if not elem_is_zero(elem_meet(g_stage, proj)):
+            if g_stage & proj:
                 chosen = t
                 break
         if chosen is None:
@@ -335,10 +299,8 @@ def antichain_sup_audit(
 
         def h_coord(n: int):
             if n >= stage:
-                return elem_meet(
-                    coordinate(system, g, n), system.hom(stage, n).apply(f_stage)
-                )
-            return system.hom(n, stage).project(elem_meet(g_stage, f_stage))
+                return coordinate(system, g, n) & system.hom(stage, n).apply(f_stage)
+            return system.hom(n, stage).project(g_stage & f_stage)
 
         ok = True
         for a, b in itertools.combinations(stages, 2):
@@ -348,16 +310,16 @@ def antichain_sup_audit(
                 break
         if not ok:
             continue
-        if elem_is_zero(h_coord(stage)):
+        if not h_coord(stage):
             report.failures.append("refinement vanished at its own stage")
             continue
         for n in stages:
             alg_n = system.algebra(n)
-            if not elem_leq(alg_n, h_coord(n), coordinate(system, g, n)):
+            if not alg_n.leq(h_coord(n), coordinate(system, g, n)):
                 ok = False
                 report.failures.append(f"refinement escapes the candidate at {n}")
                 break
-            if not elem_leq(alg_n, h_coord(n), coordinate(system, chosen, n)):
+            if not alg_n.leq(h_coord(n), coordinate(system, chosen, n)):
                 ok = False
                 report.failures.append(f"refinement escapes the listed thread at {n}")
                 break
@@ -445,12 +407,10 @@ def direct_limit_correspondence_audit(
             bound = alg_s.one
             for b in range(s, depth + 2):
                 coord = coordinate(system, t, b)
-                blocked = system.hom(s, b).project(
-                    elem_neg(system.algebra(b), coord)
-                )
-                bound = elem_meet(bound, elem_neg(alg_s, blocked))
+                blocked = system.hom(s, b).project(system.algebra(b).neg(coord))
+                bound = bound & alg_s.neg(blocked)
             best.append(bound)
-        if all(elem_is_zero(b) for b in best):
+        if not any(best):
             details.append({"verdict": "gap", "depth": depth})
         else:
             # join the constants and compare coordinatewise
@@ -459,9 +419,8 @@ def direct_limit_correspondence_audit(
                 alg_n = system.algebra(n)
                 join = alg_n.zero
                 for s, b in enumerate(best):
-                    if elem_is_zero(b):
-                        continue
-                    join = elem_join(join, coordinate(system, ConstantThread(s, b), n))
+                    if b:
+                        join = join | coordinate(system, ConstantThread(s, b), n)
                 if join != coordinate(system, t, n):
                     reached = False
             details.append(
@@ -490,7 +449,7 @@ class CofinalityOracle:
 
 def omega_length_oracle() -> CofinalityOracle:
     """The built-in oracle for length omega: cf(omega) = omega always."""
-    return CofinalityOracle(lambda stage, elem: "refutes" if elem_is_zero(elem) else "forces")
+    return CofinalityOracle(lambda stage, elem: "forces" if elem else "refutes")
 
 
 @dataclass(frozen=True)

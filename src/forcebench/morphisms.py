@@ -9,10 +9,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import ArityMismatch, NotRegular, ZeroRestriction
-from .finite_cba import FiniteCBA, Restriction, format_element, ultrafilters
+from .finite_cba import (
+    FiniteCBA,
+    Restriction,
+    atom_map,
+    basic_open,
+    format_element,
+    ultrafilters,
+)
 from .free_algebra import FreeAlgebra, FreeElement, free_project
 
 
@@ -24,6 +31,8 @@ class CompleteHom:
     target: FiniteCBA
     fiber: tuple[int, ...]
     _atom_image: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _apply: Callable[[int], int] = field(init=False, repr=False, compare=False)
+    _project: Callable[[int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.fiber) != self.target.atom_count:
@@ -37,6 +46,8 @@ class CompleteHom:
         for t, s in enumerate(self.fiber):
             table[s] |= 1 << t
         object.__setattr__(self, "_atom_image", tuple(table))
+        object.__setattr__(self, "_apply", atom_map(table))
+        object.__setattr__(self, "_project", atom_map([1 << s for s in self.fiber]))
 
     @property
     def regular(self) -> bool:
@@ -45,49 +56,11 @@ class CompleteHom:
 
     def apply(self, b: int) -> int:
         """i(b): preimage of b under the fiber map."""
-        out = 0
-        for s in range(self.source.atom_count):
-            if b >> s & 1:
-                out |= self._atom_image[s]
-        return out
+        return self._apply(b)
 
     def project(self, c: int) -> int:
         """pi(c): direct image of c under the fiber map."""
-        if self.target.atom_count > 16:
-            return self._project_by_table(c)
-        out = 0
-        t = 0
-        while c:
-            if c & 1:
-                out |= 1 << self.fiber[t]
-            c >>= 1
-            t += 1
-        return out
-
-    def _project_by_table(self, c: int) -> int:
-        # bytewise image table, built on first use for wide targets
-        try:
-            table = object.__getattribute__(self, "_proj_table")
-        except AttributeError:
-            table = []
-            for base in range(0, self.target.atom_count, 8):
-                width = min(8, self.target.atom_count - base)
-                chunk = []
-                for byte in range(1 << width):
-                    out = 0
-                    for k in range(width):
-                        if byte >> k & 1:
-                            out |= 1 << self.fiber[base + k]
-                    chunk.append(out)
-                table.append(chunk)
-            object.__setattr__(self, "_proj_table", table)
-        out = 0
-        pos = 0
-        while c:
-            out |= table[pos][c & 0xFF]
-            c >>= 8
-            pos += 1
-        return out
+        return self._project(c)
 
     def then(self, other: "CompleteHom") -> "CompleteHom":
         """Composite source -> other.target (self first, then other)."""
@@ -129,17 +102,14 @@ def ker_coker(h: CompleteHom) -> tuple[int, int]:
 
     Restricting to the cokernel always yields a regular embedding.
     """
-    rng = 0
-    for s in h.fiber:
-        rng |= 1 << s
-    ker = h.source.neg(rng)
-    return ker, rng
+    rng = h.project(h.target.one)
+    return h.source.neg(rng), rng
 
 
 def restrict_to_coker(h: CompleteHom) -> tuple["CompleteHom", Restriction]:
     _, coker = ker_coker(h)
     view = Restriction(h.source, coker)
-    fiber = tuple(view.to_sub(1 << s).bit_length() - 1 for s in h.fiber)
+    fiber = tuple(view.sub_of_atom[s] for s in h.fiber)
     return CompleteHom(view.algebra, h.target, fiber), view
 
 
@@ -160,10 +130,7 @@ def restrict(h: CompleteHom, c: int) -> RestrictedEmbedding:
         raise ZeroRestriction("cannot restrict below 0")
     source_view = Restriction(h.source, h.project(c))
     target_view = Restriction(h.target, c)
-    fiber = tuple(
-        source_view.to_sub(1 << h.fiber[t]).bit_length() - 1
-        for t in target_view.atom_of_sub
-    )
+    fiber = tuple(source_view.sub_of_atom[h.fiber[t]] for t in target_view.atom_of_sub)
     hom = CompleteHom(source_view.algebra, target_view.algebra, fiber)
     return RestrictedEmbedding(h, c, source_view, target_view, hom)
 
@@ -411,15 +378,8 @@ def retraction_laws_audit(
 
     # Stone dual: the image of a basic open is the basic open of the projection
     for c in C.elements() if small_pairs else (1 << t for t in range(C.atom_count)):
-        mapped = 0
-        t = 0
-        cc = c
-        while cc:
-            if cc & 1:
-                mapped |= 1 << h.fiber[t]
-            cc >>= 1
-            t += 1
-        ok = mapped == h.project(c)
+        mapped = frozenset(h.fiber[t] for t in basic_open(C, c))
+        ok = mapped == basic_open(B, h.project(c))
         report.record("stone_open_image", ok, "" if ok else f"c={format_element(C, c)}")
 
     # pi transports principal filters to principal filters, generics to generics

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    InvariantViolation,
     LabelOutOfRange,
     NotInCarrier,
     NotMaximal,
@@ -108,7 +109,8 @@ def disjointify(algebra: FiniteCBA, ordered: tuple[int, ...]) -> tuple[int, ...]
         if a:
             out.append(a)
     result = tuple(out)
-    assert algebra.is_maximal_antichain(result)
+    if not algebra.is_maximal_antichain(result):
+        raise InvariantViolation("disjointification is not a maximal antichain")
     return result
 
 

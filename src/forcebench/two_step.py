@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from .errors import (
     EmptyFiber,
     FiberNotRegular,
+    InvariantViolation,
     NonCommuting,
     NotMaximalAntichain,
     ShapeMismatch,
 )
-from .finite_cba import FiniteCBA, Restriction, Ultrafilter, format_element
+from .finite_cba import FiniteCBA, Restriction, Ultrafilter, atom_map, format_element
 from .morphisms import CompleteHom, require_regular
 
 
@@ -116,17 +117,20 @@ class TwoStepAlgebra:
 def build_two_step(presentation: AtomwisePresentation) -> TwoStepAlgebra:
     """Construct the sum algebra and audit its defining identities."""
     two = TwoStepAlgebra(presentation)
-    i = two.embedding
-    assert i.regular, "sum embedding must be regular (fibers are nonempty)"
+    if not two.embedding.regular:
+        raise InvariantViolation("sum embedding must be regular (fibers are nonempty)")
     base = presentation.base
     for b in base.elements():
         d_b = two.indicator(b)
-        assert two.tv_equals_one(d_b) == b
-        assert two.tv_equals_zero(d_b) == base.neg(b)
+        if two.tv_equals_one(d_b) != b:
+            raise InvariantViolation(f"[d_b = 1] differs from b at b={format_element(base, b)}")
+        if two.tv_equals_zero(d_b) != base.neg(b):
+            raise InvariantViolation(f"[d_b = 0] differs from -b at b={format_element(base, b)}")
     for a in range(base.atom_count):
         fam = [0] * base.atom_count
         fam[a] = presentation.fibers[a].one
-        assert two.support(two.element_from_family(tuple(fam))) == 1 << a
+        if two.support(two.element_from_family(tuple(fam))) != 1 << a:
+            raise InvariantViolation(f"the full fiber at atom {a} has the wrong support")
     return two
 
 
@@ -174,7 +178,7 @@ class GenericQuotient:
         return self.view.algebra
 
     def class_of(self, c: int) -> int:
-        return self.view.to_sub(c & self.view.mask)
+        return self.view.to_sub(c)
 
     def same_class(self, c: int, d: int) -> bool:
         return (c ^ d) & self.view.mask == 0
@@ -196,17 +200,16 @@ def _audit_sup_commutation(q: GenericQuotient) -> None:
     C = q.hom.target
     if q.algebra.atom_count <= 4 and C.atom_count <= 8:
         pool = list(C.elements()) if C.atom_count <= 4 else [q.representative(x) for x in q.algebra.elements()]
-        for r in (0, 1, 2, 3):
-            for subset in itertools.combinations(pool, r):
-                assert q.class_of(C.sup(subset)) == q.algebra.sup(
-                    q.class_of(c) for c in subset
-                )
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(pool, r) for r in (0, 1, 2, 3)
+        )
     else:
         rng = random.Random(q.atom)
-        for _ in range(50):
-            subset = [rng.getrandbits(C.atom_count) for _ in range(3)]
-            assert q.class_of(C.sup(subset)) == q.algebra.sup(
-                q.class_of(c) for c in subset
+        subsets = ([rng.getrandbits(C.atom_count) for _ in range(3)] for _ in range(50))
+    for subset in subsets:
+        if q.class_of(C.sup(subset)) != q.algebra.sup(q.class_of(c) for c in subset):
+            raise InvariantViolation(
+                f"the class map does not commute with the join of {len(subset)} elements"
             )
 
 
@@ -231,14 +234,15 @@ def canonical_representative(
         c |= h.apply(a) & c_a
     if audit_uniqueness and h.target.atom_count <= 8:
         for a, c_a in zip(antichain, family):
-            mask = h.apply(a)
-            assert (c ^ c_a) & mask == 0, "representative misses its class"
+            if (c ^ c_a) & h.apply(a):
+                raise InvariantViolation("representative misses its class")
         for t in range(h.target.atom_count):
             other = c ^ (1 << t)
             agree = all(
                 (other ^ c_a) & h.apply(a) == 0 for a, c_a in zip(antichain, family)
             )
-            assert not agree, "perturbed element also matches every class"
+            if agree:
+                raise InvariantViolation("perturbed element also matches every class")
     return c
 
 
@@ -281,15 +285,7 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
         atom_image[t] = 1 << (two.offsets[a] + seen_per_fiber[a])
         seen_per_fiber[a] += 1
 
-    def phi(c: int) -> int:
-        out = 0
-        t = 0
-        while c:
-            if c & 1:
-                out |= atom_image[t]
-            c >>= 1
-            t += 1
-        return out
+    phi = atom_map(atom_image)
 
     def check(cond: bool, msg: str) -> None:
         if not cond:
@@ -306,7 +302,7 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
         iso.to_sum[c] = expected
 
     check(
-        sorted(m.bit_length() - 1 for m in atom_image) == list(range(C.atom_count)),
+        sorted(atom_image) == [1 << k for k in range(C.atom_count)],
         "not a bijection on atoms",
     )
     for c in probe:
@@ -365,11 +361,8 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
         raise ShapeMismatch("ultrafilter must live on the base")
     q0 = GenericQuotient(t.i0, u.atom)
     q1 = GenericQuotient(t.i1, u.atom)
-    fiber = []
-    for t_atom in q1.view.atom_of_sub:
-        parent = t.j.fiber[t_atom]
-        fiber.append(q0.view.to_sub(1 << parent).bit_length() - 1)
-    hom = CompleteHom(q0.algebra, q1.algebra, tuple(fiber))
+    fiber = tuple(q0.view.sub_of_atom[t.j.fiber[t_atom]] for t_atom in q1.view.atom_of_sub)
+    hom = CompleteHom(q0.algebra, q1.algebra, fiber)
     result = QuotientHomResult(hom, q0, q1)
 
     def check(cond: bool, msg: str) -> None:

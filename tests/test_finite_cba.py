@@ -9,6 +9,7 @@ from forcebench.finite_cba import (
     FilterSpec,
     FiniteCBA,
     Restriction,
+    atom_map,
     basic_open,
     format_element,
     parse_element,
@@ -172,3 +173,23 @@ def test_restriction_roundtrip():
         assert view.to_sub(view.from_sub(x)) == x
     for x in b.elements():
         assert view.from_sub(view.to_sub(x)) == x & 0b10110
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 64])
+def test_atom_map_matches_bit_loop(width):
+    rng = random.Random(width)
+    images = [rng.getrandbits(70) for _ in range(width)]
+    mapped = atom_map(images)
+
+    def by_bits(x):
+        out = 0
+        for k in range(width):
+            if x >> k & 1:
+                out |= images[k]
+        return out
+
+    xs = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(200)]
+    # bits past the width are ignored
+    xs += [x | rng.getrandbits(12) << width for x in xs[:50]]
+    for x in xs:
+        assert mapped(x) == by_bits(x), (width, x)

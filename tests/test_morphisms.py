@@ -273,3 +273,21 @@ def test_free_inclusion_retraction_matches_defining_infimum():
                     )
                     if c.leq(cube):
                         assert p.leq(cube)
+
+
+@pytest.mark.parametrize("width", [4, 20])
+def test_audit_fails_when_project_drops_an_atom_image(width):
+    # fibers pair up target atoms; project forgets the image of target atom 2
+    fiber = tuple(t // 2 for t in range(width))
+
+    class DroppingHom(CompleteHom):
+        def project(self, c):
+            return super().project(c & ~0b100)
+
+    h = DroppingHom(FiniteCBA(width // 2), FiniteCBA(width), fiber)
+    report = retraction_laws_audit(h)
+    assert not report.passed
+    assert not report.laws["stone_open_image"]
+    assert report.witnesses["stone_open_image"] == "c={2}"
+    assert not report.laws["generics_to_generics"]
+    assert report.witnesses["generics_to_generics"] == "atom 2"
