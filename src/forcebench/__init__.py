@@ -89,4 +89,5 @@ from .semigen import (
 )
 from .gallery import build_fresh_tower, sup_gap_audit, wedge_meet_audit
 from .workspace import parse_workspace
+from .report import Ledger
 from .cli import execute

@@ -16,6 +16,7 @@ from .errors import EmptyPool, MixedAlgebras, NotAntichain, RankExceeded
 from .finite_cba import FiniteCBA, Ultrafilter, format_element
 from .hf import HF, EMPTY
 from .morphisms import CompleteHom
+from .report import Ledger
 
 DEFAULT_RANK_BOUND = 4
 
@@ -572,69 +573,59 @@ def lift_name(h: CompleteHom, n: BName) -> BName:
     return out
 
 
-@dataclass
-class Delta1AuditReport:
-    d0_cases: int = 0
-    d1_cases: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def delta1_audit(
     h: CompleteHom,
     pool: tuple[BName, ...],
     d0_formulas: tuple[Formula, ...] = (),
     d1_pairs: tuple[tuple[Formula, Formula], ...] = (),
     rank_bound: int = DEFAULT_RANK_BOUND,
-) -> Delta1AuditReport:
+) -> Ledger:
     """Elementarity of the lifted name map.
 
     Bounded formulas commute exactly with the embedding; flagged Sigma-1
     pairs (a formula and a Sigma-1 form of its negation) satisfy both
     inequalities, which pins the value exactly.  Unbounded quantifiers are
     pool-relative on the source and lifted-pool-relative on the target.
+    One claim each, with one case per assignment.
     """
     from .morphisms import require_regular
 
     require_regular(h)
-    report = Delta1AuditReport()
+    report = Ledger()
+    report.record("bounded_formulas_commute", True, cases=0)
+    report.record("sigma1_pairs_pin_values", True, cases=0)
     pool = tuple(sorted(pool, key=BName.sort_key))
     lifted_pool = tuple(lift_name(h, n) for n in pool)
     for phi in d0_formulas:
         fvs = tuple(sorted(free_variables(phi)))
         for env in _assignments(fvs, pool):
-            report.d0_cases += 1
             lhs = h.apply(truth_value(phi, env, h.source, pool, rank_bound))
             env_lift = {v: lift_name(h, n) for v, n in env.items()}
             rhs = truth_value(phi, env_lift, h.target, lifted_pool, rank_bound)
-            if lhs != rhs:
-                report.failures.append(
-                    f"bounded formula value moved: {format_element(h.target, lhs)} vs "
-                    f"{format_element(h.target, rhs)}"
-                )
+            witness = "" if lhs == rhs else (
+                f"bounded formula value moved: {format_element(h.target, lhs)} vs "
+                f"{format_element(h.target, rhs)}"
+            )
+            report.record("bounded_formulas_commute", not witness, witness)
     for pos, neg in d1_pairs:
         fvs = tuple(sorted(free_variables(pos) | free_variables(neg)))
         for env in _assignments(fvs, pool):
-            report.d1_cases += 1
             vp = truth_value(pos, env, h.source, pool, rank_bound)
             vn = truth_value(neg, env, h.source, pool, rank_bound)
+            witness = ""
             if vn != h.source.neg(vp):
-                report.failures.append("pair is not complementary on the source")
-                continue
-            env_lift = {v: lift_name(h, n) for v, n in env.items()}
-            wp = truth_value(pos, env_lift, h.target, lifted_pool, rank_bound)
-            wn = truth_value(neg, env_lift, h.target, lifted_pool, rank_bound)
-            if not h.target.leq(h.apply(vp), wp) or not h.target.leq(h.apply(vn), wn):
-                report.failures.append("a Sigma-1 inequality failed")
-                continue
-            if wn != h.target.neg(wp):
-                report.failures.append("pair is not complementary on the target")
-                continue
-            if h.apply(vp) != wp:
-                report.failures.append("inequalities did not pin the value")
+                witness = "pair is not complementary on the source"
+            else:
+                env_lift = {v: lift_name(h, n) for v, n in env.items()}
+                wp = truth_value(pos, env_lift, h.target, lifted_pool, rank_bound)
+                wn = truth_value(neg, env_lift, h.target, lifted_pool, rank_bound)
+                if not h.target.leq(h.apply(vp), wp) or not h.target.leq(h.apply(vn), wn):
+                    witness = "a Sigma-1 inequality failed"
+                elif wn != h.target.neg(wp):
+                    witness = "pair is not complementary on the target"
+                elif h.apply(vp) != wp:
+                    witness = "inequalities did not pin the value"
+            report.record("sigma1_pairs_pin_values", not witness, witness)
     return report
 
 

@@ -4,8 +4,9 @@ Commands: complete, retraction-laws, bvm-audit, twostep-iso, iterate,
 sg-audit, gallery, verify-all.  A command runs its audit over the matching
 requests in the document's audit list, falling back to every applicable
 declared object when none are listed; verify-all runs the whole audit list
-(or every default audit when the list is empty).  Exit status: 0 all pass,
-1 any fail, 2 usage or parse error.
+(or every default audit when the list is empty).  An error inside one audit
+is that result's FAIL.  Exit status: 0 all pass, 1 any FAIL or
+INDETERMINATE, 2 usage or parse error.
 """
 from __future__ import annotations
 
@@ -24,9 +25,13 @@ from .iteration import (
     rcs_membership,
     thread_validate,
 )
-from .morphisms import retraction_laws_audit
+from .morphisms import (
+    EXHAUSTIVE_MAX_ATOMS,
+    EXHAUSTIVE_SOURCE_ATOMS,
+    retraction_laws_audit,
+)
 from .poset import boolean_completion
-from .report import FAIL, PASS, AuditReport, AuditResult, emit_report
+from .report import AuditReport, AuditResult, Ledger, emit_report
 from .semigen import disjointify_sg_audit, restriction_audit, semigeneric_sup_audit
 from .two_step import two_step_iso_audit
 from .workspace import AUDIT_KINDS, WorkspaceDoc, parse_workspace
@@ -44,12 +49,10 @@ _DEFAULT_TARGET_KIND = {
 
 
 def execute(
-    doc: WorkspaceDoc,
-    command: str,
-    seed: int = 0,
-    depth: int = 8,
-    exhaustive_max_atoms: int = 4,
+    doc: WorkspaceDoc, command: str, seed: int = 0, depth: int = 8
 ) -> AuditReport:
+    """Run the command's audits.  An error raised inside one audit is that
+    result's FAIL, with the message as its witness; the run continues."""
     if command not in COMMANDS:
         raise UnknownCommand(f"unknown command {command!r}")
     tasks = _tasks_for(doc, command)
@@ -57,11 +60,34 @@ def execute(
     for index, task in enumerate(tasks):
         rng = random.Random(f"{seed}:{index}:{task['audit']}")
         started = time.perf_counter()
-        for result in _run_task(doc, task, rng, depth, exhaustive_max_atoms):
-            result.elapsed_ms = (time.perf_counter() - started) * 1000.0
-            report.results.append(result)
-            started = time.perf_counter()
+        try:
+            for name, target, ledger, details in _run_task(doc, task, rng, depth):
+                report.results.append(_result(name, target, ledger, details, started))
+                started = time.perf_counter()
+        except ForcebenchError as e:
+            name, error = task["audit"], Ledger()
+            error.record("error", False, str(e))
+            report.results.append(_result(name, task.get("target", name), error, {}, started))
     return report
+
+
+def _result(
+    name: str, target: str, ledger: Ledger, details: dict, started: float
+) -> AuditResult:
+    """One report line: the ledger's verdict, the witnesses of its failed
+    claims and the depth of its deepest depth-bounded claim."""
+    depths = [
+        c.certified_depth for c in ledger.claims.values() if c.certified_depth is not None
+    ]
+    return AuditResult(
+        name,
+        target,
+        ledger.verdict,
+        tuple(ledger.failures),
+        certified_depth=max(depths, default=None),
+        details=details,
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
+    )
 
 
 def _tasks_for(doc: WorkspaceDoc, command: str) -> list[dict]:
@@ -85,125 +111,83 @@ def _default_tasks(doc: WorkspaceDoc, command: str) -> list[dict]:
     return [{"audit": command, "target": n} for n, _ in doc.of_kind(kind)]
 
 
-def _run_task(doc, task, rng, depth, exhaustive_max_atoms):
+def _run_task(doc, task, rng, depth):
+    """(name, target, ledger, details) for each result of one audit request."""
     audit = task["audit"]
     if audit == "gallery":
-        d = int(task.get("depth", depth))
-        tower = build_fresh_tower(max(d, 3))
+        d = max(int(task.get("depth", depth)), 3)
+        tower = build_fresh_tower(d)
         for fn, label in ((sup_gap_audit, "gallery.sup-gap"), (wedge_meet_audit, "gallery.wedge-meet")):
-            g = fn(max(d, 3), tower)
-            yield AuditResult(
-                label,
-                f"fresh-tower depth {max(d, 3)}",
-                PASS if g.passed else FAIL,
-                tuple(
-                    f"{k}: {v.witness}" for k, v in g.claims.items() if not v.passed
-                ),
-                certified_depth=g.depth,
-                details={"claims": {k: v.passed for k, v in g.claims.items()}},
-            )
+            ledger = fn(d, tower)
+            details = {"claims": {k: v.passed for k, v in ledger.claims.items()}}
+            yield label, f"fresh-tower depth {d}", ledger, details
         return
 
     target = task["target"]
     if audit == "complete":
-        poset = doc.resolve(target, "poset")
-        completion = boolean_completion(poset)
-        checks = completion.audit()
-        yield AuditResult(
-            "complete",
-            target,
-            PASS if all(checks.values()) else FAIL,
-            tuple(k for k, ok in checks.items() if not ok),
-            details={"atoms": completion.algebra.atom_count},
-        )
+        completion = boolean_completion(doc.resolve(target, "poset"))
+        ledger = Ledger()
+        for check, ok in completion.audit().items():
+            ledger.record(check, ok)
+        details = {"atoms": completion.algebra.atom_count}
     elif audit == "retraction-laws":
         hom = doc.resolve(target, "hom")
         exhaustive = (
-            hom.source.atom_count <= exhaustive_max_atoms
-            and hom.target.atom_count <= 6
+            hom.source.atom_count <= EXHAUSTIVE_SOURCE_ATOMS
+            and hom.target.atom_count <= EXHAUSTIVE_MAX_ATOMS
         )
-        r = retraction_laws_audit(hom, exhaustive=exhaustive, rng=rng)
-        yield AuditResult(
-            "retraction-laws",
-            target,
-            PASS if r.passed else FAIL,
-            tuple(f"{law}: {r.witnesses.get(law, '')}" for law in r.failures()),
-            details={"laws": len(r.laws), "exhaustive": exhaustive},
-        )
+        ledger = retraction_laws_audit(hom, exhaustive=exhaustive, rng=rng)
+        details = {"laws": len(ledger.claims), "exhaustive": exhaustive}
     elif audit == "bvm-audit":
         algebra = doc.resolve(target, "algebra")
-        max_rank = int(task.get("max_rank", 2))
-        pool = standard_name_pool(algebra, max_rank=max_rank)
+        pool = standard_name_pool(algebra, max_rank=int(task.get("max_rank", 2)))
         cap = int(task.get("pool_cap", 32))
         r = forcing_audit(algebra, pool[:cap], standard_formula_pool())
-        yield AuditResult(
-            "bvm-audit",
-            target,
-            PASS if r.passed else FAIL,
-            tuple(r.divergences[:5]),
-            details={"cases": r.cases, "pool": min(len(pool), cap)},
+        ledger = Ledger()
+        ledger.record(
+            "truth_values_match_oracle",
+            r.passed,
+            r.divergences[0] if r.divergences else "",
+            cases=r.cases,
         )
+        details = {"cases": r.cases, "pool": min(len(pool), cap)}
     elif audit == "twostep-iso":
-        hom = doc.resolve(target, "hom")
-        iso = two_step_iso_audit(hom, rng)
-        yield AuditResult(
-            "twostep-iso",
-            target,
-            PASS if iso.passed else FAIL,
-            tuple(iso.failures[:5]),
-            details={"sum_atoms": iso.two.algebra.atom_count},
-        )
+        ledger = two_step_iso_audit(doc.resolve(target, "hom"), rng)
+        details = {"sum_atoms": ledger.two.algebra.atom_count}
     elif audit == "iterate":
         system = doc.resolve(target, "system")
-        r = direct_limit_correspondence_audit(system)
-        witnesses = tuple(r.failures[:5])
-        verdicts_ok = True
+        ledger = direct_limit_correspondence_audit(system)
         oracle = omega_length_oracle()
-        last = system.algebra(system.length - 1)
-        for e in last.nonzero_elements():
-            t = ConstantThread(system.length - 1, e)
+        last = system.length - 1
+        for e in system.algebra(last).nonzero_elements():
+            t = ConstantThread(last, e)
             thread_validate(system, t)
             v = rcs_membership(system, t, oracle)
-            if v.member is not True:
-                verdicts_ok = False
-        ok = r.passed and verdicts_ok
-        yield AuditResult(
-            "iterate",
-            target,
-            PASS if ok else FAIL,
-            witnesses if not ok else (),
-            details={"length": system.length, **r.details},
-        )
+            ok = v.member is True
+            witness = "" if ok else f"constant {e}: {v.reason}"
+            ledger.record("constants_in_rcs", ok, witness)
+        details = {"length": system.length, **ledger.details}
     elif audit == "sg-audit":
         trace = doc.resolve(target, "trace")
         dis = disjointify_sg_audit(trace)
         sup = semigeneric_sup_audit(trace)
-        restrictions_ok = True
-        witnesses = []
+        ledger = Ledger()
+        for law, ok in (
+            ("disjointification_degree", dis.equal),
+            ("sup_characterization", sup.equal),
+            ("sg_is_semigeneric", sup.sg_is_semigeneric),
+        ):
+            ledger.record(law, ok)
         for b in sorted(trace.carrier):
-            if b == 0:
-                continue
-            rr = restriction_audit(trace, b)
-            if not rr.equal or not rr.upward_ok:
-                restrictions_ok = False
-                witnesses.append(f"restriction law fails below element {b}")
-        ok = dis.equal and sup.equal and sup.sg_is_semigeneric and restrictions_ok
-        if not dis.equal:
-            witnesses.append("disjointification degree mismatch")
-        if not sup.equal:
-            witnesses.append("sup characterization mismatch")
-        yield AuditResult(
-            "sg-audit",
-            target,
-            PASS if ok else FAIL,
-            tuple(witnesses[:5]),
-            details={
-                "closure_ok": dis.closure_ok,
-                "names_audited": sup.names_audited,
-            },
-        )
+            if b:
+                rr = restriction_audit(trace, b)
+                ok = rr.equal and rr.upward_ok
+                witness = "" if ok else f"fails below element {b}"
+                ledger.record("restriction_law", ok, witness)
+        details = {"closure_ok": dis.closure_ok, "names_audited": sup.names_audited}
     else:  # pragma: no cover
         raise UnknownCommand(f"unknown audit {audit!r}")
+    yield audit, target, ledger, details
 
 
 def main(argv=None) -> int:
@@ -216,7 +200,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--depth", type=int, default=8)
     parser.add_argument("--format", default="human", choices=("human", "json"))
-    parser.add_argument("--exhaustive-max-atoms", type=int, default=4)
     try:
         args = parser.parse_args(argv)
     except SystemExit:
@@ -230,13 +213,7 @@ def main(argv=None) -> int:
                 doc = parse_workspace(fh.read())
         else:
             doc = WorkspaceDoc(1)
-        report = execute(
-            doc,
-            args.command,
-            seed=args.seed,
-            depth=args.depth,
-            exhaustive_max_atoms=args.exhaustive_max_atoms,
-        )
+        report = execute(doc, args.command, seed=args.seed, depth=args.depth)
     except FileNotFoundError as e:
         print(f"workspace not found: {e.filename}", file=sys.stderr)
         return 2

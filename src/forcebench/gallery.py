@@ -8,7 +8,7 @@ invisible to pointwise meets) are phrased as support-escape certificates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .free_algebra import (
@@ -29,6 +29,7 @@ from .iteration import (
     thread_validate,
 )
 from .morphisms import FreeInclusion
+from .report import Ledger
 
 
 def fresh_gen(n: int) -> str:
@@ -80,26 +81,6 @@ def build_fresh_tower(depth: int, base_size: int | None = None) -> FreshTower:
     return FreshTower(depth, base_size, system)
 
 
-@dataclass
-class ClaimVerdict:
-    passed: bool
-    certified_depth: int
-    witness: str = ""
-
-
-@dataclass
-class GalleryReport:
-    depth: int
-    claims: dict[str, ClaimVerdict] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.claims.values())
-
-    def record(self, name: str, passed: bool, depth: int, witness: str = "") -> None:
-        self.claims[name] = ClaimVerdict(passed, depth, witness)
-
-
 def _fresh_chain() -> GeneratorChain:
     """y0, y0∧y1, ...: the chain a constant thread under the diagonal must obey."""
     return GeneratorChain(
@@ -108,7 +89,7 @@ def _fresh_chain() -> GeneratorChain:
     )
 
 
-def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> GalleryReport:
+def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
     """The direct limit's pointwise supremum outruns the true supremum.
 
     The family t_n (constant from stage n, seeded "the n-th fresh generator
@@ -122,7 +103,7 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> GalleryReport:
         raise ValueError("the gap needs depth at least 3")
     tower = tower or build_fresh_tower(depth)
     system = tower.system
-    report = GalleryReport(depth)
+    report = Ledger()
 
     def t_seed(n: int) -> FreeElement:
         # stage-n seed: fresh generator n-1 fails, all earlier ones hold
@@ -135,8 +116,8 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> GalleryReport:
         thread_validate(system, t, depth=depth)
 
     # paper-anchored base case: the first member projects to 1 at stage 0
-    base_case = coordinate(system, family[1], 0) == FREE_ONE
-    report.record("first_member_projects_to_one", base_case, 0)
+    ok = coordinate(system, family[1], 0) == FREE_ONE
+    report.record("first_member_projects_to_one", ok, "" if ok else "t_1(0) is not 1", depth=0)
 
     ok = True
     witness = ""
@@ -147,7 +128,9 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> GalleryReport:
             if not meet.is_zero:
                 ok = False
                 witness = f"t_{n} and t_{m} meet at coordinate {c}"
-    report.record("pairwise_incompatible", ok, depth, witness)
+    report.record(
+        "pairwise_incompatible", ok, witness, cases=depth * (depth - 1) // 2, depth=depth
+    )
 
     ok = True
     witness = ""
@@ -158,7 +141,7 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> GalleryReport:
         if not join.is_one:
             ok = False
             witness = f"pointwise join falls short at coordinate {n}"
-    report.record("pointwise_sup_is_one", ok, depth, witness)
+    report.record("pointwise_sup_is_one", ok, witness, cases=depth, depth=depth)
 
     diagonal = RuleThread(
         lambda n: all_meet(generator(fresh_gen(k)) for k in range(n)),
@@ -175,7 +158,7 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> GalleryReport:
         if coordinate(system, diagonal, n).is_zero:
             ok = False
             witness = f"diagonal vanished at coordinate {n}"
-    report.record("diagonal_avoids_family", ok, depth, witness)
+    report.record("diagonal_avoids_family", ok, witness, cases=depth, depth=depth)
 
     # gap certificate: no nonzero constant below the diagonal
     chain = _fresh_chain()
@@ -195,11 +178,11 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> GalleryReport:
         if not bound.is_zero:
             ok = False
             witness = f"nonzero constant of support {s} sits below the diagonal"
-    report.record("no_constant_below_diagonal", ok, depth, witness)
+    report.record("no_constant_below_diagonal", ok, witness, cases=depth + 1, depth=depth)
     return report
 
 
-def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> GalleryReport:
+def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
     """Two incompatible threads whose coordinatewise meets never vanish.
 
     With the descending base cylinders a_n and fresh generators d_n, the
@@ -211,7 +194,7 @@ def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> GalleryRepo
         raise ValueError("the wedge needs depth at least 3")
     tower = tower or build_fresh_tower(depth)
     system = tower.system
-    report = GalleryReport(depth)
+    report = Ledger()
 
     def a(n: int) -> FreeElement:
         return all_meet(generator(base_gen(k)) for k in range(n))
@@ -241,7 +224,7 @@ def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> GalleryRepo
         if meet.is_zero:
             ok = False
             witness = f"coordinate {n} meet vanished"
-    report.record("meets_are_nonzero_cylinders", ok, depth, witness)
+    report.record("meets_are_nonzero_cylinders", ok, witness, cases=depth, depth=depth)
 
     # the pointwise meet is not a thread: coherence already fails low
     ok = False
@@ -252,7 +235,7 @@ def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> GalleryRepo
             ok = True
             witness = f"pointwise meet loses coherence at ({n},{n+1})"
             break
-    report.record("pointwise_meet_not_a_thread", ok, depth, witness)
+    report.record("pointwise_meet_not_a_thread", ok, witness, cases=n + 1, depth=depth)
 
     # any common lower bound is under every cylinder at stage 0
     ok = True
@@ -262,7 +245,9 @@ def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> GalleryRepo
         if squeezed != a(n):
             ok = False
             witness = f"projection of the meet at {n} is not the cylinder"
-    report.record("lower_bounds_squeezed_under_cylinders", ok, depth, witness)
+    report.record(
+        "lower_bounds_squeezed_under_cylinders", ok, witness, cases=depth, depth=depth
+    )
 
     chain = GeneratorChain(
         element_at=a,
@@ -273,13 +258,9 @@ def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> GalleryRepo
     report.record(
         "sample_lower_bound_fails_escape",
         verdict.kind == "fails_at" and verdict.index == 2,
-        depth,
         f"x0 candidate fails at chain step {verdict.index}",
+        depth=depth,
     )
-    zero_verdict = chain_vanishing(tower.stage_algebra(0).zero, chain)
-    report.record(
-        "zero_is_the_only_survivor",
-        zero_verdict.is_zero,
-        depth,
-    )
+    ok = chain_vanishing(tower.stage_algebra(0).zero, chain).is_zero
+    report.record("zero_is_the_only_survivor", ok, "" if ok else "zero fails", depth=depth)
     return report

@@ -22,6 +22,7 @@ from .finite_cba import Ultrafilter
 from .free_algebra import FreeAlgebra
 from .morphisms import FreeInclusion, identity_hom
 from .poset import Poset, boolean_completion
+from .report import Ledger
 from .two_step import GenericQuotient, Triangle, canonical_representative, quotient_hom
 
 
@@ -222,31 +223,19 @@ def meet_with_constant(
 # -- the antichain pointwise-sup lemma ------------------------------------------------
 
 
-@dataclass
-class AntichainSupReport:
-    stage: int
-    searched: int = 0
-    candidates: int = 0
-    refuted: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def antichain_sup_audit(
     system: IterationSystem,
     threads: list[Thread],
     stage: int,
     depth: int,
     candidates: "list[Thread] | str" = "search",
-) -> AntichainSupReport:
+) -> Ledger:
     """The pointwise sup of a stage-antichain family is the true sup.
 
     Every candidate below the pointwise sup but below none of the listed
     threads is refuted by the proof's refinement h(b) = g(b) ∧ i(f(stage)):
-    h is a nonzero thread under both g and some listed f.
+    h is a nonzero thread under both g and some listed f.  One claim, with a
+    case per searched constant seed (search) or per supplied candidate.
     """
     projections = [coordinate(system, t, stage) for t in threads]
     for i, x in enumerate(projections):
@@ -256,7 +245,9 @@ def antichain_sup_audit(
             if x & y:
                 raise NotAntichainAtStage(stage, "overlapping projections")
 
-    report = AntichainSupReport(stage)
+    report = Ledger()
+    claim = "pointwise_sup_is_the_sup"
+    report.record(claim, True, cases=0)
     sup = pointwise_sup(system, threads)
     stages = list(system.stages(depth))
 
@@ -271,73 +262,57 @@ def antichain_sup_audit(
             s_alg = system.algebra(s)
             for seed in s_alg.nonzero_elements():
                 g = ConstantThread(s, seed)
-                report.searched += 1
                 g_last = coordinate(system, g, last)
-                if not alg_last.leq(g_last, sup_last):
-                    continue
-                if all(
+                if alg_last.leq(g_last, sup_last) and all(
                     not alg_last.leq(g_last, coordinate(system, t, last))
                     for t in threads
                 ):
                     found.append(g)
+                else:  # not a candidate: nothing to refute
+                    report.record(claim, True)
         candidates = found
 
     for g in candidates:
-        report.candidates += 1
-        g_stage = coordinate(system, g, stage)
-        chosen = None
-        for t, proj in zip(threads, projections):
-            if g_stage & proj:
-                chosen = t
-                break
-        if chosen is None:
-            report.failures.append(
-                f"candidate meets no listed projection at stage {stage}"
-            )
-            continue
-        f_stage = coordinate(system, chosen, stage)
-
-        def h_coord(n: int):
-            if n >= stage:
-                return coordinate(system, g, n) & system.hom(stage, n).apply(f_stage)
-            return system.hom(n, stage).project(g_stage & f_stage)
-
-        ok = True
-        for a, b in itertools.combinations(stages, 2):
-            if system.hom(a, b).project(h_coord(b)) != h_coord(a):
-                ok = False
-                report.failures.append(f"refinement not coherent at ({a},{b})")
-                break
-        if not ok:
-            continue
-        if not h_coord(stage):
-            report.failures.append("refinement vanished at its own stage")
-            continue
-        for n in stages:
-            alg_n = system.algebra(n)
-            if not alg_n.leq(h_coord(n), coordinate(system, g, n)):
-                ok = False
-                report.failures.append(f"refinement escapes the candidate at {n}")
-                break
-            if not alg_n.leq(h_coord(n), coordinate(system, chosen, n)):
-                ok = False
-                report.failures.append(f"refinement escapes the listed thread at {n}")
-                break
-        if ok:
-            report.refuted.append(
-                f"candidate is compatible with a listed thread (refinement nonzero)"
-            )
+        witness = _unrefuted(system, threads, projections, stages, stage, g)
+        report.record(claim, not witness, witness)
     return report
+
+
+def _unrefuted(system, threads, projections, stages, stage, g) -> str:
+    """Why the refinement fails to refute candidate g; "" when it refutes it."""
+    g_stage = coordinate(system, g, stage)
+    chosen = next((t for t, proj in zip(threads, projections) if g_stage & proj), None)
+    if chosen is None:
+        return f"candidate meets no listed projection at stage {stage}"
+    f_stage = coordinate(system, chosen, stage)
+
+    def h_coord(n: int):
+        if n >= stage:
+            return coordinate(system, g, n) & system.hom(stage, n).apply(f_stage)
+        return system.hom(n, stage).project(g_stage & f_stage)
+
+    for a, b in itertools.combinations(stages, 2):
+        if system.hom(a, b).project(h_coord(b)) != h_coord(a):
+            return f"refinement not coherent at ({a},{b})"
+    if not h_coord(stage):
+        return "refinement vanished at its own stage"
+    for n in stages:
+        alg_n = system.algebra(n)
+        if not alg_n.leq(h_coord(n), coordinate(system, g, n)):
+            return f"refinement escapes the candidate at {n}"
+        if not alg_n.leq(h_coord(n), coordinate(system, chosen, n)):
+            return f"refinement escapes the listed thread at {n}"
+    return ""
 
 
 # -- direct limit against its completion ------------------------------------------------
 
 
 @dataclass
-class CorrespondenceReport:
-    kind: str
-    passed: bool = True
-    failures: list[str] = field(default_factory=list)
+class CorrespondenceReport(Ledger):
+    """The audit's claims; ``details`` counts elements (finite) or holds a
+    verdict per thread (lazy)."""
+
     details: dict = field(default_factory=dict)
 
 
@@ -355,7 +330,7 @@ def direct_limit_correspondence_audit(
     (membership evidence) or every stage yields zero (a gap certificate).
     """
     if system.eager:
-        report = CorrespondenceReport("finite")
+        report = CorrespondenceReport()
         last = system.length - 1
         alg = system.algebra(last)
         names = {}
@@ -372,14 +347,13 @@ def direct_limit_correspondence_audit(
             ),
         )
         completion = boolean_completion(poset)
-        if completion.algebra.atom_count != alg.atom_count:
-            report.passed = False
-            report.failures.append("completion has the wrong atom count")
+        ok = completion.algebra.atom_count == alg.atom_count
+        witness = "" if ok else "completion has the wrong atom count"
+        report.record("completion_atom_count", ok, witness)
+        if not ok:
             return report
-        audit = completion.audit()
-        if not all(audit.values()):
-            report.passed = False
-            report.failures.append(f"dense-embedding audit failed: {audit}")
+        for check, ok in completion.audit().items():
+            report.record(f"completion_{check}", ok)
         # k(U) = join of the constants in U; its inverse collects constants below
         for m in completion.algebra.elements():
             k_m = alg.sup(
@@ -388,15 +362,14 @@ def direct_limit_correspondence_audit(
             back = completion.algebra.sup(
                 completion.embedding[names[e]] for e in elements if alg.leq(e, k_m)
             )
-            if back != m:
-                report.passed = False
-                report.failures.append(f"round trip moved {m} to {back}")
+            ok = back == m
+            report.record("round_trip", ok, "" if ok else f"moved {m} to {back}")
         report.details["elements"] = len(elements)
         return report
 
     if depth is None or threads is None:
         raise ValueError("lazy audits need a depth and explicit threads")
-    report = CorrespondenceReport("lazy")
+    report = CorrespondenceReport()
     details = []
     for t in threads:
         best = []

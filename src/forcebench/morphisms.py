@@ -6,6 +6,7 @@ retraction calculus reduces to an exact image/preimage identity.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -18,9 +19,9 @@ from .finite_cba import (
     atom_map,
     basic_open,
     format_element,
-    ultrafilters,
 )
 from .free_algebra import FreeAlgebra, FreeElement, free_project
+from .report import Ledger
 
 
 @dataclass(frozen=True)
@@ -179,28 +180,292 @@ class FreeInclusion:
         return FreeInclusion(self.source, other.target)
 
 
-# -- audits --------------------------------------------------------------------
+# -- the retraction-law audit ---------------------------------------------------
+
+# Every element and pair is a case when asked for and both algebras have at
+# most this many atoms (pairs of target elements: 4^n); seeded samples above.
+EXHAUSTIVE_MAX_ATOMS = 6
+# the cli asks for enumeration up to this many source atoms
+EXHAUSTIVE_SOURCE_ATOMS = 4
 
 
-@dataclass
-class EmbeddingAuditReport:
-    """Per-law verdicts with counterexample witnesses for failures."""
+class _Cases:
+    """The case lists of one audit, built once and shared by every law.
 
-    laws: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, str] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    Exhaustive: every element of B and C, every pair, and every e below and
+    cover above each target element.  Sampled: seeded elements, pairs with
+    the first 16 of them, and the atoms where a law ranges over generators.
+    Lists of target elements come with their projections (cs/pcs, ...);
+    ``below`` and ``above`` map an element to projections below and above it.
+    """
 
-    @property
-    def passed(self) -> bool:
-        return all(self.laws.values())
+    def __init__(self, h: CompleteHom, exhaustive: bool, rng, samples: int) -> None:
+        B, C = h.source, h.target
+        r = rng or random.Random(0)
+        self.h = h
+        if exhaustive and max(B.atom_count, C.atom_count) <= EXHAUSTIVE_MAX_ATOMS:
+            bs, cs = list(B.elements()), list(C.elements())
+            ibs, pcs = [h.apply(b) for b in bs], [h.project(c) for c in cs]
+            subs = [[0]]  # c -> every e <= c
+            for c in cs[1:]:
+                low = c & -c
+                subs.append(subs[c ^ low] + [e | low for e in subs[c ^ low]])
+            below = [{pcs[e] for e in sub} for sub in subs]
+            # monotonicity on covers c < c | a is monotonicity on all c <= d
+            atoms = C.atoms()
+            above = [[pcs[c | a] for a in atoms if not c & a] for c in cs]
+            self.apply, self.project = ibs.__getitem__, pcs.__getitem__
+            self.ds, self.pds, self.b_partners = cs, pcs, bs
+            self.probes, self.pprobes = cs, pcs
+        else:
+            cs = [r.getrandbits(C.atom_count) for _ in range(samples)]
+            bs = [r.getrandbits(B.atom_count) for _ in range(samples)]
+            self.apply, self.project = h.apply, h.project
+            ibs, pcs = list(map(h.apply, bs)), list(map(h.project, cs))
+            self.ds, self.pds, self.b_partners = cs[:16], pcs[:16], bs[:16]
+            self.probes = C.atoms()
+            self.pprobes = list(map(h.project, self.probes))
+            atoms = list(zip(self.probes, self.pprobes))
+            below = {c: [p for a, p in atoms if a & c] for c in self.ds}
+            above = {a: [h.project(a | d) for d in self.ds] for a in self.probes}
+        self.bs, self.ibs, self.cs, self.pcs = bs, ibs, cs, pcs
+        self.below, self.above = below, above  # keyed by ds and probes
+        if exhaustive and B.atom_count <= 3:
+            self.source_sets = _predense_families(B.atom_count)
+        else:
+            self.source_sets = []
+            for _ in range(min(samples, 50)):
+                xs = {r.getrandbits(B.atom_count) for _ in range(3)} | {B.one}
+                self.source_sets.append(tuple(sorted(xs - {0})))
+        self.target_sets = [(C.one,)]
+        for _ in range(min(samples, 50)):
+            xs = {r.getrandbits(C.atom_count) for _ in range(4)}
+            xs.add(C.neg(C.sup(xs)))  # force the join up to 1
+            self.target_sets.append(tuple(sorted(xs - {0})))
 
-    def record(self, law: str, ok: bool, witness: str = "") -> None:
-        self.laws[law] = self.laws.get(law, True) and ok
-        if not ok and law not in self.witnesses:
-            self.witnesses[law] = witness
+    def at(self, **elements: int | None) -> str:
+        """``b={..} c={..}`` (b in B, c and d in C); "" when all are None."""
+        return " ".join(
+            f"{name}={format_element(self.h.source if name == 'b' else self.h.target, x)}"
+            for name, x in elements.items()
+            if x is not None
+        )
 
-    def failures(self) -> list[str]:
-        return [k for k, v in self.laws.items() if not v]
+
+@functools.cache
+def _predense_families(atoms: int) -> tuple[tuple[int, ...], ...]:
+    """Every predense family of nonzero elements: 2^(2^n - 1) sets to scan."""
+    B = FiniteCBA(atoms)
+    nonzero = range(1, B.one + 1)
+    return tuple(
+        D for n in nonzero for D in itertools.combinations(nonzero, n) if B.is_predense(D)
+    )
+
+
+# Each law maps the shared case lists to (holds, witness, cases in its
+# source); a failing law stops at its first witness.
+
+
+def _retract_section(k: _Cases):
+    """pi(i(b)) = b."""
+    bad = next((b for b, ib in zip(k.bs, k.ibs) if k.project(ib) != b), None)
+    return bad is None, k.at(b=bad), len(k.bs)
+
+
+def _expand_dominates(k: _Cases):
+    """c <= i(pi(c))."""
+    bad = next((c for c, pc in zip(k.cs, k.pcs) if c & ~k.apply(pc)), None)
+    return bad is None, k.at(c=bad), len(k.cs)
+
+
+def _positive_to_positive(k: _Cases):
+    """c > 0 implies pi(c) > 0."""
+    bad = next((c for c, pc in zip(k.cs, k.pcs) if c and not pc), None)
+    return bad is None, k.at(c=bad), len(k.cs)
+
+
+def _meet_translation(k: _Cases):
+    """pi(c ∧ i(b)) = pi(c) ∧ b."""
+    project, cs, pcs = k.project, k.cs, k.pcs
+    for b, ib in zip(k.bs, k.ibs):
+        if list(map(project, [c & ib for c in cs])) != [p & b for p in pcs]:
+            c = next(c for c, p in zip(cs, pcs) if project(c & ib) != p & b)
+            return False, k.at(b=b, c=c), len(k.bs) * len(cs)
+    return True, "", len(k.bs) * len(cs)
+
+
+def _meet_translation_join_form(k: _Cases):
+    """pi(c) ∧ b is the join of the pi(e) <= b over the e <= c (over the
+    atoms of c when sampled: O(atoms) per pair)."""
+    for c, pc in zip(k.ds, k.pds):
+        below = k.below[c]
+        for b in k.b_partners:
+            join = 0
+            for p in below:
+                if p & ~b == 0:
+                    join |= p
+            if join != pc & b:
+                return False, k.at(b=b, c=c), len(k.ds) * len(k.b_partners)
+    return True, "", len(k.ds) * len(k.b_partners)
+
+
+def _join_preserving(k: _Cases):
+    """pi(c ∨ d) = pi(c) ∨ pi(d)."""
+    project, ds, pds = k.project, k.ds, k.pds
+    for c, pc in zip(k.cs, k.pcs):
+        for d, pd in zip(ds, pds):
+            if project(c | d) != pc | pd:
+                return False, k.at(c=c, d=d), len(k.cs) * len(ds)
+    return True, "", len(k.cs) * len(ds)
+
+
+def _sub_meet_inequality(k: _Cases):
+    """pi(c ∧ d) <= pi(c) ∧ pi(d)."""
+    project, ds, pds = k.project, k.ds, k.pds
+    for c, pc in zip(k.cs, k.pcs):
+        for d, pd in zip(ds, pds):
+            if project(c & d) & ~(pc & pd):
+                return False, k.at(c=c, d=d), len(k.cs) * len(ds)
+    return True, "", len(k.cs) * len(ds)
+
+
+def _super_complement_inequality(k: _Cases):
+    """-pi(c) <= pi(-c)."""
+    B, C = k.h.source, k.h.target
+    cs = zip(k.cs, k.pcs)
+    bad = next((c for c, pc in cs if B.neg(pc) & ~k.project(C.neg(c))), None)
+    return bad is None, k.at(c=bad), len(k.cs)
+
+
+def _join_preserving_empty(k: _Cases):
+    """pi(0) = 0."""
+    ok = k.project(0) == 0
+    return ok, "" if ok else k.at(c=0), 1
+
+
+def _embedding_from_retraction(k: _Cases):
+    """i(b) is the join of the elements (atoms suffice) projecting inside b."""
+    probes = list(zip(k.probes, k.pprobes))
+    for b, ib in zip(k.bs, k.ibs):
+        glued = 0
+        for e, pe in probes:
+            if pe & ~b == 0:
+                glued |= e
+        if glued != ib:
+            return False, k.at(b=b), len(k.bs)
+    return True, "", len(k.bs)
+
+
+def _meet_counterexample(k: _Cases):
+    """Meet preservation fails exactly off the image; the witness is built."""
+    h, C = k.h, k.h.target
+    t0 = next(
+        (t for t in range(C.atom_count) if h._atom_image[h.fiber[t]].bit_count() >= 2),
+        None,
+    )
+    if t0 is None:
+        return True, "surjective embedding: no meet counterexample exists", 1
+    c = 1 << t0
+    d = h.apply(h.project(c)) & C.neg(c)
+    ok = d != 0 and h.project(d & c) == 0 and h.project(d) & h.project(c) != 0
+    return ok, k.at(c=c, d=d), 1
+
+
+def _predense_forward(k: _Cases):
+    """i maps predense families to predense families."""
+    C, B = k.h.target, k.h.source
+    bad = next((D for D in k.source_sets if C.sup(map(k.apply, D)) != C.one), None)
+    witness = "" if bad is None else f"D={{{','.join(format_element(B, x) for x in bad)}}}"
+    return bad is None, witness, len(k.source_sets)
+
+
+def _predense_backward(k: _Cases):
+    """pi maps predense families to predense families."""
+    B = k.h.source
+    bad = next((E for E in k.target_sets if B.sup(map(k.project, E)) != B.one), None)
+    return bad is None, "" if bad is None else f"|E|={len(bad)}", len(k.target_sets)
+
+
+def _generic_preimage(k: _Cases):
+    """The preimage of the generic at target atom t is the generic at fiber[t]:
+    t lies in i(b) exactly when fiber[t] lies in b."""
+    h = k.h
+    pulled = [0] * h.source.atom_count  # target atoms over each source atom
+    for t, s in enumerate(h.fiber):
+        pulled[s] |= 1 << t
+    for b, ib in zip(k.bs, k.ibs):
+        expected = 0
+        for s, mask in enumerate(pulled):
+            if b >> s & 1:
+                expected |= mask
+        if ib != expected:
+            t = ((ib ^ expected) & -(ib ^ expected)).bit_length() - 1
+            return False, f"target atom {t}", len(k.bs) * h.target.atom_count
+    return True, "", len(k.bs) * h.target.atom_count
+
+
+def _stone_open_image(k: _Cases):
+    """The dual map sends the basic open of c onto the basic open of pi(c)."""
+    B, C, fiber = k.h.source, k.h.target, k.h.fiber
+    bad = next(
+        (
+            c
+            for c, pc in zip(k.probes, k.pprobes)
+            if frozenset(fiber[t] for t in basic_open(C, c)) != basic_open(B, pc)
+        ),
+        None,
+    )
+    return bad is None, k.at(c=bad), len(k.probes)
+
+
+def _filters_to_filters(k: _Cases):
+    """pi maps the filter above c onto the filter above pi(c): each d >= c
+    (each cover, when exhaustive) projects above pi(c), and each b >= pi(c)
+    is pi(c ∨ i(b))."""
+    probes = [(c, pc) for c, pc in zip(k.probes, k.pprobes) if c]
+    cases = sum(len(k.above[c]) + len(k.b_partners) for c, _ in probes)
+    for c, pc in probes:
+        if any(p & pc != pc for p in k.above[c]):
+            return False, k.at(c=c), cases
+        for b in k.b_partners:
+            b |= pc
+            if k.project(c | k.apply(b)) != b:
+                return False, k.at(b=b, c=c), cases
+    return True, "", cases
+
+
+def _generics_to_generics(k: _Cases):
+    """pi sends each target atom to the source atom under it."""
+    fiber = k.h.fiber
+    bad = next((t for t, s in enumerate(fiber) if k.project(1 << t) != 1 << s), None)
+    return bad is None, "" if bad is None else f"atom {bad}", len(fiber)
+
+
+RETRACTION_LAWS = (
+    ("retract_section", _retract_section),
+    ("expand_dominates", _expand_dominates),
+    ("positive_to_positive", _positive_to_positive),
+    ("meet_translation", _meet_translation),
+    ("meet_translation_join_form", _meet_translation_join_form),
+    ("join_preserving", _join_preserving),
+    ("sub_meet_inequality", _sub_meet_inequality),
+    ("super_complement_inequality", _super_complement_inequality),
+    ("join_preserving_empty", _join_preserving_empty),
+    ("embedding_from_retraction", _embedding_from_retraction),
+    ("meet_counterexample", _meet_counterexample),
+    ("predense_forward", _predense_forward),
+    ("predense_backward", _predense_backward),
+    ("generic_preimage", _generic_preimage),
+    ("stone_open_image", _stone_open_image),
+    ("filters_to_filters", _filters_to_filters),
+    ("generics_to_generics", _generics_to_generics),
+)
+
+
+def _check(ledger: Ledger, laws, k: _Cases, prefix: str = "") -> None:
+    for name, law in laws:
+        ok, witness, cases = law(k)
+        ledger.record(prefix + name, ok, witness, cases)
 
 
 def retraction_laws_audit(
@@ -208,261 +473,23 @@ def retraction_laws_audit(
     exhaustive: bool = True,
     rng: random.Random | None = None,
     samples: int = 200,
-) -> EmbeddingAuditReport:
-    """Audit the full retraction calculus on h.
+) -> Ledger:
+    """Audit the full retraction calculus on h, one claim per law of
+    ``RETRACTION_LAWS``: every case up to ``EXHAUSTIVE_MAX_ATOMS`` atoms when
+    ``exhaustive``, else ``samples`` seeded elements.
 
-    Regular h: the section law, the expansion law, join preservation, the
-    recovery of i from pi, the translation law pi(c ∧ i(b)) = pi(c) ∧ b with
-    both of its forms, the sub-meet and super-complement inequalities, the
-    constructed meet-preservation counterexample when i is not surjective,
-    predense transfer both ways, the generic-preimage law, the Stone dual
-    image of basic opens, and filter transport.
-
-    Non-regular h: the generic-preimage law runs on h itself; everything
-    else runs on the restriction of h to its cokernel.
+    Non-regular h: the generic-preimage law runs on h itself; every law runs
+    on the restriction of h to its cokernel, under a ``coker.`` prefix.
     """
-    report = EmbeddingAuditReport()
-    if not h.regular:
-        core, _ = restrict_to_coker(h)
-        report.notes.append("non-regular input: laws audited on the cokernel restriction")
-        _generic_preimage_into_report(h, report)
-        sub = retraction_laws_audit(core, exhaustive, rng, samples)
-        for law, ok in sub.laws.items():
-            report.record("coker." + law, ok, sub.witnesses.get(law, ""))
-        return report
-
-    B, C = h.source, h.target
-    small_pairs = exhaustive and C.atom_count <= 6
-    tiny = exhaustive and C.atom_count <= 4  # cubic-space checks stay here
-    project, apply = h.project, h.apply
-
-    ok_retract = ok_expand = ok_meet = ok_form = True
-    witness = {}
-    if small_pairs:
-        proj = [project(c) for c in range(C.one + 1)]
-        c_all = range(C.one + 1)
-    else:
-        r = rng or random.Random(1)
-        c_all = [r.getrandbits(C.atom_count) for _ in range(samples)]
-        proj = {c: project(c) for c in c_all}
-    b_all = (
-        list(B.elements())
-        if exhaustive
-        else [(rng or random.Random(0)).getrandbits(B.atom_count) for _ in range(samples)]
-    )
-    for b in b_all:
-        ib = apply(b)
-        if project(ib) != b:
-            ok_retract = False
-            witness.setdefault("retract_section", f"b={format_element(B, b)}")
-        for c in c_all:
-            pc = proj[c]
-            if project(c & ib) != pc & b:
-                ok_meet = False
-                witness.setdefault(
-                    "meet_translation",
-                    f"b={format_element(B, b)} c={format_element(C, c)}",
-                )
-            if tiny:
-                best = B.sup(
-                    proj[e]
-                    for e in range(C.one + 1)
-                    if e & ~c == 0 and proj[e] & ~b == 0
-                )
-                if best != pc & b:
-                    ok_form = False
-    ok_positive = True
-    for c in c_all:
-        if c & ~apply(proj[c]):
-            ok_expand = False
-            witness.setdefault("expand_dominates", f"c={format_element(C, c)}")
-        if c != 0 and proj[c] == 0:
-            ok_positive = False
-            witness.setdefault("positive_to_positive", f"c={format_element(C, c)}")
-    report.record("retract_section", ok_retract, witness.get("retract_section", ""))
-    report.record("expand_dominates", ok_expand, witness.get("expand_dominates", ""))
-    report.record(
-        "positive_to_positive", ok_positive, witness.get("positive_to_positive", "")
-    )
-    report.record("meet_translation", ok_meet, witness.get("meet_translation", ""))
-    if tiny:
-        report.record("meet_translation_join_form", ok_form)
-
-    # binary joins + empty join decide join preservation for finite algebras
-    ok_join = ok_sub = ok_super = True
-    if small_pairs:
-        one = C.one
-        for c in c_all:
-            pc = proj[c]
-            nc_ok = B.neg(pc) & ~proj[one ^ c] == 0
-            if not nc_ok:
-                ok_super = False
-                witness.setdefault("super_complement_inequality", f"c={format_element(C, c)}")
-            for d in c_all:
-                pd = proj[d]
-                if proj[c | d] != pc | pd:
-                    ok_join = False
-                    witness.setdefault(
-                        "join_preserving",
-                        f"c={format_element(C, c)} d={format_element(C, d)}",
-                    )
-                if proj[c & d] & ~(pc & pd):
-                    ok_sub = False
-                    witness.setdefault(
-                        "sub_meet_inequality",
-                        f"c={format_element(C, c)} d={format_element(C, d)}",
-                    )
-    else:
-        for c in c_all:
-            for d in c_all[:16]:
-                pc, pd = proj[c], proj[d]
-                if project(c | d) != pc | pd:
-                    ok_join = False
-                if project(c & d) & ~(pc & pd):
-                    ok_sub = False
-            if B.neg(proj[c]) & ~project(C.neg(c)):
-                ok_super = False
-    report.record("join_preserving", ok_join, witness.get("join_preserving", ""))
-    report.record("sub_meet_inequality", ok_sub, witness.get("sub_meet_inequality", ""))
-    report.record(
-        "super_complement_inequality",
-        ok_super,
-        witness.get("super_complement_inequality", ""),
-    )
-    report.record("join_preserving_empty", h.project(0) == 0)
-
-    # i recovered from pi: i(b) = join of everything projecting inside b;
-    # atoms generate, so the atom scan decides the identity above tiny sizes
-    if small_pairs:
-        for b in B.elements():
-            glued = C.sup(e for e in c_all if proj[e] & ~b == 0)
-            ok = glued == h.apply(b)
-            report.record(
-                "embedding_from_retraction", ok, "" if ok else f"b={format_element(B, b)}"
-            )
-    else:
-        r = rng or random.Random(2)
-        for _ in range(samples):
-            b = r.getrandbits(B.atom_count)
-            glued = C.sup(
-                1 << t for t in range(C.atom_count) if B.leq(h.project(1 << t), b)
-            )
-            report.record("embedding_from_retraction", glued == h.apply(b))
-
-    # meet preservation fails exactly off the image; witness is constructed
-    surjective = all(m.bit_count() == 1 for m in h._atom_image)
-    if surjective:
-        report.record("meet_counterexample", True)
-        report.notes.append("surjective embedding: no meet counterexample exists")
-    else:
-        t0 = next(
-            t
-            for t in range(C.atom_count)
-            if h._atom_image[h.fiber[t]].bit_count() >= 2
-        )
-        c = 1 << t0
-        d = h.apply(h.project(c)) & C.neg(c)
-        ok = (
-            d != 0
-            and h.project(d & c) == 0
-            and h.project(d) & h.project(c) != 0
-        )
-        report.record(
-            "meet_counterexample",
-            ok,
-            "" if ok else f"c={format_element(C, c)} d={format_element(C, d)}",
-        )
-
-    _predense_transfer_into_report(h, report, exhaustive, rng, samples)
-    _generic_preimage_into_report(h, report)
-
-    # Stone dual: the image of a basic open is the basic open of the projection
-    for c in C.elements() if small_pairs else (1 << t for t in range(C.atom_count)):
-        mapped = frozenset(h.fiber[t] for t in basic_open(C, c))
-        ok = mapped == basic_open(B, h.project(c))
-        report.record("stone_open_image", ok, "" if ok else f"c={format_element(C, c)}")
-
-    # pi transports principal filters to principal filters, generics to generics
-    if tiny:
-        for c in C.nonzero_elements():
-            image = {h.project(d) for d in C.elements() if C.leq(c, d)}
-            up = {b for b in B.elements() if B.leq(h.project(c), b)}
-            ok = image == up
-            report.record(
-                "filters_to_filters", ok, "" if ok else f"c={format_element(C, c)}"
-            )
-    else:
-        for t in range(min(C.atom_count, 8)):
-            c = 1 << t
-            up = {b for b in B.elements() if B.leq(h.project(c), b)} if B.atom_count <= 6 else None
-            if up is not None:
-                image = {h.project(c | extra) for extra in (0, c, C.one)}
-                report.record("filters_to_filters", image <= up)
-    for t in range(C.atom_count):
-        ok = h.project(1 << t) == 1 << h.fiber[t]
-        report.record("generics_to_generics", ok, "" if ok else f"atom {t}")
-
-    return report
-
-
-def _predense_transfer_into_report(
-    h: CompleteHom,
-    report: EmbeddingAuditReport,
-    exhaustive: bool,
-    rng: random.Random | None,
-    samples: int,
-) -> None:
-    B, C = h.source, h.target
-    if exhaustive and B.atom_count <= 4:
-        source_sets = [
-            frozenset(xs)
-            for r in range(1, B.one + 2)
-            for xs in itertools.combinations(range(1, B.one + 1), r)
-            if B.is_predense(xs)
-        ] if B.atom_count <= 3 else None
-    else:
-        source_sets = None
-    if source_sets is None:
-        r = rng or random.Random(3)
-        source_sets = []
-        for _ in range(min(samples, 50)):
-            xs = frozenset(r.getrandbits(B.atom_count) for _ in range(3)) | {B.one}
-            source_sets.append(frozenset(x for x in xs if x))
-    for D in source_sets:
-        ok = C.is_predense(h.apply(b) for b in D)
-        report.record(
-            "predense_forward",
-            ok,
-            "" if ok else f"D={{{','.join(format_element(B, x) for x in sorted(D))}}}",
-        )
-    r = rng or random.Random(4)
-    target_sets = [frozenset({C.one})]
-    for _ in range(min(samples, 50)):
-        xs = {r.getrandbits(C.atom_count) for _ in range(4)}
-        xs.add(C.neg(C.sup(x for x in xs)))  # force the join up to 1
-        xs.discard(0)
-        if C.is_predense(xs):
-            target_sets.append(frozenset(xs))
-    for E in target_sets:
-        ok = B.is_predense(h.project(c) for c in E)
-        report.record("predense_backward", ok, "" if ok else f"|E|={len(E)}")
-
-
-def _generic_preimage_into_report(
-    h: CompleteHom, report: EmbeddingAuditReport, samples: int = 32
-) -> None:
-    B = h.source
-    if B.atom_count <= 4 and h.target.atom_count <= 8:
-        bs = list(B.elements())
-    else:
-        r = random.Random(5)
-        bs = list({r.getrandbits(B.atom_count) for _ in range(samples)} | {0, B.one})
-    for u in ultrafilters(h.target):
-        expected_atom = h.fiber[u.atom]
-        ok = all(
-            (h.apply(b) >> u.atom & 1) == (b >> expected_atom & 1) for b in bs
-        )
-        report.record("generic_preimage", ok, "" if ok else f"target atom {u.atom}")
+    ledger = Ledger()
+    if h.regular:
+        _check(ledger, RETRACTION_LAWS, _Cases(h, exhaustive, rng, samples))
+        return ledger
+    core, _ = restrict_to_coker(h)
+    generic = (("generic_preimage", _generic_preimage),)
+    _check(ledger, generic, _Cases(h, exhaustive, rng, samples))
+    _check(ledger, RETRACTION_LAWS, _Cases(core, exhaustive, rng, samples), "coker.")
+    return ledger
 
 
 # -- raw element maps: the join-completeness / genericity equivalence -----------

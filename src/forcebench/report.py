@@ -1,8 +1,9 @@
-"""Audit reports and their two output formats.
+"""Audit evidence, audit reports and their two output formats.
 
-The machine format is a stable, versioned JSON schema; identical inputs give
-byte-identical output (timings live in the human format only, so reports can
-be diffed and replayed).
+Every audit returns a ``Ledger``: one ``Claim`` per law, in the order the
+laws were first recorded.  The machine format is a stable, versioned JSON
+schema; identical inputs give byte-identical output (timings live in the
+human format only, so reports can be diffed and replayed).
 """
 from __future__ import annotations
 
@@ -14,6 +15,59 @@ MACHINE_SCHEMA_VERSION = 1
 PASS = "PASS"
 FAIL = "FAIL"
 INDETERMINATE = "INDETERMINATE"
+
+
+@dataclass
+class Claim:
+    """The evidence for one law: its verdict, how many cases it was checked
+    on, the first failing witness (or a note when it holds) and, for
+    depth-bounded claims, the depth it certifies."""
+
+    passed: bool = True
+    cases: int = 0
+    witness: str = ""
+    certified_depth: int | None = None
+
+
+@dataclass
+class Ledger:
+    """Ordered claims of one audit; a claim checked on 0 cases is INDETERMINATE."""
+
+    claims: dict[str, Claim] = field(default_factory=dict, kw_only=True)
+
+    def record(
+        self, name: str, ok: bool, witness: str = "", cases: int = 1, depth: int | None = None
+    ) -> None:
+        """Add ``cases`` checked cases to the claim ``name``.
+
+        The claim keeps the witness of its first failure; while it holds, the
+        first witness given stands as a note.
+        """
+        claim = self.claims.get(name)
+        if claim is None:
+            claim = self.claims[name] = Claim(witness=witness)
+        claim.cases += cases
+        if depth is not None:
+            claim.certified_depth = depth
+        if not ok and claim.passed:
+            claim.passed = False
+            claim.witness = witness
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.claims.values())
+
+    @property
+    def failures(self) -> list[str]:
+        return [f"{name}: {c.witness}" for name, c in self.claims.items() if not c.passed]
+
+    @property
+    def verdict(self) -> str:
+        if not self.passed:
+            return FAIL
+        if any(c.cases == 0 for c in self.claims.values()):
+            return INDETERMINATE
+        return PASS
 
 
 @dataclass

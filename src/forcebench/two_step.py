@@ -22,6 +22,7 @@ from .errors import (
 )
 from .finite_cba import FiniteCBA, Restriction, Ultrafilter, atom_map, format_element
 from .morphisms import CompleteHom, require_regular
+from .report import Ledger
 
 
 @dataclass(frozen=True)
@@ -250,15 +251,13 @@ def canonical_representative(
 
 
 @dataclass
-class TwoStepIso:
-    """An explicit isomorphism between B*(C/G-dot) and C."""
+class TwoStepIso(Ledger):
+    """An explicit isomorphism between B*(C/G-dot) and C, with its audit."""
 
     hom: CompleteHom
     two: TwoStepAlgebra
     quotients: tuple[GenericQuotient, ...]
     to_sum: dict[int, int] = field(default_factory=dict)
-    passed: bool = True
-    failures: list[str] = field(default_factory=list)
 
 
 def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoStepIso:
@@ -287,41 +286,44 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
 
     phi = atom_map(atom_image)
 
-    def check(cond: bool, msg: str) -> None:
-        if not cond:
-            iso.passed = False
-            iso.failures.append(msg)
-
     # phi agrees with the per-atom class maps
+    r = rng or random.Random(0)
     probe = list(C.elements()) if C.atom_count <= 6 else [0, C.one] + [
-        (rng or random.Random(0)).getrandbits(C.atom_count) for _ in range(32)
+        r.getrandbits(C.atom_count) for _ in range(32)
     ]
+    bad = None
     for c in probe:
         expected = two.element_from_family(tuple(q.class_of(c) for q in quotients))
-        check(phi(c) == expected, "atom permutation disagrees with the class family")
+        if bad is None and phi(c) != expected:
+            bad = c
         iso.to_sum[c] = expected
+    iso.record("phi_is_the_class_family", bad is None, _at(C, bad), len(probe))
 
-    check(
-        sorted(atom_image) == [1 << k for k in range(C.atom_count)],
-        "not a bijection on atoms",
-    )
-    for c in probe:
-        check(phi(C.neg(c)) == two.algebra.neg(phi(c)), "complement moved")
-        check(two.support(phi(c)) == h.project(c), "retraction does not transport")
+    ok = sorted(atom_image) == [1 << k for k in range(C.atom_count)]
+    iso.record("bijective_on_atoms", ok, "" if ok else "not a bijection on atoms")
+    bad = next((c for c in probe if phi(C.neg(c)) != two.algebra.neg(phi(c))), None)
+    iso.record("complement_preserved", bad is None, _at(C, bad), len(probe))
+    bad = next((c for c in probe if two.support(phi(c)) != h.project(c)), None)
+    iso.record("retraction_transported", bad is None, _at(C, bad), len(probe))
     if C.atom_count <= 4:
-        pairs = itertools.product(probe, repeat=2)
+        pairs = list(itertools.product(probe, repeat=2))
     else:
-        r = rng or random.Random(1)
         atom_masks = [1 << t for t in range(C.atom_count)]
         pairs = list(itertools.product(atom_masks, repeat=2)) + [
             (r.getrandbits(C.atom_count), r.getrandbits(C.atom_count))
             for _ in range(128)
         ]
-    for c, d in pairs:
-        check(phi(c | d) == phi(c) | phi(d), "join moved")
-    for b in B.elements():
-        check(phi(h.apply(b)) == two.embedding.apply(b), "embedding does not transport")
+    bad = next(((c, d) for c, d in pairs if phi(c | d) != phi(c) | phi(d)), None)
+    witness = "" if bad is None else f"{_at(C, bad[0])} {_at(C, bad[1], 'd')}"
+    iso.record("join_preserved", bad is None, witness, len(pairs))
+    i_sum = two.embedding.apply
+    bad = next((b for b in B.elements() if phi(h.apply(b)) != i_sum(b)), None)
+    iso.record("embedding_transported", bad is None, _at(B, bad, "b"), B.one + 1)
     return iso
+
+
+def _at(algebra: FiniteCBA, x: int | None, label: str = "c") -> str:
+    return "" if x is None else f"{label}={format_element(algebra, x)}"
 
 
 # -- triangles and quotient homomorphisms ------------------------------------------
@@ -345,16 +347,18 @@ class Triangle:
 
 
 @dataclass
-class QuotientHomResult:
+class QuotientHomResult(Ledger):
+    """j/G between the quotients at a base atom, with its audit."""
+
     hom: CompleteHom
     source_quotient: GenericQuotient
     target_quotient: GenericQuotient
-    passed: bool = True
-    failures: list[str] = field(default_factory=list)
 
 
 def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
-    """j/G between the quotients at a base atom, with the law audit."""
+    """j/G between the quotients at a base atom, with the law audit: every
+    element (pair) when both targets have at most 8 atoms, 64 seeded ones
+    above."""
     for leg in (t.i0, t.i1, t.j):
         require_regular(leg)
     if u.algebra != t.i0.source:
@@ -365,36 +369,35 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
     hom = CompleteHom(q0.algebra, q1.algebra, fiber)
     result = QuotientHomResult(hom, q0, q1)
 
-    def check(cond: bool, msg: str) -> None:
-        if not cond:
-            result.passed = False
-            result.failures.append(msg)
-
-    C0, C1 = t.j.source, t.j.target
-    small = C1.atom_count <= 8 and C0.atom_count <= 8
-    pairs = (
-        itertools.product(C0.elements(), repeat=2)
-        if small
-        else ((random.Random(1).getrandbits(C0.atom_count),) * 2 for _ in range(64))
+    C0, C1, j = t.j.source, t.j.target, t.j
+    if C1.atom_count <= 8 and C0.atom_count <= 8:
+        c0s, c1s = list(C0.elements()), list(C1.elements())
+        pairs = [(c, d) for c in c0s for d in c0s if q0.same_class(c, d)]
+    else:
+        r = random.Random(1)
+        c0s = [r.getrandbits(C0.atom_count) for _ in range(64)]
+        c1s = [r.getrandbits(C1.atom_count) for _ in range(64)]
+        # pairs in one class: d differs from c only off the class mask
+        pairs = [(c, c ^ (r.getrandbits(C0.atom_count) & ~q0.view.mask)) for c in c0s]
+    same = q1.same_class
+    bad = next(((c, d) for c, d in pairs if not same(j.apply(c), j.apply(d))), None)
+    witness = "" if bad is None else f"{_at(C0, bad[0])} {_at(C0, bad[1], 'd')}"
+    result.record("well_defined_on_classes", bad is None, witness, len(pairs))
+    bad = next(
+        (c for c in c0s if hom.apply(q0.class_of(c)) != q1.class_of(j.apply(c))), None
     )
-    for c, d in pairs:
-        if q0.same_class(c, d):
-            check(
-                q1.same_class(t.j.apply(c), t.j.apply(d)),
-                "not well defined on classes",
-            )
-    for c in C0.elements() if small else []:
-        check(
-            hom.apply(q0.class_of(c)) == q1.class_of(t.j.apply(c)),
-            "does not intertwine the class maps",
-        )
-    check(hom.regular, "quotient hom not regular")
+    result.record("intertwines_class_maps", bad is None, _at(C0, bad), len(c0s))
+    result.record("regular", hom.regular, "" if hom.regular else "not regular")
     # retraction law: pi_{j/G}([c]) = [pi_j(c)]
-    for c in C1.elements() if small else []:
-        check(
-            hom.project(q1.class_of(c)) == q0.class_of(t.j.project(c & q1.view.mask)),
-            "retraction law fails on the quotient",
-        )
+    bad = next(
+        (
+            c
+            for c in c1s
+            if hom.project(q1.class_of(c)) != q0.class_of(j.project(c & q1.view.mask))
+        ),
+        None,
+    )
+    result.record("retraction_law", bad is None, _at(C1, bad), len(c1s))
     return result
 
 
@@ -402,12 +405,10 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
 
 
 @dataclass
-class LiftedEmbedding:
+class LiftedEmbedding(Ledger):
     hom: CompleteHom
     two0: TwoStepAlgebra
     two1: TwoStepAlgebra
-    passed: bool = True
-    failures: list[str] = field(default_factory=list)
 
 
 def lift_embedding_name(
@@ -433,16 +434,15 @@ def lift_embedding_name(
         fiber.append(two0.offsets[a] + family[a].fiber[d1])
     hom = CompleteHom(two0.algebra, two1.algebra, tuple(fiber))
     out = LiftedEmbedding(hom, two0, two1)
+    out.record("regular", hom.regular, "" if hom.regular else "not regular")
     if not hom.regular:
-        out.passed = False
-        out.failures.append("lifted embedding not regular")
         return out
     tri = Triangle(two0.embedding, two1.embedding, hom)
     for a in range(base.atom_count):
         q = quotient_hom(tri, Ultrafilter(base, a))
+        witness = "" if q.passed else f"atom {a}: {q.failures[0]}"
+        out.record("quotient_laws", q.passed, witness)
         if not q.passed:
-            out.passed = False
-            out.failures.extend(f"atom {a}: {m}" for m in q.failures)
             continue
         # the quotient action is k_a up to the atom reindexing
         k = family[a]
@@ -454,29 +454,22 @@ def lift_embedding_name(
             k.fiber[two1.atom_pair(q.target_quotient.view.atom_of_sub[t])[1]]
             for t in range(q.hom.target.atom_count)
         )
-        if recovered != expected:
-            out.passed = False
-            out.failures.append(f"atom {a}: quotient action is not k_a")
+        ok = recovered == expected
+        out.record("quotient_action_is_k", ok, "" if ok else f"atom {a}")
     return out
 
 
 # -- three-step associativity ---------------------------------------------------------
 
 
-@dataclass
-class ThreeStepReport:
-    pairs_checked: int = 0
-    passed: bool = True
-    failures: list[str] = field(default_factory=list)
-
-
 def three_step_assoc_audit(
     base: FiniteCBA,
     mid: AtomwisePresentation,
     top: tuple[FiniteCBA, ...],
-) -> ThreeStepReport:
+) -> Ledger:
     """Quotienting twice along an atom pair equals quotienting once at the
-    composed atom, via [[c]_G]_K -> [c]_H on every element."""
+    composed atom, via [[c]_G]_K -> [c]_H on every element (64 seeded ones
+    above 10 atoms); one case per atom pair."""
     if mid.base != base:
         raise ShapeMismatch("mid presentation must sit on the base")
     two1 = build_two_step(mid)
@@ -486,27 +479,28 @@ def three_step_assoc_audit(
     two2 = build_two_step(pres2)
     i1, i2 = two1.embedding, two2.embedding
     i12 = i1.then(i2)
-    report = ThreeStepReport()
+    top_algebra = two2.algebra
+    report = Ledger()
     for u in range(base.atom_count):
         outer = GenericQuotient(i12, u)
+        r = random.Random(u)
+        elements = (
+            list(top_algebra.elements())
+            if top_algebra.atom_count <= 10
+            else [r.getrandbits(top_algebra.atom_count) for _ in range(64)]
+        )
         for d in range(mid.fibers[u].atom_count):
             mid_atom = two1.offsets[u] + d
-            report.pairs_checked += 1
             once = GenericQuotient(i2, mid_atom)
             # two-step route: quotient the outer view again at the class of mid_atom
-            inner_mask = i2.apply(1 << mid_atom)
-            for c in (
-                two2.algebra.elements()
-                if two2.algebra.atom_count <= 10
-                else [random.Random(u).getrandbits(two2.algebra.atom_count) for _ in range(64)]
-            ):
-                lhs = c & outer.view.mask & inner_mask
-                rhs = c & once.view.mask
-                if lhs != rhs:
-                    report.passed = False
-                    report.failures.append(
-                        f"(G,K)=({u},{mid_atom}): classes diverge at "
-                        f"{format_element(two2.algebra, c)}"
-                    )
-                    break
+            twice = outer.view.mask & i2.apply(1 << mid_atom)
+            bad = next((c for c in elements if c & twice != c & once.view.mask), None)
+            report.record(
+                "quotient_twice_is_quotient_once",
+                bad is None,
+                ""
+                if bad is None
+                else f"(G,K)=({u},{mid_atom}): classes diverge at "
+                f"{format_element(top_algebra, bad)}",
+            )
     return report

@@ -274,7 +274,8 @@ def test_delta1_audit_atomic_and_bounded():
     neg_equiv = Not(pos)
     report = delta1_audit(h, pool, d0_formulas=d0, d1_pairs=((pos, neg_equiv),))
     assert report.passed, report.failures[:3]
-    assert report.d0_cases > 0 and report.d1_cases > 0
+    assert report.claims["bounded_formulas_commute"].cases > 0
+    assert report.claims["sigma1_pairs_pin_values"].cases > 0
 
 
 def test_delta1_identity_hom_trivial():

@@ -125,9 +125,10 @@ def test_antichain_sup_doubling_chain():
     u = ConstantThread(1, 0b10)
     report = antichain_sup_audit(system, [t, u], stage=1, depth=2)
     assert report.passed
-    assert report.searched > 0
-    # sup equals pointwise sup: no strict escape exists among constants
-    assert report.candidates == len(report.refuted) or report.candidates == 0
+    claim = report.claims["pointwise_sup_is_the_sup"]
+    assert claim.cases > 0  # constant seeds searched
+    # sup equals pointwise sup: every candidate found among constants is refuted
+    assert claim.passed
 
 
 def test_antichain_sup_singleton_is_its_own_sup():
@@ -154,7 +155,8 @@ def test_antichain_sup_with_supplied_candidate():
     g = ConstantThread(2, 0b0101)
     report = antichain_sup_audit(system, [t, u], stage=2, depth=2, candidates=[g])
     assert report.passed
-    assert len(report.refuted) == 1
+    claim = report.claims["pointwise_sup_is_the_sup"]
+    assert claim.cases == 1 and claim.passed  # the one candidate is refuted
 
 
 def test_correspondence_finite_length():

@@ -8,6 +8,7 @@ from forcebench.errors import ArityMismatch, NotRegular, ZeroRestriction
 from forcebench.finite_cba import FiniteCBA
 from forcebench.free_algebra import FreeAlgebra, all_meet, generator
 from forcebench.morphisms import (
+    RETRACTION_LAWS,
     CompleteHom,
     ElementMap,
     FreeInclusion,
@@ -89,12 +90,12 @@ def test_ker_coker_missing_atom():
 def test_retraction_laws_identity_hom():
     report = retraction_laws_audit(identity_hom(B2))
     assert report.passed
-    assert any("surjective" in n for n in report.notes)
+    assert "surjective" in report.claims["meet_counterexample"].witness
 
 
 def test_retraction_laws_doubling():
     report = retraction_laws_audit(doubling_hom())
-    assert report.passed, report.failures()
+    assert report.passed, report.failures
 
 
 def test_meet_counterexample_witness_matches_construction():
@@ -107,7 +108,7 @@ def test_meet_counterexample_witness_matches_construction():
 def test_retraction_laws_enumerated_small():
     for h in all_regular_homs(2, 4):
         report = retraction_laws_audit(h)
-        assert report.passed, (h.fiber, report.failures())
+        assert report.passed, (h.fiber, report.failures)
 
 
 def test_retraction_laws_random_embeddings():
@@ -119,7 +120,7 @@ def test_retraction_laws_random_embeddings():
         rng.shuffle(fiber)
         h = CompleteHom(FiniteCBA(s), FiniteCBA(t), tuple(fiber))
         report = retraction_laws_audit(h, exhaustive=False, rng=rng, samples=60)
-        assert report.passed, (s, t, report.failures())
+        assert report.passed, (s, t, report.failures)
 
 
 def test_key_identity_exhaustive_small_randomized_above():
@@ -143,7 +144,7 @@ def test_non_regular_audit_runs_on_coker():
     h = hom_from_fiber_map(B2, FiniteCBA(2), [0, 0])
     report = retraction_laws_audit(h)
     assert report.passed
-    assert any(law.startswith("coker.") for law in report.laws)
+    assert any(law.startswith("coker.") for law in report.claims)
 
 
 def test_restrict_identity():
@@ -287,7 +288,65 @@ def test_audit_fails_when_project_drops_an_atom_image(width):
     h = DroppingHom(FiniteCBA(width // 2), FiniteCBA(width), fiber)
     report = retraction_laws_audit(h)
     assert not report.passed
-    assert not report.laws["stone_open_image"]
-    assert report.witnesses["stone_open_image"] == "c={2}"
-    assert not report.laws["generics_to_generics"]
-    assert report.witnesses["generics_to_generics"] == "atom 2"
+    assert not report.claims["stone_open_image"].passed
+    assert report.claims["stone_open_image"].witness == "c={2}"
+    assert not report.claims["generics_to_generics"].passed
+    assert report.claims["generics_to_generics"].witness == "atom 2"
+
+
+LAW_SIZES = [(1, 1), (1, 2), (2, 4), (3, 6), (6, 6), (4, 8), (5, 17), (8, 40), (8, 64)]
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+@pytest.mark.parametrize("s, t", LAW_SIZES)
+def test_every_law_records_cases(s, t, exhaustive):
+    # exhaustive=True enumerates up to 6 atoms on each side and samples above
+    rng = random.Random(s * 100 + t)
+    fiber = list(range(s)) + [rng.randrange(s) for _ in range(t - s)]
+    rng.shuffle(fiber)
+    h = CompleteHom(FiniteCBA(s), FiniteCBA(t), tuple(fiber))
+    report = retraction_laws_audit(h, exhaustive=exhaustive, rng=rng, samples=40)
+    assert list(report.claims) == [name for name, _ in RETRACTION_LAWS]
+    assert all(claim.cases >= 1 for claim in report.claims.values()), report.claims
+    assert report.verdict == "PASS", report.failures
+    enumerated = exhaustive and t <= 6
+    assert (report.claims["meet_translation"].cases == 2**s * 2**t) == enumerated
+
+
+class NonAtomsLoseSourceAtom7(CompleteHom):
+    """pi forgets source atom 7 on every target element that is not an atom."""
+
+    def project(self, c):
+        p = super().project(c)
+        return p & ~0x80 if c & (c - 1) else p
+
+
+class ImagesGainTargetAtom0(CompleteHom):
+    """i adds target atom 0 to every nonzero image."""
+
+    def apply(self, b):
+        ib = super().apply(b)
+        return ib | 1 if ib else ib
+
+
+@pytest.mark.parametrize(
+    "law, defect, witness",
+    [
+        ("meet_translation_join_form", NonAtomsLoseSourceAtom7, "b={"),
+        ("filters_to_filters", NonAtomsLoseSourceAtom7, "c={0}"),  # d >= c leaves the filter
+        ("filters_to_filters", ImagesGainTargetAtom0, "b={"),  # pi(c | i(b)) misses b
+    ],
+)
+def test_sampled_join_form_and_filter_transport_catch_planted_defects(law, defect, witness):
+    rng = random.Random(40)
+    fiber = list(range(8)) + [rng.randrange(8) for _ in range(32)]
+    rng.shuffle(fiber)
+    k = fiber.index(7)  # target atom 0 sits over source atom 7
+    fiber[0], fiber[k] = fiber[k], fiber[0]
+    h = defect(FiniteCBA(8), FiniteCBA(40), tuple(fiber))
+    report = retraction_laws_audit(h, exhaustive=False, rng=rng)
+    claim = report.claims[law]
+    assert not claim.passed and claim.cases >= 1
+    assert claim.witness.startswith(witness), claim.witness
+    assert report.verdict == "FAIL"
+    assert f"{law}: {claim.witness}" in report.failures

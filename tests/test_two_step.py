@@ -93,7 +93,7 @@ def test_retraction_pair_laws_rerun():
     pres = AtomwisePresentation(B2, (FiniteCBA(2), FiniteCBA(3)))
     two = build_two_step(pres)
     report = retraction_laws_audit(two.embedding)
-    assert report.passed, report.failures()
+    assert report.passed, report.failures
 
 
 def test_quotient_identity_hom():
@@ -267,7 +267,7 @@ def test_lift_embedding_rejects_nonregular_fiber():
 def test_three_step_trivial_fibers():
     mid = AtomwisePresentation(B2, (B1, B1))
     report = three_step_assoc_audit(B2, mid, (B1, B1))
-    assert report.passed and report.pairs_checked == 2
+    assert report.passed and report.claims["quotient_twice_is_quotient_once"].cases == 2
 
 
 def test_three_step_222_doubling_tower():
@@ -275,7 +275,7 @@ def test_three_step_222_doubling_tower():
     top = tuple(FiniteCBA(2) for _ in range(4))
     report = three_step_assoc_audit(B2, mid, top)
     assert report.passed
-    assert report.pairs_checked == 4
+    assert report.claims["quotient_twice_is_quotient_once"].cases == 4
 
 
 def test_three_step_random_towers():
@@ -302,3 +302,14 @@ def test_three_step_shape_mismatch():
     mid = AtomwisePresentation(B2, (B1, B1))
     with pytest.raises(ShapeMismatch):
         three_step_assoc_audit(B2, mid, (B1,))
+
+
+def test_sampled_two_step_audits_draw_distinct_cases():
+    # above their enumeration sizes both audits draw fresh seeded cases
+    i0 = doubling_hom()
+    j = hom_from_fiber_map(FiniteCBA(4), FiniteCBA(12), [t % 4 for t in range(12)])
+    iso = two_step_iso_audit(i0.then(j))
+    assert iso.passed and len(iso.to_sum) > 30  # 0, 1 and 32 draws
+    q = quotient_hom(Triangle(i0, i0.then(j), j), Ultrafilter(B2, 0))
+    assert q.verdict == "PASS"
+    assert [c.cases for c in q.claims.values()] == [64, 64, 1, 64]

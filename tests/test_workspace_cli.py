@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,15 @@ from forcebench.errors import (
     ValidationError,
     WorkspaceSyntaxError,
 )
-from forcebench.report import AuditReport, AuditResult, PASS, FAIL, emit_report, parse_machine_report
+from forcebench.report import (
+    FAIL,
+    INDETERMINATE,
+    PASS,
+    AuditReport,
+    AuditResult,
+    emit_report,
+    parse_machine_report,
+)
 from forcebench.workspace import parse_workspace
 
 REPO = Path(__file__).resolve().parents[1]
@@ -163,6 +172,57 @@ def test_failing_workspace_gives_exit_1(tmp_path):
     report = AuditReport("complete", 0, 8)
     report.results.append(AuditResult("complete", "p", FAIL))
     assert not report.passed
+
+
+def test_audit_error_is_that_results_fail(tmp_path, capsys):
+    # squash kills an atom, so it is not a regular embedding: the retraction
+    # laws audit its cokernel restriction, the two-step audit refuses it
+    ws = tmp_path / "squash.json"
+    ws.write_text(
+        minimal_doc(
+            ', {"kind": "hom", "name": "squash", "source": "B", "target": "B", "fiber": [0, 0]}',
+            audits='[{"audit": "retraction-laws", "target": "squash"},'
+            ' {"audit": "twostep-iso", "target": "squash"}]',
+        )
+    )
+    code = main(["--workspace", str(ws), "--command", "verify-all", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1
+    laws, iso = data["results"]
+    assert (laws["name"], laws["verdict"]) == ("retraction-laws", "PASS")
+    assert (iso["name"], iso["target"], iso["verdict"]) == ("twostep-iso", "squash", "FAIL")
+    assert iso["witnesses"] == ["error: operation requires a regular embedding"]
+    assert data["summary"] == {"PASS": 1, "FAIL": 1, "INDETERMINATE": 0}
+
+
+def test_zero_case_audit_is_indeterminate():
+    doc = parse_workspace(
+        minimal_doc(audits='[{"audit": "bvm-audit", "target": "B", "pool_cap": 0}]')
+    )
+    report = execute(doc, "verify-all")
+    (result,) = report.results
+    assert result.verdict == INDETERMINATE and result.details["cases"] == 0
+    assert not report.passed
+
+
+def test_machine_report_identical_across_hash_seeds():
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "forcebench", "--workspace", "workspaces/demo.json",
+             "--command", "verify-all", "--format", "json"],
+            capture_output=True,
+            text=True,
+            cwd=str(REPO),
+            env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
 
 
 def test_subprocess_entry_point():
