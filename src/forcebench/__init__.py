@@ -43,6 +43,7 @@ from .morphisms import (
 from .poset import Poset, boolean_completion, separative_quotient
 from .bvm import (
     BName,
+    NamePool,
     check_name,
     delta1_audit,
     eval_at_atom,
@@ -50,6 +51,8 @@ from .bvm import (
     fullness_witness,
     lift_name,
     mix,
+    standard_formula_pool,
+    standard_name_pool,
     truth_value,
 )
 from .two_step import (

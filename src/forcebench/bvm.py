@@ -8,6 +8,7 @@ and the audits compare the two routes case by case.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -285,28 +286,64 @@ def _resolve(term, env: Mapping[str, BName]) -> BName:
     raise TypeError(f"not a term: {term!r}")
 
 
+class NamePool:
+    """A name pool validated once: one algebra, every rank within a bound.
+
+    ``names`` are in ``BName.sort_key`` order; unbounded quantifiers range
+    over them.  Handed to ``truth_value`` in place of a plain tuple, it spares
+    each call the pass over the whole pool: only the environment and the
+    formula's constants are checked then.
+    """
+
+    __slots__ = ("algebra", "names", "max_rank")
+
+    def __init__(
+        self,
+        algebra: FiniteCBA,
+        names: Iterable[BName],
+        rank_bound: int = DEFAULT_RANK_BOUND,
+    ):
+        names = tuple(names)
+        _admit(names, algebra, rank_bound, "pool name")
+        self.algebra = algebra
+        self.names = tuple(sorted(names, key=BName.sort_key))
+        self.max_rank = max((n.rank for n in names), default=-1)
+
+
+def _admit(names: tuple[BName, ...], algebra: FiniteCBA, rank_bound: int, what: str) -> None:
+    for n in names:
+        if n.algebra is not algebra and n.algebra != algebra:
+            raise MixedAlgebras(f"{what} over a different algebra")
+    for n in names:
+        if n.rank > rank_bound:
+            raise RankExceeded(f"{what} of rank {n.rank} exceeds bound {rank_bound}")
+
+
 def truth_value(
     phi: Formula,
     env: Mapping[str, BName],
     algebra: FiniteCBA | None = None,
-    pool: tuple[BName, ...] = (),
+    pool: NamePool | tuple[BName, ...] = (),
     rank_bound: int = DEFAULT_RANK_BOUND,
 ) -> int:
-    """The boolean value of phi under env; unbounded ∃ joins over ``pool``."""
-    constants = formula_constants(phi)
-    parameters = list(env.values()) + list(pool) + list(constants)
-    algebras = {n.algebra for n in parameters}
-    if algebra is not None:
-        algebras.add(algebra)
-    if len(algebras) > 1:
-        raise MixedAlgebras("formula parameters span different algebras")
-    if not algebras:
-        raise MixedAlgebras("cannot infer the algebra: no parameters given")
-    alg = algebras.pop()
-    for n in parameters:
-        if n.rank > rank_bound:
-            raise RankExceeded(f"name rank {n.rank} exceeds bound {rank_bound}")
-    return _truth(phi, dict(env), alg, pool)
+    """The boolean value of phi under env; unbounded ∃ joins over ``pool``.
+
+    A plain tuple pool is validated on every call; build a ``NamePool`` once
+    to evaluate many formulas or assignments over the same pool.
+    """
+    params = (*env.values(), *formula_constants(phi))
+    if not isinstance(pool, NamePool):
+        if algebra is None:
+            algebra = next((n.algebra for n in (*params, *pool)), None)
+            if algebra is None:
+                raise MixedAlgebras("cannot infer the algebra: no parameters given")
+        pool = NamePool(algebra, pool, rank_bound)
+    elif algebra not in (None, pool.algebra):
+        raise MixedAlgebras("pool over a different algebra")
+    elif pool.max_rank > rank_bound:
+        raise RankExceeded(f"pool name of rank {pool.max_rank} exceeds bound {rank_bound}")
+    _admit(params, pool.algebra, rank_bound, "formula parameter")
+    return _truth(phi, dict(env), pool.algebra, pool.names)
 
 
 _MISSING = object()
@@ -459,25 +496,20 @@ def forcing_audit(
     divergence is a hard failure.
     """
     report = ForcingAuditReport()
-    for n in pool:
-        if n.algebra != algebra:
-            raise MixedAlgebras("pool name over a different algebra")
-        if n.rank > rank_bound:
-            raise RankExceeded(f"pool name of rank {n.rank} exceeds bound {rank_bound}")
-    pool_sorted = tuple(sorted(pool, key=BName.sort_key))
-    hf_pool_at = [
-        tuple(_eval(n, atom) for n in pool_sorted)
-        for atom in range(algebra.atom_count)
-    ]
+    pool = NamePool(algebra, pool, rank_bound)
+    atoms = range(algebra.atom_count)
+    # the oracle environment of a case reads its values by pool position
+    hf_pool_at = [tuple(_eval(n, atom) for n in pool.names) for atom in atoms]
     for phi in formulas:
         fvs = tuple(sorted(free_variables(phi)))
-        assignments = _assignments(fvs, pool_sorted)
-        for env in assignments:
-            value = truth_value(phi, env, algebra, pool_sorted, rank_bound)
-            for atom in range(algebra.atom_count):
+        for picks in itertools.product(range(len(pool.names)), repeat=len(fvs)):
+            env = {v: pool.names[i] for v, i in zip(fvs, picks)}
+            value = truth_value(phi, env, algebra, pool, rank_bound)
+            for atom in atoms:
                 report.cases += 1
-                hf_env = {v: _eval(n, atom) for v, n in env.items()}
-                oracle = hf_satisfies(phi, hf_env, hf_pool_at[atom])
+                hf_pool = hf_pool_at[atom]
+                hf_env = {v: hf_pool[i] for v, i in zip(fvs, picks)}
+                oracle = hf_satisfies(phi, hf_env, hf_pool)
                 forced = bool(value >> atom & 1)
                 if oracle != forced:
                     report.divergences.append(
@@ -485,15 +517,6 @@ def forcing_audit(
                         f"({phi!r} @ {[format_name(n) for n in env.values()]})"
                     )
     return report
-
-
-def _assignments(fvs: tuple[str, ...], pool: tuple[BName, ...]):
-    if not fvs:
-        return [dict()]
-    out = [dict()]
-    for v in fvs:
-        out = [dict(env, **{v: n}) for env in out for n in pool]
-    return out
 
 
 # -- mixing, fullness, lifting -----------------------------------------------------
@@ -533,15 +556,15 @@ def fullness_witness(
     Per atom the best pool candidate is selected and the choices are glued by
     mixing over the atom antichain, which is exactly why the two values agree.
     """
-    pool = tuple(sorted(pool, key=BName.sort_key))
     if not pool:
         raise EmptyPool("fullness needs a nonempty pool")
-    alg = algebra or pool[0].algebra
+    alg = algebra if algebra is not None else pool[0].algebra
+    pool = NamePool(alg, pool, rank_bound)
     chosen: list[BName] = []
     atoms: list[int] = []
     for atom in range(alg.atom_count):
-        pick = pool[0]
-        for cand in pool:
+        pick = pool.names[0]
+        for cand in pool.names:
             env2 = dict(env)
             env2[var] = cand
             if truth_value(phi, env2, alg, pool, rank_bound) >> atom & 1:
@@ -594,14 +617,15 @@ def delta1_audit(
     report = Ledger()
     report.record("bounded_formulas_commute", True, cases=0)
     report.record("sigma1_pairs_pin_values", True, cases=0)
-    pool = tuple(sorted(pool, key=BName.sort_key))
-    lifted_pool = tuple(lift_name(h, n) for n in pool)
+    source = NamePool(h.source, pool, rank_bound)
+    target = NamePool(h.target, (lift_name(h, n) for n in source.names), rank_bound)
     for phi in d0_formulas:
         fvs = tuple(sorted(free_variables(phi)))
-        for env in _assignments(fvs, pool):
-            lhs = h.apply(truth_value(phi, env, h.source, pool, rank_bound))
+        for picks in itertools.product(source.names, repeat=len(fvs)):
+            env = dict(zip(fvs, picks))
+            lhs = h.apply(truth_value(phi, env, h.source, source, rank_bound))
             env_lift = {v: lift_name(h, n) for v, n in env.items()}
-            rhs = truth_value(phi, env_lift, h.target, lifted_pool, rank_bound)
+            rhs = truth_value(phi, env_lift, h.target, target, rank_bound)
             witness = "" if lhs == rhs else (
                 f"bounded formula value moved: {format_element(h.target, lhs)} vs "
                 f"{format_element(h.target, rhs)}"
@@ -609,16 +633,17 @@ def delta1_audit(
             report.record("bounded_formulas_commute", not witness, witness)
     for pos, neg in d1_pairs:
         fvs = tuple(sorted(free_variables(pos) | free_variables(neg)))
-        for env in _assignments(fvs, pool):
-            vp = truth_value(pos, env, h.source, pool, rank_bound)
-            vn = truth_value(neg, env, h.source, pool, rank_bound)
+        for picks in itertools.product(source.names, repeat=len(fvs)):
+            env = dict(zip(fvs, picks))
+            vp = truth_value(pos, env, h.source, source, rank_bound)
+            vn = truth_value(neg, env, h.source, source, rank_bound)
             witness = ""
             if vn != h.source.neg(vp):
                 witness = "pair is not complementary on the source"
             else:
                 env_lift = {v: lift_name(h, n) for v, n in env.items()}
-                wp = truth_value(pos, env_lift, h.target, lifted_pool, rank_bound)
-                wn = truth_value(neg, env_lift, h.target, lifted_pool, rank_bound)
+                wp = truth_value(pos, env_lift, h.target, target, rank_bound)
+                wn = truth_value(neg, env_lift, h.target, target, rank_bound)
                 if not h.target.leq(h.apply(vp), wp) or not h.target.leq(h.apply(vn), wn):
                     witness = "a Sigma-1 inequality failed"
                 elif wn != h.target.neg(wp):
@@ -642,8 +667,6 @@ def standard_name_pool(
 ) -> tuple[BName, ...]:
     """The deterministic shipped pool: layered partial functions over a small
     frontier of lower-rank names, capped at ``entries_cap`` entries each."""
-    import itertools as it
-
     labels = _standard_labels(algebra)
     c0 = check_name(algebra, EMPTY)
     seen: set[BName] = {c0}
@@ -651,8 +674,8 @@ def standard_name_pool(
     for layer_rank in range(1, max_rank + 1):
         new: list[BName] = []
         for k in range(1, entries_cap + 1):
-            for doms in it.combinations(frontier, k):
-                for labs in it.product(labels, repeat=k):
+            for doms in itertools.combinations(frontier, k):
+                for labs in itertools.product(labels, repeat=k):
                     cand = BName(algebra, tuple(zip(doms, labs)))
                     if cand not in seen:
                         seen.add(cand)

@@ -328,6 +328,8 @@ def direct_limit_correspondence_audit(
     Lazy: for each supplied thread, the best constant below it at each stage
     is computed through the projections; either the joins reach the thread
     (membership evidence) or every stage yields zero (a gap certificate).
+    Each thread is one case of one claim, which a thread the joins reach
+    only partly fails.
     """
     if system.eager:
         report = CorrespondenceReport()
@@ -370,8 +372,9 @@ def direct_limit_correspondence_audit(
     if depth is None or threads is None:
         raise ValueError("lazy audits need a depth and explicit threads")
     report = CorrespondenceReport()
+    report.record("threads_reached_or_gapped", True, cases=0)
     details = []
-    for t in threads:
+    for i, t in enumerate(threads):
         best = []
         # constraints reach one coordinate past the last seed stage, so the
         # boundary seed is not vacuously unconstrained
@@ -383,22 +386,24 @@ def direct_limit_correspondence_audit(
                 blocked = system.hom(s, b).project(system.algebra(b).neg(coord))
                 bound = bound & alg_s.neg(blocked)
             best.append(bound)
-        if not any(best):
-            details.append({"verdict": "gap", "depth": depth})
-        else:
+        verdict, witness = "gap", ""
+        if any(best):
             # join the constants and compare coordinatewise
-            reached = True
+            verdict = "members-evidence"
             for n in range(depth + 1):
-                alg_n = system.algebra(n)
-                join = alg_n.zero
+                join = system.algebra(n).zero
                 for s, b in enumerate(best):
                     if b:
                         join = join | coordinate(system, ConstantThread(s, b), n)
                 if join != coordinate(system, t, n):
-                    reached = False
-            details.append(
-                {"verdict": "members-evidence" if reached else "partial", "depth": depth}
-            )
+                    verdict = "partial"
+                    witness = (
+                        f"thread {i}: the constants below it join short of it at "
+                        f"stage {n} (depth {depth})"
+                    )
+                    break
+        details.append({"verdict": verdict, "depth": depth})
+        report.record("threads_reached_or_gapped", verdict != "partial", witness)
     report.details["threads"] = details
     return report
 

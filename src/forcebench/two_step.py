@@ -50,6 +50,7 @@ class TwoStepAlgebra:
     algebra: FiniteCBA = field(init=False)
     embedding: CompleteHom = field(init=False)
     offsets: tuple[int, ...] = field(init=False)
+    tops: tuple[int, ...] = field(init=False)  # the top of each fiber
 
     def __post_init__(self) -> None:
         offsets = []
@@ -62,6 +63,7 @@ class TwoStepAlgebra:
         for a, f in enumerate(self.presentation.fibers):
             fiber_map.extend([a] * f.atom_count)
         object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "tops", tuple(f.one for f in self.presentation.fibers))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(
             self,
@@ -79,17 +81,16 @@ class TwoStepAlgebra:
         if len(family) != self.presentation.base.atom_count:
             raise ShapeMismatch("family must pick one value per base atom")
         out = 0
-        for a, val in enumerate(family):
-            if not self.presentation.fibers[a].contains(val):
+        for a, (val, top, offset) in enumerate(zip(family, self.tops, self.offsets)):
+            if not 0 <= val <= top:
                 raise ValueError(f"family value at atom {a} outside the fiber")
-            out |= val << self.offsets[a]
+            out |= val << offset
         return out
 
     def family_of(self, element: int) -> tuple[int, ...]:
-        fam = []
-        for a, f in enumerate(self.presentation.fibers):
-            fam.append((element >> self.offsets[a]) & f.one)
-        return tuple(fam)
+        return tuple(
+            (element >> offset) & top for offset, top in zip(self.offsets, self.tops)
+        )
 
     def support(self, element: int) -> int:
         """pi([c]) = the base value of "c > 0"."""
@@ -99,7 +100,7 @@ class TwoStepAlgebra:
         """The base value of "c = 1": atoms whose fiber part is full."""
         out = 0
         for a, val in enumerate(self.family_of(element)):
-            if val == self.presentation.fibers[a].one:
+            if val == self.tops[a]:
                 out |= 1 << a
         return out
 

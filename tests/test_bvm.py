@@ -10,6 +10,7 @@ from forcebench.bvm import (
     BoundedExists,
     BoundedForall,
     Exists,
+    NamePool,
     Not,
     Var,
     check_name,
@@ -30,7 +31,14 @@ from forcebench.bvm import (
     standard_name_pool,
     truth_value,
 )
-from forcebench.errors import EmptyPool, MixedAlgebras, NotAntichain, RankExceeded
+import forcebench.bvm as bvm
+from forcebench.errors import (
+    EmptyPool,
+    MixedAlgebras,
+    NotAntichain,
+    NotRegular,
+    RankExceeded,
+)
 from forcebench.finite_cba import FiniteCBA, Ultrafilter, ultrafilters
 from forcebench.hf import EMPTY, hf, hf_rank, hf_universe, von_neumann
 from forcebench.morphisms import hom_from_fiber_map, identity_hom
@@ -139,6 +147,67 @@ def test_forcing_audit_b4_random_pools():
         pool = random_name_pool(b4, 12, 3, rng)
         report = forcing_audit(b4, pool, formulas)
         assert report.passed, (seed, report.divergences[:2])
+
+
+def test_forcing_audit_calls_truth_value_per_assignment_and_oracle_per_case(monkeypatch):
+    # the per-layer trace counts these two module-level calls; an audit that
+    # bypassed either would read as a layer that did no work
+    calls = {"truth_value": 0, "hf_satisfies": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(bvm, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bvm, name, counted)
+    pool = standard_name_pool(B2, max_rank=2)[:7]
+    formulas = standard_formula_pool()
+    report = forcing_audit(B2, pool, formulas)
+    assignments = sum(len(pool) ** len(free_variables(phi)) for phi in formulas)
+    assert report.passed
+    assert calls["truth_value"] == assignments
+    assert calls["hf_satisfies"] == report.cases == assignments * B2.atom_count
+
+
+def test_name_pool_and_plain_pool_give_the_same_values():
+    pool = random_name_pool(FiniteCBA(3), 9, 2, random.Random(5))
+    names = NamePool(FiniteCBA(3), pool)
+    assert sorted(names.names, key=BName.sort_key) == list(names.names)
+    assert set(names.names) == set(pool)
+    for phi in standard_formula_pool() + (Exists("x", Atomic("mem", Var("x"), Var("u"))),):
+        fvs = sorted(free_variables(phi))
+        for picks in itertools.product(pool[:4], repeat=len(fvs)):
+            env = dict(zip(fvs, picks))
+            assert truth_value(phi, env, None, names) == truth_value(phi, env, None, pool)
+
+
+def test_name_pool_path_keeps_every_check():
+    c0 = check_name(B2, EMPTY)
+    pool = standard_name_pool(B2, max_rank=2)[:10]
+    names = NamePool(B2, pool)
+    u = Var("u")
+    # a pool name over another algebra
+    with pytest.raises(MixedAlgebras):
+        NamePool(B2, pool + (check_name(B1, EMPTY),))
+    with pytest.raises(MixedAlgebras):
+        forcing_audit(B2, pool + (check_name(B1, EMPTY),), standard_formula_pool())
+    with pytest.raises(RankExceeded):
+        NamePool(B2, pool, rank_bound=1)
+    # the pool checked against a tighter bound, or a different algebra
+    with pytest.raises(RankExceeded):
+        truth_value(Atomic("eq", u, u), {"u": c0}, B2, names, rank_bound=1)
+    with pytest.raises(MixedAlgebras):
+        truth_value(Atomic("eq", u, u), {"u": c0}, FiniteCBA(4), names)
+    # a formula constant of rank above the bound
+    deep = check_name(B2, von_neumann(5))
+    with pytest.raises(RankExceeded):
+        truth_value(Atomic("eq", deep, u), {"u": c0}, B2, names)
+    # an environment name over another algebra
+    with pytest.raises(MixedAlgebras):
+        truth_value(Atomic("eq", u, c0), {"u": check_name(B1, EMPTY)}, B2, names)
+    with pytest.raises(EmptyPool):
+        fullness_witness(Atomic("eq", u, u), "u", {}, ())
+    with pytest.raises(NotRegular):
+        delta1_audit(hom_from_fiber_map(B2, B2, [0, 0]), pool, standard_formula_pool())
 
 
 def test_mix_trivial_antichain():

@@ -32,6 +32,7 @@ from forcebench.iteration import (
     CofinalityOracle,
 )
 from forcebench.morphisms import CompleteHom, FreeInclusion, hom_from_fiber_map
+from forcebench.report import FAIL, INDETERMINATE, PASS
 
 
 def doubling_chain():
@@ -190,6 +191,8 @@ def test_correspondence_lazy_constant_reaches():
     t = ConstantThread(1, generator("y0"))
     report = direct_limit_correspondence_audit(system, depth=5, threads=[t])
     assert report.details["threads"][0]["verdict"] == "members-evidence"
+    assert report.verdict == PASS
+    assert report.claims["threads_reached_or_gapped"].cases == 1
 
 
 def test_correspondence_lazy_gap_certificate():
@@ -201,6 +204,31 @@ def test_correspondence_lazy_gap_certificate():
     t = RuleThread(rule, description="all fresh generators")
     report = direct_limit_correspondence_audit(system, depth=6, threads=[t])
     assert report.details["threads"][0]["verdict"] == "gap"
+    assert report.verdict == PASS
+
+
+def test_correspondence_lazy_partial_thread_fails():
+    # x0 or (y0 and ... and y_{n-1}): the constant x0 lies below it, but no
+    # constant reaches the shrinking meets of fresh generators
+    system = free_tower(8)
+
+    def rule(n):
+        meets = all_meet(generator(f"y{k}") for k in range(n)) if n else system.algebra(0).one
+        return generator("x0") | meets
+
+    reaches = ConstantThread(1, generator("y0"))
+    partial = RuleThread(rule, description="x0 or all fresh generators")
+    report = direct_limit_correspondence_audit(system, depth=5, threads=[reaches, partial])
+    assert [d["verdict"] for d in report.details["threads"]] == ["members-evidence", "partial"]
+    assert report.verdict == FAIL
+    claim = report.claims["threads_reached_or_gapped"]
+    assert claim.cases == 2
+    assert "thread 1" in claim.witness and "depth 5" in claim.witness
+
+
+def test_correspondence_lazy_without_threads_is_indeterminate():
+    report = direct_limit_correspondence_audit(free_tower(4), depth=3, threads=[])
+    assert report.verdict == INDETERMINATE
 
 
 def test_rcs_constant_member():

@@ -38,7 +38,8 @@ def test_suites_pass_under_python_O():
     out = subprocess.run(
         [
             sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            "tests/test_two_step.py", "tests/test_gallery.py", f"tests/{this}",
+            "tests/test_two_step.py", "tests/test_gallery.py", "tests/test_bvm.py",
+            f"tests/{this}",
             "--deselect", f"tests/{this}::test_suites_pass_under_python_O",
         ],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,

@@ -65,6 +65,16 @@ def test_family_roundtrip():
         assert two.element_from_family(two.family_of(e)) == e
 
 
+def test_element_from_family_rejects_bad_families():
+    two = build_two_step(AtomwisePresentation(B2, (FiniteCBA(3), FiniteCBA(2))))
+    with pytest.raises(ShapeMismatch):
+        two.element_from_family((0,))
+    # each value lies outside its own fiber, though inside the other one
+    for family in ((0b1000, 0), (0, 0b100), (-1, 0)):
+        with pytest.raises(ValueError, match="outside the fiber"):
+            two.element_from_family(family)
+
+
 def test_indicator_characterization():
     pres = AtomwisePresentation(FiniteCBA(3), (FiniteCBA(2), B1, FiniteCBA(3)))
     two = build_two_step(pres)
