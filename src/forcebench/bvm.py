@@ -292,10 +292,11 @@ class NamePool:
     ``names`` are in ``BName.sort_key`` order; unbounded quantifiers range
     over them.  Handed to ``truth_value`` in place of a plain tuple, it spares
     each call the pass over the whole pool: only the environment and the
-    formula's constants are checked then.
+    formula's constants are checked then, and the constants are collected
+    once per formula.
     """
 
-    __slots__ = ("algebra", "names", "max_rank")
+    __slots__ = ("algebra", "names", "max_rank", "_constants")
 
     def __init__(
         self,
@@ -308,6 +309,15 @@ class NamePool:
         self.algebra = algebra
         self.names = tuple(sorted(names, key=BName.sort_key))
         self.max_rank = max((n.rank for n in names), default=-1)
+        # id(phi) -> (phi, its constants); holding phi keeps its id unique
+        self._constants: dict[int, tuple[Formula, tuple[BName, ...]]] = {}
+
+    def constants(self, phi: Formula) -> tuple[BName, ...]:
+        """``formula_constants(phi)``, walked once per formula."""
+        hit = self._constants.get(id(phi))
+        if hit is None:
+            hit = self._constants.setdefault(id(phi), (phi, tuple(formula_constants(phi))))
+        return hit[1]
 
 
 def _admit(names: tuple[BName, ...], algebra: FiniteCBA, rank_bound: int, what: str) -> None:
@@ -331,17 +341,19 @@ def truth_value(
     A plain tuple pool is validated on every call; build a ``NamePool`` once
     to evaluate many formulas or assignments over the same pool.
     """
-    params = (*env.values(), *formula_constants(phi))
     if not isinstance(pool, NamePool):
+        params = (*env.values(), *formula_constants(phi))
         if algebra is None:
             algebra = next((n.algebra for n in (*params, *pool)), None)
             if algebra is None:
                 raise MixedAlgebras("cannot infer the algebra: no parameters given")
         pool = NamePool(algebra, pool, rank_bound)
-    elif algebra not in (None, pool.algebra):
-        raise MixedAlgebras("pool over a different algebra")
-    elif pool.max_rank > rank_bound:
-        raise RankExceeded(f"pool name of rank {pool.max_rank} exceeds bound {rank_bound}")
+    else:
+        params = (*env.values(), *pool.constants(phi))
+        if algebra not in (None, pool.algebra):
+            raise MixedAlgebras("pool over a different algebra")
+        if pool.max_rank > rank_bound:
+            raise RankExceeded(f"pool name of rank {pool.max_rank} exceeds bound {rank_bound}")
     _admit(params, pool.algebra, rank_bound, "formula parameter")
     return _truth(phi, dict(env), pool.algebra, pool.names)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import ChainEscapeViolation, ChainNotDescending
@@ -18,10 +19,11 @@ from .errors import ChainEscapeViolation, ChainNotDescending
 
 
 class _Node:
-    __slots__ = ("var", "lo", "hi")
+    __slots__ = ("var", "key", "lo", "hi")
 
-    def __init__(self, var: str, lo, hi):
+    def __init__(self, var: str, key: tuple, lo, hi):
         self.var = var
+        self.key = key  # generator_sort_key(var): the node's level
         self.lo = lo
         self.hi = hi
 
@@ -36,45 +38,48 @@ class _Leaf:
 _FALSE = _Leaf(False)
 _TRUE = _Leaf(True)
 
+# Every table is filled with setdefault or with a value that any racing
+# writer computes identically, so concurrent audits intern one node per key.
 _UNIQUE: dict[tuple[str, int, int], _Node] = {}
 _APPLY_MEMO: dict[tuple, object] = {}
 _QUANT_MEMO: dict[tuple, object] = {}
 _SUPPORT_MEMO: dict[int, frozenset[str]] = {}
+_KEYS: dict[str, tuple[str, int, str]] = {}
 
 _NAME_RE = re.compile(r"^(.*?)(\d*)$")
 
 
-def generator_sort_key(name: str) -> tuple[str, int]:
-    """Global order: alphabetic prefix, then numeric suffix as a number."""
-    m = _NAME_RE.match(name)
-    prefix, digits = m.group(1), m.group(2)
-    return (prefix, int(digits) if digits else -1)
+def generator_sort_key(name: str) -> tuple[str, int, str]:
+    """Global order: alphabetic prefix, then numeric suffix as a number, then
+    the name itself (so x1 and x01 stay apart).  Computed once per name; the
+    same name always gets the same key object."""
+    key = _KEYS.get(name)
+    if key is None:
+        m = _NAME_RE.match(name)
+        prefix, digits = m.group(1), m.group(2)
+        key = _KEYS.setdefault(name, (prefix, int(digits) if digits else -1, name))
+    return key
 
 
-def _make(var: str, lo, hi):
+def _make(var: str, key: tuple, lo, hi):
     if lo is hi:
         return lo
-    key = (var, id(lo), id(hi))
-    node = _UNIQUE.get(key)
+    ukey = (var, id(lo), id(hi))
+    node = _UNIQUE.get(ukey)
     if node is None:
-        node = _Node(var, lo, hi)
-        _UNIQUE[key] = node
+        node = _UNIQUE.setdefault(ukey, _Node(var, key, lo, hi))
     return node
 
 
-def _top_var(a, b) -> str:
-    if isinstance(a, _Leaf):
-        return b.var
-    if isinstance(b, _Leaf):
-        return a.var
-    ka, kb = generator_sort_key(a.var), generator_sort_key(b.var)
-    return a.var if ka <= kb else b.var
-
-
-def _cofactors(node, var: str):
-    if isinstance(node, _Leaf) or node.var != var:
-        return node, node
-    return node.lo, node.hi
+def _branch(a: _Node, b: _Node):
+    """The node to branch on (the one whose generator comes first) and the
+    cofactors of a and b by its generator."""
+    ka, kb = a.key, b.key
+    if ka is kb:
+        return a, a.lo, a.hi, b.lo, b.hi
+    if ka < kb:
+        return a, a.lo, a.hi, b, b
+    return b, a, a, b.lo, b.hi
 
 
 def _and(a, b):
@@ -89,10 +94,8 @@ def _and(a, b):
     key = ("and", id(a), id(b)) if id(a) <= id(b) else ("and", id(b), id(a))
     out = _APPLY_MEMO.get(key)
     if out is None:
-        v = _top_var(a, b)
-        a0, a1 = _cofactors(a, v)
-        b0, b1 = _cofactors(b, v)
-        out = _make(v, _and(a0, b0), _and(a1, b1))
+        top, a0, a1, b0, b1 = _branch(a, b)
+        out = _make(top.var, top.key, _and(a0, b0), _and(a1, b1))
         _APPLY_MEMO[key] = out
     return out
 
@@ -109,10 +112,8 @@ def _or(a, b):
     key = ("or", id(a), id(b)) if id(a) <= id(b) else ("or", id(b), id(a))
     out = _APPLY_MEMO.get(key)
     if out is None:
-        v = _top_var(a, b)
-        a0, a1 = _cofactors(a, v)
-        b0, b1 = _cofactors(b, v)
-        out = _make(v, _or(a0, b0), _or(a1, b1))
+        top, a0, a1, b0, b1 = _branch(a, b)
+        out = _make(top.var, top.key, _or(a0, b0), _or(a1, b1))
         _APPLY_MEMO[key] = out
     return out
 
@@ -125,7 +126,7 @@ def _not(a):
     key = ("not", id(a))
     out = _APPLY_MEMO.get(key)
     if out is None:
-        out = _make(a.var, _not(a.lo), _not(a.hi))
+        out = _make(a.var, a.key, _not(a.lo), _not(a.hi))
         _APPLY_MEMO[key] = out
     return out
 
@@ -137,7 +138,27 @@ def _exists(node, gens: frozenset[str]):
     out = _QUANT_MEMO.get(key)
     if out is None:
         lo, hi = _exists(node.lo, gens), _exists(node.hi, gens)
-        out = _or(lo, hi) if node.var in gens else _make(node.var, lo, hi)
+        out = _or(lo, hi) if node.var in gens else _make(node.var, node.key, lo, hi)
+        _QUANT_MEMO[key] = out
+    return out
+
+
+def _exists_from(node, cutoff: tuple):
+    """Existential projection of every generator whose key is >= cutoff.
+
+    Those generators sit below the cutoff level, so the projection keeps the
+    nodes above it and turns every node at or below it into 1: a reduced
+    diagram that is not a leaf is satisfiable.
+    """
+    if isinstance(node, _Leaf):
+        return node
+    if node.key >= cutoff:
+        return _TRUE
+    key = (id(node), cutoff)
+    out = _QUANT_MEMO.get(key)
+    if out is None:
+        lo, hi = _exists_from(node.lo, cutoff), _exists_from(node.hi, cutoff)
+        out = _make(node.var, node.key, lo, hi)
         _QUANT_MEMO[key] = out
     return out
 
@@ -206,7 +227,7 @@ FREE_ONE = FreeElement(_TRUE)
 
 
 def generator(name: str) -> FreeElement:
-    return FreeElement(_make(name, _FALSE, _TRUE))
+    return FreeElement(_make(name, generator_sort_key(name), _FALSE, _TRUE))
 
 
 def all_meet(parts: Iterable[FreeElement]) -> FreeElement:
@@ -223,12 +244,30 @@ def all_join(parts: Iterable[FreeElement]) -> FreeElement:
     return out
 
 
-def free_project(e: FreeElement, gens: Iterable[str]) -> FreeElement:
+def free_project(
+    e: FreeElement, gens: Iterable[str], cutoff: tuple | None = None
+) -> FreeElement:
     """Least element independent of ``gens`` above e: existential projection.
 
     This is the retraction of the free-algebra inclusion that adds ``gens``.
+    ``cutoff`` (from ``projection_cutoff``) says that e's generators in
+    ``gens`` are exactly those whose key is >= it; the projection is then a
+    level cutoff, memoized on the level rather than on the set.
     """
-    return FreeElement(_exists(e._node, frozenset(gens)))
+    if cutoff is not None:
+        return FreeElement(_exists_from(e._node, cutoff))
+    gens = frozenset(gens)
+    return FreeElement(_exists(e._node, gens)) if gens else e
+
+
+def projection_cutoff(kept: "FreeAlgebra", gens: Iterable[str]) -> tuple | None:
+    """The level at which projecting ``gens`` out of an element over the
+    generators of ``kept`` and ``gens`` is a cutoff: the first key of gens,
+    when every generator of gens sorts after every kept one; None otherwise."""
+    first = min(map(generator_sort_key, gens), default=None)
+    if first is None or (kept.last_key is not None and kept.last_key >= first):
+        return None
+    return first
 
 
 @dataclass(frozen=True)
@@ -236,6 +275,11 @@ class FreeAlgebra:
     """The free boolean algebra on a fixed finite generator set."""
 
     generators: frozenset[str]
+
+    @cached_property
+    def last_key(self) -> tuple | None:
+        """The sort key of the last generator, None when there are none."""
+        return max(map(generator_sort_key, self.generators), default=None)
 
     @property
     def zero(self) -> FreeElement:

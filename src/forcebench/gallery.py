@@ -8,7 +8,9 @@ invisible to pointwise meets) are phrased as support-escape certificates.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InvariantViolation
 from .free_algebra import (
@@ -64,9 +66,11 @@ def build_fresh_tower(depth: int, base_size: int | None = None) -> FreshTower:
         base_size = depth + 1
     base = frozenset(base_gen(k) for k in range(base_size))
 
+    @functools.cache
     def algebra_rule(n: int) -> FreeAlgebra:
         return FreeAlgebra(base | frozenset(fresh_gen(k) for k in range(n)))
 
+    @functools.cache
     def step_rule(n: int) -> FreeInclusion:
         return FreeInclusion(algebra_rule(n), algebra_rule(n + 1))
 
@@ -79,6 +83,21 @@ def build_fresh_tower(depth: int, base_size: int | None = None) -> FreshTower:
         if step.project(~y) != FREE_ONE:
             raise InvariantViolation(f"the complement of {fresh_gen(n)} does not project to 1")
     return FreshTower(depth, base_size, system)
+
+
+def _prefix_meets(term: Callable[[int], FreeElement]) -> Callable[[int], FreeElement]:
+    """n -> term(0) ∧ ... ∧ term(n-1), each prefix built once from the one before."""
+    prefixes = {0: FREE_ONE}
+
+    def at(n: int) -> FreeElement:
+        k = n
+        while k not in prefixes:
+            k -= 1
+        for j in range(k + 1, n + 1):
+            prefixes.setdefault(j, prefixes[j - 1] & term(j - 1))
+        return prefixes[n]
+
+    return at
 
 
 def _fresh_chain() -> GeneratorChain:
@@ -104,12 +123,11 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
     tower = tower or build_fresh_tower(depth)
     system = tower.system
     report = Ledger()
+    fresh_meet = _prefix_meets(lambda k: generator(fresh_gen(k)))
 
     def t_seed(n: int) -> FreeElement:
         # stage-n seed: fresh generator n-1 fails, all earlier ones hold
-        return ~generator(fresh_gen(n - 1)) & all_meet(
-            generator(fresh_gen(k)) for k in range(n - 1)
-        )
+        return ~generator(fresh_gen(n - 1)) & fresh_meet(n - 1)
 
     family = {n: ConstantThread(n, t_seed(n)) for n in range(1, depth + 1)}
     for t in family.values():
@@ -143,10 +161,7 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
             witness = f"pointwise join falls short at coordinate {n}"
     report.record("pointwise_sup_is_one", ok, witness, cases=depth, depth=depth)
 
-    diagonal = RuleThread(
-        lambda n: all_meet(generator(fresh_gen(k)) for k in range(n)),
-        description="all fresh generators hold",
-    )
+    diagonal = RuleThread(fresh_meet, description="all fresh generators hold")
     thread_validate(system, diagonal, depth=depth)
     ok = True
     witness = ""
@@ -196,18 +211,11 @@ def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
     system = tower.system
     report = Ledger()
 
-    def a(n: int) -> FreeElement:
-        return all_meet(generator(base_gen(k)) for k in range(n))
-
-    def f_coord(n: int) -> FreeElement:
-        return all_meet(
-            generator(fresh_gen(m - 1)) | a(m) for m in range(1, n + 1)
-        )
-
-    def g_coord(n: int) -> FreeElement:
-        return all_meet(
-            ~generator(fresh_gen(m - 1)) | a(m) for m in range(1, n + 1)
-        )
+    # a(n) = x0 ∧ ... ∧ x_{n-1}; f(n) and g(n) meet d_m ∨ a_m and ¬d_m ∨ a_m
+    # over m = 1..n, with d_m the fresh generator y_{m-1}
+    a = _prefix_meets(lambda k: generator(base_gen(k)))
+    f_coord = _prefix_meets(lambda k: generator(fresh_gen(k)) | a(k + 1))
+    g_coord = _prefix_meets(lambda k: ~generator(fresh_gen(k)) | a(k + 1))
 
     f = RuleThread(f_coord, description="fresh-or-cylinder")
     g = RuleThread(g_coord, description="cofresh-or-cylinder")

@@ -113,7 +113,7 @@ def _audit_commutation(system: IterationSystem, depth: int) -> None:
     for a in range(depth + 1):
         for b in range(a, depth + 1):
             for c in range(b, depth + 1):
-                if system.hom(a, b).then(system.hom(b, c)) != system.hom(a, c):
+                if not system.hom(a, b).composes_to(system.hom(b, c), system.hom(a, c)):
                     raise CommutationFailure(a, b, c)
 
 
@@ -131,11 +131,13 @@ class VectorThread:
 
 @dataclass(frozen=True, eq=False)
 class RuleThread:
-    """A lazy thread given by a coordinate rule; purity is the caller's contract."""
+    """A lazy thread given by a coordinate rule; purity is the caller's
+    contract, so ``coordinate`` runs the rule once per stage and keeps it."""
 
     rule: Callable[[int], object]
     description: str = ""
     constant_from: int | None = None
+    _coords: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,10 @@ def coordinate(system: IterationSystem, thread: Thread, n: int):
     if isinstance(thread, VectorThread):
         return thread.coords[n]
     if isinstance(thread, RuleThread):
-        return thread.rule(n)
+        try:
+            return thread._coords[n]
+        except KeyError:
+            return thread._coords.setdefault(n, thread.rule(n))
     if isinstance(thread, ConstantThread):
         if n >= thread.stage:
             return system.hom(thread.stage, n).apply(thread.seed)
@@ -168,17 +173,14 @@ class ThreadCertificate:
 def thread_validate(
     system: IterationSystem, thread: Thread, depth: int | None = None
 ) -> ThreadCertificate:
-    """Coherence of every audited pair of coordinates."""
+    """Coherence of every audited pair of coordinates, each computed once."""
     stages = list(system.stages(depth))
+    coords = [coordinate(system, thread, n) for n in stages]
     checked = 0
-    for a in stages:
-        for b in stages:
-            if a < b:
-                fa = coordinate(system, thread, a)
-                fb = coordinate(system, thread, b)
-                if system.hom(a, b).project(fb) != fa:
-                    raise CoherenceFailure(a, b)
-                checked += 1
+    for (a, fa), (b, fb) in itertools.combinations(zip(stages, coords), 2):
+        if system.hom(a, b).project(fb) != fa:
+            raise CoherenceFailure(a, b)
+        checked += 1
     return ThreadCertificate(stages[-1] if stages else 0, checked)
 
 
@@ -459,7 +461,7 @@ def rcs_membership(
         for b in stages:
             if b >= thread.constant_from:
                 expected = system.hom(thread.constant_from, b).apply(
-                    thread.rule(thread.constant_from)
+                    coordinate(system, thread, thread.constant_from)
                 )
                 if coordinate(system, thread, b) != expected:
                     return RcsVerdict(

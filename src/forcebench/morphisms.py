@@ -20,7 +20,7 @@ from .finite_cba import (
     basic_open,
     format_element,
 )
-from .free_algebra import FreeAlgebra, FreeElement, free_project
+from .free_algebra import FreeAlgebra, FreeElement, free_project, projection_cutoff
 from .report import Ledger
 
 
@@ -69,6 +69,18 @@ class CompleteHom:
             raise ArityMismatch("composition shape mismatch")
         return CompleteHom(
             self.source, other.target, tuple(self.fiber[s] for s in other.fiber)
+        )
+
+    def composes_to(self, other: "CompleteHom", composite) -> bool:
+        """``self.then(other) == composite``, comparing composed fibers
+        instead of building the composite's atom tables."""
+        if other.source != self.target:
+            raise ArityMismatch("composition shape mismatch")
+        return (
+            isinstance(composite, CompleteHom)
+            and composite.source == self.source
+            and composite.target == other.target
+            and composite.fiber == tuple(self.fiber[s] for s in other.fiber)
         )
 
     def __eq__(self, other) -> bool:
@@ -147,18 +159,23 @@ def stone_dual_quotient(h: CompleteHom) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FreeInclusion:
-    """Inclusion of free algebras on G into G'; retraction is projection over G'-G."""
+    """Inclusion of free algebras on G into G'; retraction is projection over G'-G.
+
+    When every fresh generator sorts after every source generator (as in the
+    fresh towers), the projection is a level cutoff of the diagram.
+    """
 
     source: FreeAlgebra
     target: FreeAlgebra
+    fresh: frozenset[str] = field(init=False, repr=False, compare=False)
+    _cutoff: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.source.generators <= self.target.generators:
             raise ArityMismatch("source generators must be contained in target generators")
-
-    @property
-    def fresh(self) -> frozenset[str]:
-        return self.target.generators - self.source.generators
+        fresh = self.target.generators - self.source.generators
+        object.__setattr__(self, "fresh", fresh)
+        object.__setattr__(self, "_cutoff", projection_cutoff(self.source, fresh))
 
     @property
     def regular(self) -> bool:
@@ -172,12 +189,22 @@ class FreeInclusion:
     def project(self, e: FreeElement) -> FreeElement:
         if not self.target.contains(e):
             raise ArityMismatch("element outside the target algebra")
-        return free_project(e, self.fresh)
+        return free_project(e, self.fresh, self._cutoff)
 
     def then(self, other: "FreeInclusion") -> "FreeInclusion":
         if other.source != self.target:
             raise ArityMismatch("composition shape mismatch")
         return FreeInclusion(self.source, other.target)
+
+    def composes_to(self, other: "FreeInclusion", composite) -> bool:
+        """``self.then(other) == composite``, without building the composite."""
+        if other.source != self.target:
+            raise ArityMismatch("composition shape mismatch")
+        return (
+            isinstance(composite, FreeInclusion)
+            and composite.source == self.source
+            and composite.target == other.target
+        )
 
 
 # -- the retraction-law audit ---------------------------------------------------

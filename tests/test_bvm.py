@@ -399,3 +399,34 @@ def test_truth_values_match_oracle_property(data):
         hf_env = {v: eval_at_atom(n, Ultrafilter(algebra, atom)) for v, n in names.items()}
         hf_pool = tuple(eval_at_atom(n, Ultrafilter(algebra, atom)) for n in pool)
         assert hf_satisfies(phi, hf_env, hf_pool) == bool(value >> atom & 1)
+
+
+def test_name_pool_collects_each_formula_constants_once(monkeypatch):
+    real = bvm.formula_constants
+    formulas = standard_formula_pool()
+    walked = []
+
+    def counted(phi):
+        if any(phi is f for f in formulas):
+            walked.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(bvm, "formula_constants", counted)
+    report = forcing_audit(B2, standard_name_pool(B2, max_rank=2)[:7], formulas)
+    assert report.passed
+    assert len(walked) == len(formulas)
+    assert all(any(w is f for w in walked) for f in formulas)
+
+
+def test_name_pool_checks_cached_constants_on_every_call():
+    names = NamePool(B2, standard_name_pool(B2, max_rank=2)[:10])
+    u = Var("u")
+    c0 = check_name(B2, EMPTY)
+    deep = Atomic("eq", check_name(B2, von_neumann(5)), u)
+    foreign = Atomic("eq", check_name(B1, EMPTY), u)
+    for _ in range(2):
+        with pytest.raises(RankExceeded):
+            truth_value(deep, {"u": c0}, B2, names)
+        with pytest.raises(MixedAlgebras):
+            truth_value(foreign, {"u": c0}, B2, names)
+    assert truth_value(deep, {"u": c0}, B2, names, rank_bound=6) == 0

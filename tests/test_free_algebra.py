@@ -1,6 +1,12 @@
+import itertools
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forcebench import free_algebra
 from forcebench.errors import ChainEscapeViolation, ChainNotDescending
 from forcebench.free_algebra import (
     FREE_ONE,
@@ -19,9 +25,11 @@ from forcebench.free_algebra import (
     free_project,
     generator,
     parse_free_expression,
+    projection_cutoff,
 )
+from forcebench.morphisms import FreeInclusion
 
-from .oracles import element_truth_table, expr_vars, truth_table
+from .oracles import element_truth_table, expr_vars, reference_format, truth_table
 
 
 GENS = ("x0", "x1", "x2", "y")
@@ -206,3 +214,91 @@ def test_free_algebra_membership():
     assert not alg.contains(generator("y0"))
     with pytest.raises(ValueError):
         alg.var("y0")
+
+
+# -- level-cutoff projection, cached keys, the unique table ------------------
+
+MIXED = ("x0", "x2", "x10", "y0", "y1", "y12")
+
+
+def random_expr(rng: random.Random, names, size: int):
+    if size <= 1:
+        return GVar(rng.choice(names)) if rng.random() < 0.9 else GConst(rng.random() < 0.5)
+    op = rng.randrange(3)
+    if op == 0:
+        return GNot(random_expr(rng, names, size - 1))
+    left = rng.randrange(1, size)
+    return (GAnd if op == 1 else GOr)(
+        random_expr(rng, names, left), random_expr(rng, names, size - left)
+    )
+
+
+def test_cutoff_projection_equals_set_quantification():
+    target = FreeAlgebra(frozenset(MIXED))
+    # fresh generators after the kept ones: the cutoff path
+    suffix = [frozenset(MIXED[:k]) for k in range(len(MIXED))]
+    # fresh generators interleaved with kept ones: the set path
+    interleaved = [frozenset({"x0", "x10", "y1"}), frozenset({"x2", "y0"}), frozenset({"y12"})]
+    for seed in range(60):
+        e = free_normalize(random_expr(random.Random(seed), MIXED, 14))
+        for kept, fast in [(k, True) for k in suffix] + [(k, False) for k in interleaved]:
+            inc = FreeInclusion(FreeAlgebra(kept), target)
+            assert (projection_cutoff(inc.source, inc.fresh) is not None) == fast
+            assert inc.project(e) == free_project(e, inc.fresh)
+
+
+def test_cutoff_projections_share_memo_entries_across_inclusions():
+    # hom(a, b) and hom(a, c) of a tower quantify different fresh sets above
+    # the same level, so the second projection is answered from the memo
+    source = FreeAlgebra(frozenset({"x0", "x2", "x10", "y0"}))
+    short = FreeInclusion(source, FreeAlgebra(source.generators | {"y1", "y12"}))
+    long = FreeInclusion(source, FreeAlgebra(source.generators | {"y1", "y12", "y13"}))
+    e = free_normalize(random_expr(random.Random(7), MIXED, 14))
+    p = short.project(e)
+    before = len(free_algebra._QUANT_MEMO)
+    assert long.project(e) == p
+    assert len(free_algebra._QUANT_MEMO) == before
+
+
+def test_format_free_follows_the_documented_order():
+    for seed in range(60):
+        expr = random_expr(random.Random(seed), MIXED, 10)
+        assert format_free(free_normalize(expr)) == reference_format(expr, MIXED)
+
+
+_SCRATCH_RUNS = itertools.count()
+
+
+def test_unique_table_interns_one_node_per_key_across_threads():
+    # generator names no other test uses, so every node is new to the tables
+    names = [f"race{next(_SCRATCH_RUNS)}_{k}" for k in range(24)]
+
+    def build():
+        gens = [generator(n) for n in names]
+        out, acc = [], FREE_ZERO
+        for i, g in enumerate(gens):
+            acc = (acc & ~g) | (gens[(5 * i + 3) % len(gens)] & g)
+            out.append(acc)
+        return out
+
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(i):
+        barrier.wait(timeout=30)
+        results[i] = build()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None for r in results)
+    for other in results[1:] + [build()]:
+        assert all(a._node is b._node for a, b in zip(results[0], other))

@@ -1,6 +1,9 @@
+import collections
 import random
 
 import pytest
+
+import forcebench.iteration as iteration
 
 from forcebench.errors import (
     CoherenceFailure,
@@ -15,6 +18,7 @@ from forcebench.iteration import (
     ConstantThread,
     RuleThread,
     VectorThread,
+    _audit_commutation,
     antichain_sup_audit,
     build_lazy_system,
     build_system,
@@ -387,3 +391,89 @@ def test_commutation_failure_detected():
     step = hom_from_fiber_map(b2, b4, [0, 0, 1, 1])
     with pytest.raises(CommutationFailure):
         build_system([b2, b2], [step])  # declared stage shapes disagree
+
+
+def test_rule_thread_rule_runs_once_per_stage():
+    system = free_tower(12)
+    calls = collections.Counter()
+
+    def rule(n):
+        calls[n] += 1
+        return all_meet(generator(f"y{k}") for k in range(n))
+
+    t = RuleThread(rule)
+    thread_validate(system, t, depth=12)
+    thread_validate(system, t, depth=12)
+    assert coordinate(system, t, 5) == all_meet(generator(f"y{k}") for k in range(5))
+    assert calls == {n: 1 for n in range(13)}
+
+
+def test_thread_validate_takes_each_coordinate_once(monkeypatch):
+    system = doubling_chain()
+    asked = collections.Counter()
+    real = iteration.coordinate
+
+    def counted(system, thread, n):
+        asked[n] += 1
+        return real(system, thread, n)
+
+    monkeypatch.setattr(iteration, "coordinate", counted)
+    cert = thread_validate(system, ConstantThread(1, 0b01))
+    assert cert.pairs_checked == 3
+    assert asked == {0: 1, 1: 1, 2: 1}
+
+
+def twelve_stage_chain():
+    """Finite stages with 1, 1, 2, 2, ..., 6, 6 atoms and regular steps."""
+    algebras = [FiniteCBA(1 + n // 2) for n in range(12)]
+    steps = [
+        hom_from_fiber_map(
+            src, tgt, [min(t, src.atom_count - 1) for t in range(tgt.atom_count)]
+        )
+        for src, tgt in zip(algebras, algebras[1:])
+    ]
+    return algebras, steps
+
+
+def test_commutation_audit_builds_no_hom_per_triple(monkeypatch):
+    algebras, steps = twelve_stage_chain()
+    made = []
+    real = CompleteHom.__post_init__
+
+    def counted(self):
+        made.append((self.source.atom_count, self.target.atom_count))
+        real(self)
+
+    monkeypatch.setattr(CompleteHom, "__post_init__", counted)
+    build_system(algebras, steps)
+    # one hom per stage pair a <= b (the cached compositions), none per triple
+    assert len(made) == 12 * 13 // 2
+
+
+def _first_failing_triple(system, depth):
+    for a in range(depth + 1):
+        for b in range(a, depth + 1):
+            for c in range(b, depth + 1):
+                if system.hom(a, b).then(system.hom(b, c)) != system.hom(a, c):
+                    return (a, b, c)
+    return None
+
+
+def test_commutation_audit_reports_the_first_failing_triple():
+    algebras, steps = twelve_stage_chain()
+    system = build_system(algebras, steps)
+    good = system.hom(3, 8)
+    bad = list(good.fiber)
+    bad[-1] = 1 - bad[-1]  # a planted defect: one target atom moved
+    system._hom_cache[(3, 8)] = hom_from_fiber_map(good.source, good.target, bad)
+    assert _first_failing_triple(system, 11) == (2, 3, 8)
+    with pytest.raises(CommutationFailure) as err:
+        _audit_commutation(system, 11)
+    assert err.value.stages == (2, 3, 8)
+
+    tower = free_tower(5)
+    tower._hom_cache[(1, 3)] = FreeInclusion(tower.algebra(1), tower.algebra(4))
+    assert _first_failing_triple(tower, 5) == (0, 1, 3)
+    with pytest.raises(CommutationFailure) as err:
+        _audit_commutation(tower, 5)
+    assert err.value.stages == (0, 1, 3)
