@@ -64,10 +64,6 @@ class BName:
     def __repr__(self) -> str:
         return f"BName({format_name(self)})"
 
-    @property
-    def domain(self) -> frozenset["BName"]:
-        return frozenset(s for s, _ in self.entries)
-
     def label(self, sub: "BName") -> int:
         for s, p in self.entries:
             if s == sub:
@@ -492,7 +488,8 @@ class ForcingAuditReport:
 
     @property
     def passed(self) -> bool:
-        return not self.divergences
+        """No divergence on at least one case: zero cases prove nothing."""
+        return self.cases > 0 and not self.divergences
 
 
 def forcing_audit(

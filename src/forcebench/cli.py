@@ -146,7 +146,7 @@ def _run_task(doc, task, rng, depth):
         ledger = Ledger()
         ledger.record(
             "truth_values_match_oracle",
-            r.passed,
+            not r.divergences,
             r.divergences[0] if r.divergences else "",
             cases=r.cases,
         )

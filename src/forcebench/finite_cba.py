@@ -39,12 +39,6 @@ class FiniteCBA:
     def neg(self, a: int) -> int:
         return self.one & ~a
 
-    def diff(self, a: int, b: int) -> int:
-        return a & ~b
-
-    def symm_diff(self, a: int, b: int) -> int:
-        return a ^ b
-
     def implies(self, a: int, b: int) -> int:
         return self.neg(a) | b
 

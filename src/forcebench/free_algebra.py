@@ -237,13 +237,6 @@ def all_meet(parts: Iterable[FreeElement]) -> FreeElement:
     return out
 
 
-def all_join(parts: Iterable[FreeElement]) -> FreeElement:
-    out = FREE_ZERO
-    for p in parts:
-        out = out | p
-    return out
-
-
 def free_project(
     e: FreeElement, gens: Iterable[str], cutoff: tuple | None = None
 ) -> FreeElement:

@@ -228,9 +228,11 @@ class _Cases:
 
     def __init__(self, h: CompleteHom, exhaustive: bool, rng, samples: int) -> None:
         B, C = h.source, h.target
-        r = rng or random.Random(0)
+        key = (B.atom_count, C.atom_count, exhaustive, samples)
+        drawn = _random_0_draws(*key) if rng is None else _draw(rng, *key)
+        cs, bs, self.source_sets, self.target_sets = drawn
         self.h = h
-        if exhaustive and max(B.atom_count, C.atom_count) <= EXHAUSTIVE_MAX_ATOMS:
+        if cs is None:  # both sides enumerated
             bs, cs = list(B.elements()), list(C.elements())
             ibs, pcs = [h.apply(b) for b in bs], [h.project(c) for c in cs]
             subs = [[0]]  # c -> every e <= c
@@ -245,8 +247,6 @@ class _Cases:
             self.ds, self.pds, self.b_partners = cs, pcs, bs
             self.probes, self.pprobes = cs, pcs
         else:
-            cs = [r.getrandbits(C.atom_count) for _ in range(samples)]
-            bs = [r.getrandbits(B.atom_count) for _ in range(samples)]
             self.apply, self.project = h.apply, h.project
             ibs, pcs = list(map(h.apply, bs)), list(map(h.project, cs))
             self.ds, self.pds, self.b_partners = cs[:16], pcs[:16], bs[:16]
@@ -257,18 +257,6 @@ class _Cases:
             above = {a: [h.project(a | d) for d in self.ds] for a in self.probes}
         self.bs, self.ibs, self.cs, self.pcs = bs, ibs, cs, pcs
         self.below, self.above = below, above  # keyed by ds and probes
-        if exhaustive and B.atom_count <= 3:
-            self.source_sets = _predense_families(B.atom_count)
-        else:
-            self.source_sets = []
-            for _ in range(min(samples, 50)):
-                xs = {r.getrandbits(B.atom_count) for _ in range(3)} | {B.one}
-                self.source_sets.append(tuple(sorted(xs - {0})))
-        self.target_sets = [(C.one,)]
-        for _ in range(min(samples, 50)):
-            xs = {r.getrandbits(C.atom_count) for _ in range(4)}
-            xs.add(C.neg(C.sup(xs)))  # force the join up to 1
-            self.target_sets.append(tuple(sorted(xs - {0})))
 
     def at(self, **elements: int | None) -> str:
         """``b={..} c={..}`` (b in B, c and d in C); "" when all are None."""
@@ -277,6 +265,39 @@ class _Cases:
             for name, x in elements.items()
             if x is not None
         )
+
+
+def _draw(
+    r: random.Random, source_atoms: int, target_atoms: int, exhaustive: bool, samples: int
+):
+    """The seeded draws of one audit, in the order it takes them from r:
+    ``samples`` target then source elements unless both sides are
+    enumerated (None, None), then the source and target families."""
+    B, C = FiniteCBA(source_atoms), FiniteCBA(target_atoms)
+    cs = bs = None
+    if not (exhaustive and max(source_atoms, target_atoms) <= EXHAUSTIVE_MAX_ATOMS):
+        cs = tuple(r.getrandbits(target_atoms) for _ in range(samples))
+        bs = tuple(r.getrandbits(source_atoms) for _ in range(samples))
+    if exhaustive and source_atoms <= 3:
+        source_sets = _predense_families(source_atoms)
+    else:
+        source_sets = []
+        for _ in range(min(samples, 50)):
+            xs = {r.getrandbits(source_atoms) for _ in range(3)} | {B.one}
+            source_sets.append(tuple(sorted(xs - {0})))
+    target_sets = [(C.one,)]
+    for _ in range(min(samples, 50)):
+        xs = {r.getrandbits(target_atoms) for _ in range(4)}
+        xs.add(C.neg(C.sup(xs)))  # force the join up to 1
+        target_sets.append(tuple(sorted(xs - {0})))
+    return cs, bs, tuple(source_sets), tuple(target_sets)
+
+
+@functools.lru_cache(maxsize=256)
+def _random_0_draws(source_atoms: int, target_atoms: int, exhaustive: bool, samples: int):
+    """``_draw`` from a fresh ``Random(0)``, as every rng-less audit of one
+    shape draws: computed once per shape."""
+    return _draw(random.Random(0), source_atoms, target_atoms, exhaustive, samples)
 
 
 @functools.cache
@@ -314,11 +335,16 @@ def _positive_to_positive(k: _Cases):
 def _meet_translation(k: _Cases):
     """pi(c ∧ i(b)) = pi(c) ∧ b."""
     project, cs, pcs = k.project, k.cs, k.pcs
+    cases = len(k.bs) * len(cs)
+    walked = set()
     for b, ib in zip(k.bs, k.ibs):
+        if b in walked:
+            continue  # a b drawn again asks for the identical row
+        walked.add(b)
         if list(map(project, [c & ib for c in cs])) != [p & b for p in pcs]:
             c = next(c for c, p in zip(cs, pcs) if project(c & ib) != p & b)
-            return False, k.at(b=b, c=c), len(k.bs) * len(cs)
-    return True, "", len(k.bs) * len(cs)
+            return False, k.at(b=b, c=c), cases
+    return True, "", cases
 
 
 def _meet_translation_join_form(k: _Cases):

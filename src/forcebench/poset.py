@@ -85,16 +85,6 @@ class Poset:
             return False
         return all(any(self.compatible(p, q) for q in subset) for p in self.elements)
 
-    def maximal_antichains(self) -> list[frozenset[str]]:
-        """All maximal antichains; only sensible for small posets."""
-        out = []
-        for r in range(len(self.elements) + 1):
-            for combo in itertools.combinations(self.elements, r):
-                s = frozenset(combo)
-                if self.is_maximal_antichain(s):
-                    out.append(s)
-        return out
-
     def is_separative(self) -> bool:
         for p, q in itertools.product(self.elements, repeat=2):
             if not self.leq(p, q):

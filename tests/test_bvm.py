@@ -133,6 +133,12 @@ def test_forcing_audit_b1_degenerates_to_classical_truth():
     assert report.cases > 0
 
 
+def test_forcing_audit_on_zero_cases_does_not_pass():
+    report = forcing_audit(B2, standard_name_pool(B2, max_rank=1), ())
+    assert report.cases == 0 and not report.divergences
+    assert not report.passed
+
+
 def test_forcing_audit_b2_rank2():
     pool = standard_name_pool(B2, max_rank=2)
     report = forcing_audit(B2, pool[:24], standard_formula_pool())

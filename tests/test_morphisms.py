@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcebench.errors import ArityMismatch, NotRegular, ZeroRestriction
-from forcebench.finite_cba import FiniteCBA
+from forcebench.finite_cba import FiniteCBA, format_element
 from forcebench.free_algebra import FreeAlgebra, all_meet, generator
 from forcebench.morphisms import (
     RETRACTION_LAWS,
     CompleteHom,
+    _Cases,
     ElementMap,
     FreeInclusion,
     generic_preimage_equivalence,
@@ -350,3 +351,37 @@ def test_sampled_join_form_and_filter_transport_catch_planted_defects(law, defec
     assert claim.witness.startswith(witness), claim.witness
     assert report.verdict == "FAIL"
     assert f"{law}: {claim.witness}" in report.failures
+
+
+def test_sampled_meet_translation_reaches_a_defect_behind_a_repeated_draw():
+    B, C = FiniteCBA(3), FiniteCBA(40)
+    fiber = tuple(t % 3 for t in range(40))
+    k = _Cases(CompleteHom(B, C, fiber), False, random.Random(5), 200)
+    # the first draw that repeats an earlier one, away from 0 and 1
+    b = next(b for j, b in enumerate(k.bs) if b in k.bs[:j] and b not in (0, B.one))
+    wrong_at = k.cs[0] & k.ibs[k.bs.index(b)]
+    reaching = [b2 for b2, ib2 in zip(k.bs, k.ibs) if any(c & ib2 == wrong_at for c in k.cs)]
+    assert reaching == [b] * k.bs.count(b) and len(reaching) > 1
+
+    class ProjectWrongBelowB(CompleteHom):
+        def project(self, c):
+            p = super().project(c)
+            return p ^ 1 if c == wrong_at else p
+
+    h = ProjectWrongBelowB(B, C, fiber)
+    report = retraction_laws_audit(h, exhaustive=False, rng=random.Random(5))
+    claim = report.claims["meet_translation"]
+    assert not claim.passed and claim.cases == 200 * 200
+    assert claim.witness == f"b={format_element(B, b)} c={format_element(C, k.cs[0])}"
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+@pytest.mark.parametrize("s, t", [(2, 4), (3, 6), (4, 6), (5, 17), (8, 40)])
+def test_rngless_cases_draw_what_random_0_draws(s, t, exhaustive):
+    h = CompleteHom(FiniteCBA(s), FiniteCBA(t), tuple(x % s for x in range(t)))
+    seeded = _Cases(h, exhaustive, random.Random(0), 40)
+    for _ in range(2):  # the second call may be served from a cache
+        k = _Cases(h, exhaustive, None, 40)
+        assert list(k.bs) == list(seeded.bs) and list(k.cs) == list(seeded.cs)
+        assert list(k.source_sets) == list(seeded.source_sets)
+        assert list(k.target_sets) == list(seeded.target_sets)

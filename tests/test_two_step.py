@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from forcebench import finite_cba, two_step
 from forcebench.errors import (
     EmptyFiber,
     NonCommuting,
@@ -13,6 +14,7 @@ from forcebench.finite_cba import FiniteCBA, Ultrafilter
 from forcebench.morphisms import CompleteHom, hom_from_fiber_map, identity_hom
 from forcebench.two_step import (
     AtomwisePresentation,
+    GenericQuotient,
     Triangle,
     antichain_correspondence_holds,
     build_two_step,
@@ -323,3 +325,140 @@ def test_sampled_two_step_audits_draw_distinct_cases():
     q = quotient_hom(Triangle(i0, i0.then(j), j), Ultrafilter(B2, 0))
     assert q.verdict == "PASS"
     assert [c.cases for c in q.claims.values()] == [64, 64, 1, 64]
+
+
+# -- the iso audit catches one planted defect per claim ----------------------------
+
+ISO_TARGETS = {"exhaustive": (3, 6), "sampled": (3, 9)}  # probe: all 64 / 34 drawn
+
+
+def _iso_hom(cls, size):
+    s, t = ISO_TARGETS[size]
+    return cls(FiniteCBA(s), FiniteCBA(t), tuple(x % s for x in range(t)))
+
+
+class ProjectWrongAtOne(CompleteHom):
+    """pi flips source atom 0 at the top element only."""
+
+    def project(self, c):
+        p = super().project(c)
+        return p ^ 1 if c == self.target.one else p
+
+
+class NonAtomImagesGainTargetAtom0(CompleteHom):
+    """i adds target atom 0 to the image of every non-atom; the quotients,
+    built from the images of atoms, stay as they are."""
+
+    def apply(self, b):
+        ib = super().apply(b)
+        return ib | 1 if b & (b - 1) else ib
+
+
+class ImagesGainTargetAtom0(CompleteHom):
+    """i adds target atom 0 to every nonzero image: the fibers grow."""
+
+    def apply(self, b):
+        ib = super().apply(b)
+        return ib | 1 if ib else ib
+
+
+def _class_of_wrong_at(monkeypatch, element):
+    honest = GenericQuotient.class_of
+
+    def class_of(self, c):
+        return honest(self, c) ^ (c == element and self.atom == 1)
+
+    monkeypatch.setattr(GenericQuotient, "class_of", class_of)
+
+
+def _phi_wrong_at(monkeypatch, element):
+    def atom_map(images):
+        honest = finite_cba.atom_map(images)
+        return lambda c: honest(c) ^ (c == element)
+
+    monkeypatch.setattr(two_step, "atom_map", atom_map)
+
+
+@pytest.mark.parametrize(
+    "size, claim, witness",
+    [
+        ("exhaustive", "retraction_transported", "c={0,1,2,3,4,5}"),
+        ("sampled", "retraction_transported", "c={0,1,2,3,4,5,6,7,8}"),
+    ],
+)
+def test_iso_audit_catches_project_wrong_at_one_element(size, claim, witness):
+    iso = two_step_iso_audit(_iso_hom(ProjectWrongAtOne, size))
+    assert iso.failures == [f"{claim}: {witness}"]
+
+
+@pytest.mark.parametrize("size", ["exhaustive", "sampled"])
+def test_iso_audit_catches_apply_adding_an_atom_off_the_atoms(size):
+    iso = two_step_iso_audit(_iso_hom(NonAtomImagesGainTargetAtom0, size))
+    assert iso.failures == ["embedding_transported: b={1,2}"]
+    assert iso.claims["embedding_transported"].cases == 8
+
+
+@pytest.mark.parametrize(
+    "size, class_witness",
+    [("exhaustive", "c={0}"), ("sampled", "c={0,1,2,3,4,5,6,7,8}")],
+)
+def test_iso_audit_catches_apply_adding_an_atom_everywhere(size, class_witness):
+    iso = two_step_iso_audit(_iso_hom(ImagesGainTargetAtom0, size))
+    assert iso.failures == [
+        f"phi_is_the_class_family: {class_witness}",
+        "bijective_on_atoms: not a bijection on atoms",
+        "complement_preserved: c={}",
+        "embedding_transported: b={1}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "size, element, witness, cases",
+    [
+        ("exhaustive", 0b000101, "c={0,2}", 64),
+        ("sampled", 0b111111111, "c={0,1,2,3,4,5,6,7,8}", 34),
+    ],
+)
+def test_iso_audit_catches_class_of_wrong_at_one_element(
+    monkeypatch, size, element, witness, cases
+):
+    _class_of_wrong_at(monkeypatch, element)
+    iso = two_step_iso_audit(_iso_hom(CompleteHom, size))
+    assert iso.failures == [f"phi_is_the_class_family: {witness}"]
+    assert iso.claims["phi_is_the_class_family"].cases == cases
+
+
+@pytest.mark.parametrize("size", ["exhaustive", "sampled"])
+def test_iso_audit_keeps_the_out_of_fiber_error(monkeypatch, size):
+    honest = GenericQuotient.class_of
+    monkeypatch.setattr(
+        GenericQuotient,
+        "class_of",
+        lambda self, c: honest(self, c) | (self.atom == 1 and c == 0) << 10,
+    )
+    with pytest.raises(ValueError, match="family value at atom 1 outside the fiber"):
+        two_step_iso_audit(_iso_hom(CompleteHom, size))
+
+
+@pytest.mark.parametrize(
+    "size, element, claim, witness",
+    [
+        ("exhaustive", 0b111111, "complement_preserved", "c={}"),
+        ("sampled", 0b111111111, "complement_preserved", "c={}"),
+        ("exhaustive", 0b11, "join_preserved", "c={0} d={1}"),
+        ("sampled", 0b11, "join_preserved", "c={0} d={1}"),
+    ],
+)
+def test_iso_audit_catches_phi_wrong_at_one_element(monkeypatch, size, element, claim, witness):
+    _phi_wrong_at(monkeypatch, element)
+    iso = two_step_iso_audit(_iso_hom(CompleteHom, size))
+    assert iso.claims[claim].witness == witness and not iso.claims[claim].passed
+
+
+def test_iso_audit_counts_atoms_of_the_sum_not_of_the_target():
+    # i(atom 0) already holds target atom 0, so only fiber 1 grows: phi still
+    # hits 9 atoms in a row, but the sum has 10
+    h = ImagesGainTargetAtom0(FiniteCBA(2), FiniteCBA(9), tuple(t % 2 for t in range(9)))
+    iso = two_step_iso_audit(h)
+    assert iso.two.algebra.atom_count == 10
+    assert not iso.claims["bijective_on_atoms"].passed
