@@ -172,8 +172,11 @@ def _run_task(doc, task, rng, depth):
         dis = disjointify_sg_audit(trace)
         sup = semigeneric_sup_audit(trace)
         ledger = Ledger()
+        if dis.closure_ok:
+            ledger.record("disjointification_degree", dis.equal)
+        else:  # terms leave the carrier: only sg(antichains) <= sg(predense) is checked
+            ledger.record("disjointification_lower_bound", dis.equal, "; ".join(dis.gaps))
         for law, ok in (
-            ("disjointification_degree", dis.equal),
             ("sup_characterization", sup.equal),
             ("sg_is_semigeneric", sup.sg_is_semigeneric),
         ):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -316,12 +318,16 @@ def test_three_step_shape_mismatch():
         three_step_assoc_audit(B2, mid, (B1,))
 
 
-def test_sampled_two_step_audits_draw_distinct_cases():
+def test_sampled_two_step_audits_draw_distinct_cases(monkeypatch):
     # above their enumeration sizes both audits draw fresh seeded cases
     i0 = doubling_hom()
     j = hom_from_fiber_map(FiniteCBA(4), FiniteCBA(12), [t % 4 for t in range(12)])
+    probed = set()  # the iso audit maps exactly its probe through the classes
+    honest = GenericQuotient.class_of
+    monkeypatch.setattr(GenericQuotient, "class_of", lambda q, c: probed.add(c) or honest(q, c))
     iso = two_step_iso_audit(i0.then(j))
-    assert iso.passed and len(iso.to_sum) > 30  # 0, 1 and 32 draws
+    monkeypatch.undo()
+    assert iso.passed and len(probed) > 30  # 0, 1 and 32 draws
     q = quotient_hom(Triangle(i0, i0.then(j), j), Ultrafilter(B2, 0))
     assert q.verdict == "PASS"
     assert [c.cases for c in q.claims.values()] == [64, 64, 1, 64]
@@ -462,3 +468,89 @@ def test_iso_audit_counts_atoms_of_the_sum_not_of_the_target():
     iso = two_step_iso_audit(h)
     assert iso.two.algebra.atom_count == 10
     assert not iso.claims["bijective_on_atoms"].passed
+
+
+# -- shape-determined work is done once per shape -----------------------------------
+
+
+def _compositions(total):
+    """Every tuple of positive fiber sizes summing to ``total``."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def test_cached_sum_is_the_built_sum():
+    # every presentation of the enumerated iso sweep: 63 of them
+    sizes = [c for total in range(1, 7) for c in _compositions(total)]
+    assert len(sizes) == 63
+    for fibers in sizes:
+        pres = AtomwisePresentation(FiniteCBA(len(fibers)), tuple(map(FiniteCBA, fibers)))
+        cached, built = two_step._checked_sum(pres), build_two_step(pres)
+        assert two_step._checked_sum(pres) is cached
+        assert (cached.algebra, cached.offsets, cached.tops) == (
+            built.algebra,
+            built.offsets,
+            built.tops,
+        )
+        assert cached.embedding == built.embedding
+
+
+@pytest.mark.parametrize("atoms", [5, 6, 12])
+def test_rng_less_iso_draws_are_a_fresh_random_0s(atoms):
+    r = random.Random(0)
+    drawn = tuple(r.getrandbits(atoms) for _ in range(32)) if atoms > 6 else ()
+    pairs = tuple((r.getrandbits(atoms), r.getrandbits(atoms)) for _ in range(128))
+    assert two_step._random_0_iso_draws(atoms) == (drawn, pairs)
+    h = hom_from_fiber_map(B2, FiniteCBA(atoms), [t % 2 for t in range(atoms)])
+    rng_less, seeded = two_step_iso_audit(h), two_step_iso_audit(h, random.Random(0))
+    assert rng_less.claims == seeded.claims
+    assert rng_less.claims["join_preserved"].cases == atoms * atoms + 128
+
+
+def _first_random_pair(atoms):
+    r = random.Random(0)
+    for _ in range(32):
+        r.getrandbits(atoms)
+    return r.getrandbits(atoms), r.getrandbits(atoms)
+
+
+def test_join_defect_on_a_wide_target_survives_the_phi_memo(monkeypatch):
+    # reached only through the first random pair, then through atoms 62 and 63
+    C = FiniteCBA(64)
+    c, d = _first_random_pair(64)
+    h = CompleteHom(FiniteCBA(3), C, tuple(t % 3 for t in range(64)))
+    for element, witness in (
+        (c | d, f"c={finite_cba.format_element(C, c)} d={finite_cba.format_element(C, d)}"),
+        (3 << 62, "c={62} d={63}"),
+    ):
+        _phi_wrong_at(monkeypatch, element)
+        iso = two_step_iso_audit(h)
+        assert iso.failures == [f"join_preserved: {witness}"]
+        assert iso.claims["join_preserved"].cases == 64 * 64 + 128
+
+
+def test_iso_audits_agree_across_threads():
+    # the shape caches are shared: racing first calls give the same verdicts
+    homs = [
+        hom_from_fiber_map(FiniteCBA(s), FiniteCBA(t), [x % s for x in range(t)])
+        for s in (1, 2, 3)
+        for t in (4, 5, 6, 9, 17)
+    ]
+    expected = [two_step_iso_audit(h).claims for h in homs]
+    two_step._checked_sum.cache_clear()
+    two_step._random_0_iso_draws.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = [
+                pool.submit(lambda: [two_step_iso_audit(h).claims for h in homs])
+                for _ in range(8)
+            ]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8

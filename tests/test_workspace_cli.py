@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from forcebench import cli
 from forcebench.cli import execute, main
 from forcebench.errors import (
     UnknownCommand,
@@ -22,6 +23,7 @@ from forcebench.report import (
     emit_report,
     parse_machine_report,
 )
+from forcebench.semigen import DisjointifyReport
 from forcebench.workspace import parse_workspace
 
 REPO = Path(__file__).resolve().parents[1]
@@ -236,3 +238,42 @@ def test_subprocess_entry_point():
     assert out.returncode == 0, out.stderr
     data = json.loads(out.stdout)
     assert data["command"] == "gallery"
+
+
+def _sg_doc(carrier):
+    trace = (
+        ', {"kind": "trace", "name": "M", "algebra": "B", "carrier": ' + json.dumps(carrier)
+        + ', "predense": [["{0}", "{1}"]], "antichains": [["{0}", "{1}"]],'
+        ' "kappa": 3, "delta": [0]}'
+    )
+    return parse_workspace(minimal_doc(trace, audits='[{"audit": "sg-audit", "target": "M"}]'))
+
+
+@pytest.mark.parametrize(
+    "carrier, claim, note",
+    [
+        (["{0}", "{1}", "{0,1}"], "disjointification_degree", ""),
+        (
+            ["{0,1}"],
+            "disjointification_lower_bound",
+            "predense set 0 leaves the carrier; disjointification of set 0 leaves the carrier",
+        ),
+    ],
+)
+def test_sg_audit_names_the_claim_its_carrier_allows(carrier, claim, note):
+    # a carrier missing the disjointification terms only bounds sg from below
+    doc = _sg_doc(carrier)
+    [(_, _, ledger, details)] = cli._run_task(doc, doc.audits[0], None, 8)
+    assert details["closure_ok"] is (claim == "disjointification_degree")
+    assert list(ledger.claims)[0] == claim
+    assert ledger.claims[claim].passed and ledger.claims[claim].witness == note
+    assert execute(doc, "sg-audit").results[0].verdict == PASS
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_failing_sg_bound_reports_its_claim(monkeypatch, closed):
+    failing = DisjointifyReport(equal=False, closure_ok=closed, gaps=[] if closed else ["gap"])
+    monkeypatch.setattr(cli, "disjointify_sg_audit", lambda trace: failing)
+    (result,) = execute(_sg_doc(["{0}", "{1}", "{0,1}"]), "sg-audit").results
+    expected = "disjointification_degree: " if closed else "disjointification_lower_bound: gap"
+    assert result.verdict == FAIL and result.witnesses == (expected,)
