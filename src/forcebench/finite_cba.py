@@ -6,6 +6,8 @@ bit operation, so all the identities of the theory are decidable exactly.
 """
 from __future__ import annotations
 
+import functools
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -126,6 +128,78 @@ def atom_map(images: Sequence[int]) -> Callable[[int], int]:
     return mapped
 
 
+class ByteRows:
+    """A map f on the 2^t elements of a small algebra, packed one byte per
+    element: byte d of ``packed`` holds f(d).
+
+    Row c of ``join_rows`` holds f(c | d) in byte d, and row c of
+    ``meet_rows`` holds f(c & d).  Each row is an earlier row under one
+    byte mask and one shift, so it only moves bytes of the table and never
+    calls f again.  A law over every pair (c, d) then checks all d of one c
+    in a few big-int operations: bit-slicing (Biham 1997) applied to bytes.
+    """
+
+    def __init__(self, values: Sequence[int]) -> None:
+        """``values[d]`` = f(d) for each of the 2^t elements d; raises
+        ValueError or TypeError unless every value is an int in 0..255."""
+        self.values = values
+        self.packed = int.from_bytes(bytes(values), "little")
+        self.ones, self.masks = _byte_masks(len(values))
+
+    @functools.cached_property
+    def join_rows(self) -> list[int]:
+        rows = [self.packed]
+        for c in range(1, len(self.values)):
+            low = c & -c  # an atom of c: f(c | d) = f((c - low) | (d | low))
+            row = rows[c ^ low] & self.masks[low.bit_length() - 1]
+            rows.append(row | row >> 8 * low)
+        return rows
+
+    @functools.cached_property
+    def meet_rows(self) -> list[int]:
+        rows = [self.packed] * len(self.values)
+        for c in range(len(self.values) - 2, -1, -1):
+            low = ~c & c + 1  # an atom outside c: f(c & d) = f((c | low) & (d - low))
+            row = rows[c | low] & ~self.masks[low.bit_length() - 1]
+            rows[c] = row | row << 8 * low
+        return rows
+
+    def preserves_joins(self) -> bool:
+        """f(c | d) = f(c) | f(d) for every pair."""
+        packed, ones = self.packed, self.ones
+        return all(row == f * ones | packed for row, f in zip(self.join_rows, self.values))
+
+    def sub_meets(self) -> bool:
+        """f(c & d) <= f(c) & f(d) for every pair."""
+        packed, ones = self.packed, self.ones
+        return all(not row & ~(f * ones & packed) for row, f in zip(self.meet_rows, self.values))
+
+    def translates_meet(self, x: int, b: int) -> bool:
+        """f(d & x) = f(d) & b for every d."""
+        top = len(self.values) - 1
+        return 0 <= b <= 0xFF and self.meet_rows[x & top] == self.packed & b * self.ones
+
+
+def byte_rows(values: Sequence[int]) -> ByteRows | None:
+    """``ByteRows(values)``, or None when some value does not fit in a byte."""
+    try:
+        return ByteRows(values)
+    except (TypeError, ValueError):
+        return None
+
+
+@functools.cache
+def _byte_masks(size: int) -> tuple[int, tuple[int, ...]]:
+    """For the 2^t elements d of a t-atom algebra: byte 1 at every d, and
+    for each atom a, byte 0xFF at every d that contains a."""
+    ones = int.from_bytes(b"\x01" * size, "little")
+    masks = tuple(
+        int.from_bytes(bytes(0xFF if d >> a & 1 else 0 for d in range(size)), "little")
+        for a in range(size.bit_length() - 1)
+    )
+    return ones, masks
+
+
 def format_element(algebra: FiniteCBA, a: int) -> str:
     """Canonical element syntax: atom-index set, e.g. ``{0,2}``."""
     return "{" + ",".join(str(k) for k in algebra.atom_indices(a)) + "}"
@@ -170,11 +244,6 @@ def ultrafilters(algebra: FiniteCBA) -> tuple[Ultrafilter, ...]:
     return tuple(Ultrafilter(algebra, k) for k in range(algebra.atom_count))
 
 
-def basic_open(algebra: FiniteCBA, b: int) -> frozenset[int]:
-    """N_b: the atoms whose ultrafilters contain b (= the set bits of b)."""
-    return frozenset(algebra.atom_indices(b))
-
-
 @dataclass(frozen=True)
 class FilterSpec:
     """A filter (or ideal) given by a finite generating set."""
@@ -215,7 +284,8 @@ class Restriction:
     mask: int
     algebra: FiniteCBA = field(init=False)
     atom_of_sub: tuple[int, ...] = field(init=False)  # sub atom index -> parent atom index
-    sub_of_atom: dict[int, int] = field(init=False, compare=False)  # the inverse, on the mask
+    # the inverse, on the mask; read-only, since views may be shared
+    sub_of_atom: types.MappingProxyType = field(init=False, compare=False)
     _to_sub: Callable[[int], int] = field(init=False, repr=False, compare=False)
     _from_sub: Callable[[int], int] = field(init=False, repr=False, compare=False)
 
@@ -228,7 +298,7 @@ class Restriction:
         for k, j in sub_of_atom.items():
             compress[k] = 1 << j
         object.__setattr__(self, "atom_of_sub", atoms)
-        object.__setattr__(self, "sub_of_atom", sub_of_atom)
+        object.__setattr__(self, "sub_of_atom", types.MappingProxyType(sub_of_atom))
         object.__setattr__(self, "algebra", FiniteCBA(len(atoms)))
         object.__setattr__(self, "_to_sub", atom_map(compress))
         object.__setattr__(self, "_from_sub", atom_map([1 << k for k in atoms]))

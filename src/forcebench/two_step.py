@@ -21,8 +21,15 @@ from .errors import (
     NotMaximalAntichain,
     ShapeMismatch,
 )
-from .finite_cba import FiniteCBA, Restriction, Ultrafilter, atom_map, format_element
-from .morphisms import CompleteHom, require_regular
+from .finite_cba import (
+    FiniteCBA,
+    Restriction,
+    Ultrafilter,
+    atom_map,
+    byte_rows,
+    format_element,
+)
+from .morphisms import EXHAUSTIVE_MAX_ATOMS, CompleteHom, require_regular
 from .report import Ledger
 
 
@@ -186,8 +193,13 @@ class GenericQuotient:
 
     def __post_init__(self) -> None:
         require_regular(self.hom)
+        target = self.hom.target
         mask = self.hom.apply(1 << self.atom)
-        object.__setattr__(self, "view", Restriction(self.hom.target, mask))
+        if target.atom_count <= EXHAUSTIVE_MAX_ATOMS:
+            view = _narrow_view(target, mask)
+        else:
+            view = Restriction(target, mask)
+        object.__setattr__(self, "view", view)
 
     @property
     def algebra(self) -> FiniteCBA:
@@ -201,6 +213,15 @@ class GenericQuotient:
 
     def representative(self, cls: int) -> int:
         return self.view.from_sub(cls)
+
+
+# One shared view per (parent, mask) of a parent with at most
+# EXHAUSTIVE_MAX_ATOMS atoms: 127 masks in all, where the enumerated iso sweep
+# asks for 23,646 views.  Views of wider parents are built per quotient, so
+# no audit keeps them alive.
+@functools.lru_cache(maxsize=256)
+def _narrow_view(parent: FiniteCBA, mask: int) -> Restriction:
+    return Restriction(parent, mask)
 
 
 def quotient_algebra(h: CompleteHom, u: Ultrafilter) -> GenericQuotient:
@@ -291,7 +312,7 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     require_regular(h)
     B, C = h.source, h.target
     quotients = tuple(GenericQuotient(h, a) for a in range(B.atom_count))
-    two = _checked_sum(AtomwisePresentation(B, tuple(q.algebra for q in quotients)))
+    two = _audited_sum(AtomwisePresentation(B, tuple(q.algebra for q in quotients)))
     iso = TwoStepIso(h, two, quotients)
 
     # the class family of c is determined atomwise: target atom t lands at
@@ -336,18 +357,34 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     bad = next((c for c, s in zip(probe, supports) if s != h.project(c)), None)
     iso.record("retraction_transported", bad is None, _at(C, bad), len(probe))
     if C.atom_count <= ISO_ALL_PAIRS_ATOMS:
-        pairs = list(itertools.product(probe, repeat=2))
+        cases = len(probe) ** 2
+        rows = byte_rows(phis)
+        # the packed rows only decide a pass; the scan finds the first witness
+        if rows is not None and rows.preserves_joins():
+            pairs = ()
+        else:
+            pairs = itertools.product(probe, repeat=2)
     else:
         atom_masks = [1 << t for t in range(C.atom_count)]
         pairs = list(itertools.product(atom_masks, repeat=2)) + list(random_pairs)
+        cases = len(pairs)
     bad = next(((c, d) for c, d in pairs if phi_at(c | d) != phi_at(c) | phi_at(d)), None)
     witness = "" if bad is None else f"{_at(C, bad[0])} {_at(C, bad[1], 'd')}"
-    iso.record("join_preserved", bad is None, witness, len(pairs))
+    iso.record("join_preserved", bad is None, witness, cases)
     i_sum = two.embedding.apply
     # phi ignores bits past C's atoms, so masking keeps a stray bit readable
     bad = next((b for b in B.elements() if phi_at(h.apply(b) & one) != i_sum(b)), None)
     iso.record("embedding_transported", bad is None, _at(B, bad, "b"), B.one + 1)
     return iso
+
+
+def _audited_sum(presentation: AtomwisePresentation) -> TwoStepAlgebra:
+    """The checked sum: the cached one when it has at most
+    ISO_EXHAUSTIVE_ATOMS atoms, else built afresh, since each wide
+    embedding tends to have a presentation of its own."""
+    if sum(f.atom_count for f in presentation.fibers) <= ISO_EXHAUSTIVE_ATOMS:
+        return _checked_sum(presentation)
+    return build_two_step(presentation)
 
 
 # Shape-determined work of the iso audit, done once per shape: the 5,316

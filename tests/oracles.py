@@ -132,3 +132,9 @@ def expr_vars(expr: FreeExpr) -> frozenset[str]:
     if isinstance(expr, (GAnd, GOr)):
         return expr_vars(expr.left) | expr_vars(expr.right)
     raise TypeError(expr)
+
+
+def packed_row(values, at) -> int:
+    """``values[at(d)]`` for every element d, one byte per d (byte d): the
+    packed row a ``ByteRows`` is expected to hold, built byte by byte."""
+    return int.from_bytes(bytes(values[at(d)] for d in range(len(values))), "little")

@@ -6,16 +6,19 @@ from hypothesis import given, strategies as st
 
 from forcebench.errors import ImproperFilter
 from forcebench.finite_cba import (
+    ByteRows,
     FilterSpec,
     FiniteCBA,
     Restriction,
     atom_map,
-    basic_open,
+    byte_rows,
     format_element,
     parse_element,
     quotient_by_filter,
     ultrafilters,
 )
+
+from .oracles import packed_row
 
 
 def test_constants_and_order():
@@ -106,12 +109,12 @@ def test_ultrafilter_closed_under_meets_of_subsets():
 
 
 def test_basic_open_complement_is_closed():
+    # N_b, the atoms whose ultrafilters contain b, is the bitmask b itself:
     # N_b and N_not_b partition the Stone space
     b = FiniteCBA(3)
-    space = frozenset(range(3))
     for x in b.elements():
-        assert basic_open(b, x) | basic_open(b, b.neg(x)) == space
-        assert basic_open(b, x) & basic_open(b, b.neg(x)) == frozenset()
+        assert x | b.neg(x) == b.one
+        assert x & b.neg(x) == 0
 
 
 def test_format_parse_roundtrip():
@@ -175,6 +178,15 @@ def test_restriction_roundtrip():
         assert view.from_sub(view.to_sub(x)) == x & 0b10110
 
 
+def test_restriction_sub_of_atom_is_read_only():
+    # views may be shared between audits, so nothing they hold can change
+    view = Restriction(FiniteCBA(5), 0b10110)
+    assert view.sub_of_atom == {1: 0, 2: 1, 4: 2}
+    with pytest.raises(TypeError):
+        view.sub_of_atom[0] = 3
+    assert view.sub_of_atom == {1: 0, 2: 1, 4: 2}
+
+
 @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 64])
 def test_atom_map_matches_bit_loop(width):
     rng = random.Random(width)
@@ -193,3 +205,56 @@ def test_atom_map_matches_bit_loop(width):
     xs += [x | rng.getrandbits(12) << width for x in xs[:50]]
     for x in xs:
         assert mapped(x) == by_bits(x), (width, x)
+
+
+def _hom_table(atoms, rng):
+    """The images of a random atom map on every element of a t-atom algebra."""
+    images = [1 << rng.randrange(6) for _ in range(atoms)]
+    mapped = atom_map(images)
+    return [mapped(x) for x in range(1 << atoms)]
+
+
+@pytest.mark.parametrize("atoms", range(7))
+def test_byte_rows_hold_the_table_at_every_join_and_meet(atoms):
+    rng = random.Random(atoms)
+    size = 1 << atoms
+    tables = [[rng.randrange(256) for _ in range(size)] for _ in range(20)]
+    tables += [_hom_table(atoms, rng) for _ in range(20)]
+    for values in tables:
+        rows = ByteRows(values)
+        assert rows.packed == packed_row(values, lambda d: d)
+        for c in range(size):
+            assert rows.join_rows[c] == packed_row(values, lambda d: c | d), (values, c)
+            assert rows.meet_rows[c] == packed_row(values, lambda d: c & d), (values, c)
+
+
+@pytest.mark.parametrize("atoms", range(7))
+def test_byte_row_laws_are_the_pairwise_laws(atoms):
+    rng = random.Random(100 + atoms)
+    size = 1 << atoms
+    pairs = [(c, d) for c in range(size) for d in range(size)]
+    homs = [_hom_table(atoms, rng) for _ in range(10)]
+    # each hom table wrong at one element, and random tables
+    planted = [
+        t[:x] + [t[x] ^ 1 << rng.randrange(8)] + t[x + 1 :] for t in homs for x in range(size)
+    ]
+    noise = [[rng.randrange(256) for _ in range(size)] for _ in range(10)]
+    for values in homs + planted + noise:
+        rows = ByteRows(values)
+        joins = all(values[c | d] == values[c] | values[d] for c, d in pairs)
+        sub_meets = all(not values[c & d] & ~(values[c] & values[d]) for c, d in pairs)
+        assert rows.preserves_joins() == joins
+        assert rows.sub_meets() == sub_meets
+        for x in (0, size - 1, rng.randrange(size), -1, size | 1):
+            for b in (0, 0xFF, values[size - 1], rng.randrange(256)):
+                meets = all(values[d & x] == values[d] & b for d in range(size))
+                assert rows.translates_meet(x, b) == meets
+
+
+def test_byte_rows_only_pack_bytes():
+    rows = byte_rows([0, 1, 2, 3])  # the identity on two atoms
+    assert rows.preserves_joins() and rows.sub_meets() and rows.translates_meet(1, 1)
+    for values in ([0, 1, 256, 3], [0, -1, 2, 3], [0, 1, None, 3]):
+        assert byte_rows(values) is None
+    # a bound outside a byte is never a pass
+    assert not rows.translates_meet(1, 256 | 1)

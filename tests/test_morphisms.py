@@ -23,6 +23,8 @@ from forcebench.morphisms import (
     stone_dual_quotient,
 )
 
+from .oracles import packed_row
+
 
 B2 = FiniteCBA(2)
 C4 = FiniteCBA(4)
@@ -385,3 +387,84 @@ def test_rngless_cases_draw_what_random_0_draws(s, t, exhaustive):
         assert list(k.bs) == list(seeded.bs) and list(k.cs) == list(seeded.cs)
         assert list(k.source_sets) == list(seeded.source_sets)
         assert list(k.target_sets) == list(seeded.target_sets)
+
+
+# -- the packed byte rows decide exactly what the scan decides ----------------------
+
+
+def _laws_both_ways(h):
+    """Every law's (holds, witness, cases), or the error it raises, once
+    with the packed rows and once with the scan alone."""
+    k = _Cases(h, True, None, 200)
+
+    def run():
+        out = {}
+        for name, law in RETRACTION_LAWS:
+            try:
+                out[name] = law(k)
+            except Exception as exc:  # compared as a value
+                out[name] = repr(exc)
+        return out
+
+    packed = run()
+    rows, k.rows = k.rows, None
+    return k, rows, packed, run()
+
+
+def _assert_rows_decide_as_the_scan(k, rows, scanned):
+    # the kernel's own verdicts and rows, not only the claims it leaves to
+    # the scan: a kernel that fails on a passing hom would hide behind it
+    pcs = k.pcs
+    for c in k.cs:
+        assert rows.join_rows[c] == packed_row(pcs, lambda d: c | d)
+        assert rows.meet_rows[c] == packed_row(pcs, lambda d: c & d)
+    assert rows.preserves_joins() == scanned["join_preserving"][0]
+    assert rows.sub_meets() == scanned["sub_meet_inequality"][0]
+    for b, ib in zip(k.bs, k.ibs):
+        row_holds = all(pcs[c & ib] == p & b for c, p in zip(k.cs, pcs))
+        assert rows.translates_meet(ib, b) == row_holds, (b, ib)
+
+
+def test_packed_rows_decide_every_narrow_law_embedding():
+    homs = list(all_regular_homs(3, 6))
+    assert len(homs) == 852
+    for h in homs:
+        k, rows, packed, scanned = _laws_both_ways(h)
+        assert packed == scanned, h.fiber
+        assert all(ok for ok, _, _ in scanned.values()), h.fiber
+        assert rows.preserves_joins() and rows.sub_meets()
+        assert all(rows.translates_meet(ib, b) for b, ib in zip(k.bs, k.ibs))
+    # the rows themselves, on one embedding per target width
+    for t in range(2, 7):
+        h = CompleteHom(FiniteCBA(2), FiniteCBA(t), tuple(x % 2 for x in range(t)))
+        k, rows, _, scanned = _laws_both_ways(h)
+        _assert_rows_decide_as_the_scan(k, rows, scanned)
+
+
+def _project_wrong_at(element, wrong):
+    class ProjectWrongAt(CompleteHom):
+        def project(self, c):
+            p = super().project(c)
+            return wrong(p) if c == element else p
+
+    return ProjectWrongAt
+
+
+@pytest.mark.parametrize("defect", ["flip", 256, -1])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_packed_rows_decide_a_project_wrong_at_each_element(s, defect):
+    fiber = tuple(t % s for t in range(4))
+    k, rows, _, scanned = _laws_both_ways(CompleteHom(FiniteCBA(s), C4, fiber))
+    _assert_rows_decide_as_the_scan(k, rows, scanned)  # the honest hom passes
+    wrong = (lambda p: p ^ 1) if defect == "flip" else (lambda p: defect)
+    failed = set()
+    for element in range(16):  # every element of the 4-atom target
+        h = _project_wrong_at(element, wrong)(FiniteCBA(s), C4, fiber)
+        k, rows, packed, scanned = _laws_both_ways(h)
+        assert packed == scanned, element
+        if defect == "flip":
+            _assert_rows_decide_as_the_scan(k, rows, scanned)
+        else:  # no byte holds the value: the scan alone decides
+            assert rows is None
+        failed |= {name for name, out in scanned.items() if out[0] is not True}
+    assert {"meet_translation", "join_preserving", "sub_meet_inequality"} <= failed

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from forcebench import finite_cba, two_step
+from forcebench import finite_cba, morphisms, two_step
 from forcebench.errors import (
     EmptyFiber,
     NonCommuting,
@@ -13,7 +13,12 @@ from forcebench.errors import (
     ShapeMismatch,
 )
 from forcebench.finite_cba import FiniteCBA, Ultrafilter
-from forcebench.morphisms import CompleteHom, hom_from_fiber_map, identity_hom
+from forcebench.morphisms import (
+    CompleteHom,
+    hom_from_fiber_map,
+    identity_hom,
+    retraction_laws_audit,
+)
 from forcebench.two_step import (
     AtomwisePresentation,
     GenericQuotient,
@@ -27,6 +32,9 @@ from forcebench.two_step import (
     three_step_assoc_audit,
     two_step_iso_audit,
 )
+
+from .oracles import packed_row
+from .test_morphisms import all_regular_homs
 
 B1 = FiniteCBA(1)
 B2 = FiniteCBA(2)
@@ -550,6 +558,102 @@ def test_iso_audits_agree_across_threads():
                 pool.submit(lambda: [two_step_iso_audit(h).claims for h in homs])
                 for _ in range(8)
             ]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
+
+
+def test_wide_iso_audit_leaves_the_sum_cache_alone():
+    # each wide hom has its own presentation: its sum is built, not kept
+    h = hom_from_fiber_map(FiniteCBA(8), FiniteCBA(40), [t % 8 for t in range(40)])
+    before = two_step._checked_sum.cache_info().currsize
+    assert two_step_iso_audit(h).passed
+    assert two_step._checked_sum.cache_info().currsize == before
+
+
+def test_narrow_quotients_share_one_view_and_wide_ones_do_not():
+    narrow = hom_from_fiber_map(B2, FiniteCBA(6), [t % 2 for t in range(6)])
+    wide = hom_from_fiber_map(B2, FiniteCBA(7), [t % 2 for t in range(7)])
+    assert GenericQuotient(narrow, 1).view is GenericQuotient(narrow, 1).view
+    before = two_step._narrow_view.cache_info().currsize
+    first, second = GenericQuotient(wide, 1), GenericQuotient(wide, 1)
+    assert first.view == second.view and first.view is not second.view
+    assert two_step._narrow_view.cache_info().currsize == before
+
+
+def _recorded_phi(monkeypatch, wrong_at=None):
+    """Record phi over the first 16 elements each time an iso audit builds
+    it, flipped at ``wrong_at``; returns the list that holds the record."""
+    phis = []
+
+    def atom_map(images):
+        honest = finite_cba.atom_map(images)
+
+        def phi(c):
+            return honest(c) ^ (c == wrong_at)
+
+        phis[:] = map(phi, range(16))
+        return phi
+
+    monkeypatch.setattr(two_step, "atom_map", atom_map)
+    return phis
+
+
+def test_iso_join_rows_decide_every_all_pairs_embedding(monkeypatch):
+    atoms = two_step.ISO_ALL_PAIRS_ATOMS
+    homs = list(all_regular_homs(atoms, atoms))
+    assert len(homs) == 92
+    phis = _recorded_phi(monkeypatch)
+    packed = []
+    for h in homs:
+        packed.append(two_step_iso_audit(h).claims)
+        size = 1 << h.target.atom_count
+        assert finite_cba.ByteRows(phis[:size]).preserves_joins(), h.fiber
+    monkeypatch.setattr(two_step, "byte_rows", lambda values: None)
+    assert [two_step_iso_audit(h).claims for h in homs] == packed
+
+
+@pytest.mark.parametrize("element", range(16))
+def test_iso_join_rows_decide_phi_wrong_at_each_element(monkeypatch, element):
+    phis = _recorded_phi(monkeypatch, element)
+    h = doubling_hom()
+    iso = two_step_iso_audit(h)
+    rows = finite_cba.ByteRows(phis)
+    assert rows.join_rows == [packed_row(phis, lambda d: c | d) for c in range(16)]
+    assert rows.preserves_joins() == iso.claims["join_preserved"].passed
+    assert iso.claims["join_preserved"].cases == 256
+    monkeypatch.setattr(two_step, "byte_rows", lambda values: None)
+    assert two_step_iso_audit(h).claims == iso.claims
+
+
+def test_narrow_audits_agree_across_threads_from_cold_caches():
+    # every shape cache and view starts empty, and 8 threads race to fill it
+    homs = [
+        hom_from_fiber_map(FiniteCBA(s), FiniteCBA(t), [x % s for x in fiber])
+        for s in (1, 2, 3, 4)
+        for t in (4, 5, 6, 9)
+        for fiber in (range(t), range(t, 0, -1))
+    ]
+
+    def audit_all():
+        return [(retraction_laws_audit(h).claims, two_step_iso_audit(h).claims) for h in homs]
+
+    expected = audit_all()
+    for cache in (
+        morphisms._random_0_draws,
+        morphisms._predense_families,
+        two_step._checked_sum,
+        two_step._random_0_iso_draws,
+        two_step._narrow_view,
+        finite_cba._byte_masks,
+    ):
+        cache.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = [pool.submit(audit_all) for _ in range(8)]
             results = [run.result(timeout=120) for run in runs]
     finally:
         sys.setswitchinterval(interval)
