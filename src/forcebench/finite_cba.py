@@ -188,7 +188,7 @@ def byte_rows(values: Sequence[int]) -> ByteRows | None:
         return None
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _byte_masks(size: int) -> tuple[int, tuple[int, ...]]:
     """For the 2^t elements d of a t-atom algebra: byte 1 at every d, and
     for each atom a, byte 0xFF at every d that contains a."""

@@ -21,15 +21,8 @@ from .errors import (
     NotMaximalAntichain,
     ShapeMismatch,
 )
-from .finite_cba import (
-    FiniteCBA,
-    Restriction,
-    Ultrafilter,
-    atom_map,
-    byte_rows,
-    format_element,
-)
-from .morphisms import EXHAUSTIVE_MAX_ATOMS, CompleteHom, require_regular
+from .finite_cba import FiniteCBA, Restriction, Ultrafilter, atom_map, format_element
+from .morphisms import CompleteHom, require_regular
 from .report import Ledger
 
 
@@ -195,7 +188,7 @@ class GenericQuotient:
         require_regular(self.hom)
         target = self.hom.target
         mask = self.hom.apply(1 << self.atom)
-        if target.atom_count <= EXHAUSTIVE_MAX_ATOMS:
+        if target.atom_count <= ISO_EXHAUSTIVE_ATOMS:
             view = _narrow_view(target, mask)
         else:
             view = Restriction(target, mask)
@@ -216,7 +209,7 @@ class GenericQuotient:
 
 
 # One shared view per (parent, mask) of a parent with at most
-# EXHAUSTIVE_MAX_ATOMS atoms: 127 masks in all, where the enumerated iso sweep
+# ISO_EXHAUSTIVE_ATOMS atoms: 127 masks in all, where the enumerated iso sweep
 # asks for 23,646 views.  Views of wider parents are built per quotient, so
 # no audit keeps them alive.
 @functools.lru_cache(maxsize=256)
@@ -312,7 +305,13 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     require_regular(h)
     B, C = h.source, h.target
     quotients = tuple(GenericQuotient(h, a) for a in range(B.atom_count))
-    two = _audited_sum(AtomwisePresentation(B, tuple(q.algebra for q in quotients)))
+    presentation = AtomwisePresentation(B, tuple(q.algebra for q in quotients))
+    # the sum has C's atoms (h is regular); each wide embedding tends to have
+    # a presentation of its own, so only narrow sums are kept
+    if C.atom_count <= ISO_EXHAUSTIVE_ATOMS:
+        two = _checked_sum(presentation)
+    else:
+        two = build_two_step(presentation)
     iso = TwoStepIso(h, two, quotients)
 
     # the class family of c is determined atomwise: target atom t lands at
@@ -357,34 +356,18 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     bad = next((c for c, s in zip(probe, supports) if s != h.project(c)), None)
     iso.record("retraction_transported", bad is None, _at(C, bad), len(probe))
     if C.atom_count <= ISO_ALL_PAIRS_ATOMS:
-        cases = len(probe) ** 2
-        rows = byte_rows(phis)
-        # the packed rows only decide a pass; the scan finds the first witness
-        if rows is not None and rows.preserves_joins():
-            pairs = ()
-        else:
-            pairs = itertools.product(probe, repeat=2)
+        pairs = list(itertools.product(probe, repeat=2))
     else:
         atom_masks = [1 << t for t in range(C.atom_count)]
         pairs = list(itertools.product(atom_masks, repeat=2)) + list(random_pairs)
-        cases = len(pairs)
     bad = next(((c, d) for c, d in pairs if phi_at(c | d) != phi_at(c) | phi_at(d)), None)
     witness = "" if bad is None else f"{_at(C, bad[0])} {_at(C, bad[1], 'd')}"
-    iso.record("join_preserved", bad is None, witness, cases)
+    iso.record("join_preserved", bad is None, witness, len(pairs))
     i_sum = two.embedding.apply
     # phi ignores bits past C's atoms, so masking keeps a stray bit readable
     bad = next((b for b in B.elements() if phi_at(h.apply(b) & one) != i_sum(b)), None)
     iso.record("embedding_transported", bad is None, _at(B, bad, "b"), B.one + 1)
     return iso
-
-
-def _audited_sum(presentation: AtomwisePresentation) -> TwoStepAlgebra:
-    """The checked sum: the cached one when it has at most
-    ISO_EXHAUSTIVE_ATOMS atoms, else built afresh, since each wide
-    embedding tends to have a presentation of its own."""
-    if sum(f.atom_count for f in presentation.fibers) <= ISO_EXHAUSTIVE_ATOMS:
-        return _checked_sum(presentation)
-    return build_two_step(presentation)
 
 
 # Shape-determined work of the iso audit, done once per shape: the 5,316

@@ -33,7 +33,6 @@ from forcebench.two_step import (
     two_step_iso_audit,
 )
 
-from .oracles import packed_row
 from .test_morphisms import all_regular_homs
 
 B1 = FiniteCBA(1)
@@ -580,51 +579,6 @@ def test_narrow_quotients_share_one_view_and_wide_ones_do_not():
     first, second = GenericQuotient(wide, 1), GenericQuotient(wide, 1)
     assert first.view == second.view and first.view is not second.view
     assert two_step._narrow_view.cache_info().currsize == before
-
-
-def _recorded_phi(monkeypatch, wrong_at=None):
-    """Record phi over the first 16 elements each time an iso audit builds
-    it, flipped at ``wrong_at``; returns the list that holds the record."""
-    phis = []
-
-    def atom_map(images):
-        honest = finite_cba.atom_map(images)
-
-        def phi(c):
-            return honest(c) ^ (c == wrong_at)
-
-        phis[:] = map(phi, range(16))
-        return phi
-
-    monkeypatch.setattr(two_step, "atom_map", atom_map)
-    return phis
-
-
-def test_iso_join_rows_decide_every_all_pairs_embedding(monkeypatch):
-    atoms = two_step.ISO_ALL_PAIRS_ATOMS
-    homs = list(all_regular_homs(atoms, atoms))
-    assert len(homs) == 92
-    phis = _recorded_phi(monkeypatch)
-    packed = []
-    for h in homs:
-        packed.append(two_step_iso_audit(h).claims)
-        size = 1 << h.target.atom_count
-        assert finite_cba.ByteRows(phis[:size]).preserves_joins(), h.fiber
-    monkeypatch.setattr(two_step, "byte_rows", lambda values: None)
-    assert [two_step_iso_audit(h).claims for h in homs] == packed
-
-
-@pytest.mark.parametrize("element", range(16))
-def test_iso_join_rows_decide_phi_wrong_at_each_element(monkeypatch, element):
-    phis = _recorded_phi(monkeypatch, element)
-    h = doubling_hom()
-    iso = two_step_iso_audit(h)
-    rows = finite_cba.ByteRows(phis)
-    assert rows.join_rows == [packed_row(phis, lambda d: c | d) for c in range(16)]
-    assert rows.preserves_joins() == iso.claims["join_preserved"].passed
-    assert iso.claims["join_preserved"].cases == 256
-    monkeypatch.setattr(two_step, "byte_rows", lambda values: None)
-    assert two_step_iso_audit(h).claims == iso.claims
 
 
 def test_narrow_audits_agree_across_threads_from_cold_caches():
