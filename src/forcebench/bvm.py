@@ -482,14 +482,14 @@ def _hf_sat(phi, env, pool_values) -> bool:
 
 
 @dataclass
-class ForcingAuditReport:
-    cases: int = 0
+class ForcingAuditReport(Ledger):
+    """The claim ``truth_values_match_oracle``, witnessed by the first divergence."""
+
     divergences: list[str] = field(default_factory=list)
 
     @property
-    def passed(self) -> bool:
-        """No divergence on at least one case: zero cases prove nothing."""
-        return self.cases > 0 and not self.divergences
+    def cases(self) -> int:
+        return self.claims["truth_values_match_oracle"].cases
 
 
 def forcing_audit(
@@ -505,6 +505,7 @@ def forcing_audit(
     divergence is a hard failure.
     """
     report = ForcingAuditReport()
+    cases = 0
     pool = NamePool(algebra, pool, rank_bound)
     atoms = range(algebra.atom_count)
     # the oracle environment of a case reads its values by pool position
@@ -514,8 +515,8 @@ def forcing_audit(
         for picks in itertools.product(range(len(pool.names)), repeat=len(fvs)):
             env = {v: pool.names[i] for v, i in zip(fvs, picks)}
             value = truth_value(phi, env, algebra, pool, rank_bound)
+            cases += len(atoms)
             for atom in atoms:
-                report.cases += 1
                 hf_pool = hf_pool_at[atom]
                 hf_env = {v: hf_pool[i] for v, i in zip(fvs, picks)}
                 oracle = hf_satisfies(phi, hf_env, hf_pool)
@@ -525,6 +526,8 @@ def forcing_audit(
                         f"atom {atom}: boolean route says {forced}, oracle says {oracle} "
                         f"({phi!r} @ {[format_name(n) for n in env.values()]})"
                     )
+    first = report.divergences[0] if report.divergences else ""
+    report.record("truth_values_match_oracle", not report.divergences, first, cases)
     return report
 
 

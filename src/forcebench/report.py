@@ -31,7 +31,7 @@ class Claim:
 
 @dataclass
 class Ledger:
-    """Ordered claims of one audit; a claim checked on 0 cases is INDETERMINATE."""
+    """Ordered claims of one audit; it ``passed`` only when its verdict is PASS."""
 
     claims: dict[str, Claim] = field(default_factory=dict, kw_only=True)
 
@@ -53,9 +53,14 @@ class Ledger:
             claim.passed = False
             claim.witness = witness
 
+    def absorb(self, other: Ledger) -> None:
+        """Fold in the claims of ``other`` as if each had been recorded here."""
+        for name, c in other.claims.items():
+            self.record(name, c.passed, c.witness, c.cases, c.certified_depth)
+
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.claims.values())
+        return self.verdict == PASS
 
     @property
     def failures(self) -> list[str]:
@@ -63,11 +68,16 @@ class Ledger:
 
     @property
     def verdict(self) -> str:
-        if not self.passed:
+        if not all(c.passed for c in self.claims.values()):
             return FAIL
         if any(c.cases == 0 for c in self.claims.values()):
             return INDETERMINATE
         return PASS
+
+
+def claim_passed(name: str) -> property:
+    """A ledger flag: whether the claim ``name`` holds, whatever its case count."""
+    return property(lambda self: self.claims[name].passed)
 
 
 @dataclass

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .finite_cba import FiniteCBA, Restriction, format_element
 from .morphisms import CompleteHom, require_regular
+from .report import Ledger, claim_passed
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,15 @@ def disjointify(algebra: FiniteCBA, ordered: tuple[int, ...]) -> tuple[int, ...]
 
 
 @dataclass
-class DisjointifyReport:
-    equal: bool
-    closure_ok: bool
+class DisjointifyReport(Ledger):
+    """The degree equality on a closed carrier, else the bound noting the gaps."""
+
     gaps: list[str] = field(default_factory=list)
     sg_from_predense: int = 0
     sg_from_antichains: int = 0
+
+    closure_ok = property(lambda self: not self.gaps)
+    equal = property(lambda self: self.passed)
 
 
 def disjointify_sg_audit(trace: ModelTrace) -> DisjointifyReport:
@@ -131,17 +135,15 @@ def disjointify_sg_audit(trace: ModelTrace) -> DisjointifyReport:
     closure gaps are reported and only the one-sided bound is claimed.
     """
     alg = trace.algebra
-    report = DisjointifyReport(equal=False, closure_ok=True)
+    report = DisjointifyReport()
     antichains = []
     for k, d in enumerate(trace.designated_predense):
         ordered = tuple(sorted(d))
         a_d = disjointify(alg, ordered)
         antichains.append(a_d)
         if not set(ordered) <= trace.carrier:
-            report.closure_ok = False
             report.gaps.append(f"predense set {k} leaves the carrier")
         if not set(a_d) <= trace.carrier:
-            report.closure_ok = False
             report.gaps.append(f"disjointification of set {k} leaves the carrier")
     derived = ModelTrace(
         alg,
@@ -154,21 +156,26 @@ def disjointify_sg_audit(trace: ModelTrace) -> DisjointifyReport:
     report.sg_from_predense = sg_value(trace)
     report.sg_from_antichains = gen_value(derived)
     if report.closure_ok:
-        report.equal = report.sg_from_predense == report.sg_from_antichains
+        ok = report.sg_from_predense == report.sg_from_antichains
+        report.record("disjointification_degree", ok)
     else:
-        report.equal = alg.leq(report.sg_from_antichains, report.sg_from_predense)
+        ok = alg.leq(report.sg_from_antichains, report.sg_from_predense)
+        report.record("disjointification_lower_bound", ok, "; ".join(report.gaps))
     return report
 
 
 @dataclass
-class RestrictionReport:
+class RestrictionReport(Ledger):
+    """Claims ``restriction_law`` and ``upward_completion`` (one case per antichain)."""
+
     element: int
     lhs: int  # sg of the restricted trace (transported membership)
     rhs: int  # sg(trace) ∧ b, re-expressed inside the restriction
-    equal: bool
-    upward_ok: bool
     closure_gaps: list[str] = field(default_factory=list)
     restricted: ModelTrace | None = None
+
+    equal = claim_passed("restriction_law")
+    upward_ok = claim_passed("upward_completion")
 
 
 def restriction_audit(trace: ModelTrace, b: int) -> RestrictionReport:
@@ -184,15 +191,15 @@ def restriction_audit(trace: ModelTrace, b: int) -> RestrictionReport:
     if b == 0 or b not in trace.carrier:
         raise NotInCarrier("restriction element must be a nonzero carrier member")
     view = Restriction(alg, b)
-    report = RestrictionReport(element=b, lhs=0, rhs=0, equal=False, upward_ok=True)
 
     # transported-membership sg of the restricted trace
     lhs = view.algebra.one
     for d in trace.designated_predense:
         lhs &= view.algebra.sup(view.to_sub(x & b) for x in d if x in trace.carrier)
-    report.lhs = lhs
-    report.rhs = view.to_sub(sg_value(trace) & b)
-    report.equal = report.lhs == report.rhs
+    report = RestrictionReport(b, lhs, view.to_sub(sg_value(trace) & b))
+    witness = f"fails below element {b}"
+    ok = report.lhs == report.rhs
+    report.record("restriction_law", ok, "" if ok else witness)
 
     # literal restricted trace, with its closure gaps reported
     carrier_r = frozenset(view.to_sub(c & b) for c in trace.carrier)
@@ -221,24 +228,28 @@ def restriction_audit(trace: ModelTrace, b: int) -> RestrictionReport:
     )
 
     # upward: a restricted maximal antichain plus ¬b is maximal above
+    report.record("upward_completion", True, cases=0)
     for a_r in antichains_r:
         lifted = tuple(view.from_sub(x) for x in a_r)
         completed = lifted + ((alg.neg(b),) if alg.neg(b) != 0 else ())
-        if not alg.is_maximal_antichain(completed):
-            report.upward_ok = False
+        ok = alg.is_maximal_antichain(completed)
+        report.record("upward_completion", ok, "" if ok else witness)
     if alg.neg(b) != 0 and alg.neg(b) not in trace.carrier:
         report.closure_gaps.append("complement of the restriction element not in carrier")
     return report
 
 
 @dataclass
-class SupCharacterizationReport:
+class SupCharacterizationReport(Ledger):
+    """Claims ``sup_characterization`` and ``sg_is_semigeneric``, one case per name."""
+
     from_antichains: int
     from_names: int
     semigeneric_count: int
-    equal: bool
-    sg_is_semigeneric: bool
     names_audited: int
+
+    equal = claim_passed("sup_characterization")
+    sg_is_semigeneric = claim_passed("sg_is_semigeneric")
 
 
 def semigeneric_sup_audit(trace: ModelTrace) -> SupCharacterizationReport:
@@ -283,51 +294,38 @@ def semigeneric_sup_audit(trace: ModelTrace) -> SupCharacterizationReport:
         if all(alg.leq(q, name.below_value(trace.delta)) for name, _ in names)
     ]
     from_names = alg.sup(below_all)
-    return SupCharacterizationReport(
-        from_antichains=from_antichains,
-        from_names=from_names,
-        semigeneric_count=len(below_all),
-        equal=from_antichains == from_names,
-        sg_is_semigeneric=all(
-            alg.leq(from_antichains, name.below_value(trace.delta)) for name, _ in names
-        ),
-        names_audited=len(names),
+    report = SupCharacterizationReport(from_antichains, from_names, len(below_all), len(names))
+    report.record("sup_characterization", from_antichains == from_names, cases=len(names))
+    semigeneric = all(
+        alg.leq(from_antichains, name.below_value(trace.delta)) for name, _ in names
     )
-
-
-@dataclass
-class SpIdentityReport:
-    identity_holds: dict[int, bool] = field(default_factory=dict)
-    inequality_holds: dict[int, bool] = field(default_factory=dict)
-
-    @property
-    def all_identities(self) -> bool:
-        return all(self.identity_holds.values())
-
-    @property
-    def all_inequalities(self) -> bool:
-        return all(self.inequality_holds.values())
+    report.record("sg_is_semigeneric", semigeneric, cases=len(names))
+    return report
 
 
 def sp_identity_audit(
     h: CompleteHom, trace_source: ModelTrace, trace_target: ModelTrace
-) -> SpIdentityReport:
+) -> Ledger:
     """The defining identity of semiproper embeddings, on explicit traces.
 
-    For every target carrier element: the retraction of (c meet the target
-    degree) equals (the retraction of c) meet the source degree.  Also the
-    positivity clause on the source carrier.  A per-trace predicate only; no
-    club quantifier exists at this scale.
+    ``sp_identity``, per target carrier element: the retraction of (c meet
+    the target degree) equals (the retraction of c) meet the source degree.
+    ``sp_positivity``, per nonzero source carrier element: it meets the source
+    degree.  A per-trace predicate only; no club quantifier at this scale.
     """
     require_regular(h)
     if trace_source.algebra != h.source or trace_target.algebra != h.target:
         raise ValueError("traces must sit on the embedding's two algebras")
-    report = SpIdentityReport()
+    report = Ledger()
+    report.record("sp_identity", True, cases=0)
+    report.record("sp_positivity", True, cases=0)
     sg_b = sg_value(trace_source)
     sg_c = sg_value(trace_target)
     for c in sorted(trace_target.carrier):
-        report.identity_holds[c] = h.project(c & sg_c) == (h.project(c) & sg_b)
+        ok = h.project(c & sg_c) == (h.project(c) & sg_b)
+        report.record("sp_identity", ok, "" if ok else format_element(h.target, c))
     for b in sorted(trace_source.carrier):
         if b != 0:
-            report.inequality_holds[b] = (b & sg_b) != 0
+            ok = (b & sg_b) != 0
+            report.record("sp_positivity", ok, "" if ok else format_element(h.source, b))
     return report

@@ -92,6 +92,10 @@ def parse_workspace(text: str) -> WorkspaceDoc:
         target = audit.get("target")
         if target is not None and target not in doc.objects:
             raise UnresolvedReference(target)
+        for key in ("max_rank", "pool_cap", "depth"):
+            value = audit.get(key, 0)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValidationError("audits", f"{key} must be a nonnegative integer")
         doc.audits.append(dict(audit))
     return doc
 

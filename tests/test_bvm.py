@@ -42,6 +42,7 @@ from forcebench.errors import (
 from forcebench.finite_cba import FiniteCBA, Ultrafilter, ultrafilters
 from forcebench.hf import EMPTY, hf, hf_rank, hf_universe, von_neumann
 from forcebench.morphisms import hom_from_fiber_map, identity_hom
+from forcebench.report import INDETERMINATE
 
 B1 = FiniteCBA(1)
 B2 = FiniteCBA(2)
@@ -357,7 +358,9 @@ def test_delta1_identity_hom_trivial():
     h = identity_hom(B2)
     pool = standard_name_pool(B2, max_rank=1)
     report = delta1_audit(h, pool, d0_formulas=standard_formula_pool())
-    assert report.passed
+    commute = report.claims["bounded_formulas_commute"]
+    assert commute.passed and commute.cases > 0
+    assert report.verdict == INDETERMINATE  # no Sigma-1 pairs were given
 
 
 def test_bounded_exists_unfolds_membership_example():

@@ -5,6 +5,7 @@ import pytest
 from forcebench.errors import LabelOutOfRange, NotInCarrier, NotMaximal, NotPredense
 from forcebench.finite_cba import FiniteCBA
 from forcebench.morphisms import hom_from_fiber_map, identity_hom
+from forcebench.report import INDETERMINATE
 from forcebench.semigen import (
     ModelTrace,
     OrdinalName,
@@ -294,7 +295,7 @@ def test_sp_identity_identity_hom():
     carrier = frozenset(B4.elements())
     t = ModelTrace(B4, carrier, designated_predense=((0b0011, 0b1100),))
     report = sp_identity_audit(identity_hom(B4), t, t)
-    assert report.all_identities
+    assert report.claims["sp_identity"].passed
 
 
 def test_sp_identity_doubling_with_image_antichains():
@@ -310,7 +311,7 @@ def test_sp_identity_doubling_with_image_antichains():
         designated_predense=((0b0011, 0b1100),),
     )
     report = sp_identity_audit(h, tb, tc)
-    assert report.all_identities and report.all_inequalities
+    assert report.claims["sp_identity"].passed and report.claims["sp_positivity"].passed
 
 
 def test_sp_identity_negative_control():
@@ -323,4 +324,32 @@ def test_sp_identity_negative_control():
     )
     report = sp_identity_audit(h, dead, dead)
     assert sg_value(dead) == 0
-    assert not report.all_inequalities
+    assert not report.claims["sp_positivity"].passed
+
+
+def test_sp_identity_on_a_zero_source_carrier_is_indeterminate():
+    # no nonzero source element: the positivity clause is checked on 0 cases
+    h = identity_hom(B4)
+    zero = ModelTrace(B4, frozenset({0}))
+    report = sp_identity_audit(h, zero, ModelTrace(B4, frozenset(B4.elements())))
+    assert report.claims["sp_identity"].cases == 16
+    assert report.claims["sp_positivity"].cases == 0
+    assert report.verdict == INDETERMINATE and not report.passed
+
+
+def test_semigenericity_claims_count_their_cases():
+    t = ModelTrace(
+        B4,
+        frozenset(B4.elements()),
+        designated_predense=((0b0011, 0b1100),),
+        designated_antichains=((0b0011, 0b1100), (0b0001, 0b1110)),
+        kappa=2,
+    )
+    sup = semigeneric_sup_audit(t)
+    assert sup.names_audited == 2 and sup.passed
+    assert {c.cases for c in sup.claims.values()} == {2}
+    rr = restriction_audit(t, 0b0011)
+    assert rr.claims["upward_completion"].cases == 2 and rr.passed
+    bare = ModelTrace(B4, t.carrier, designated_predense=t.designated_predense)
+    assert semigeneric_sup_audit(bare).verdict == INDETERMINATE
+    assert restriction_audit(bare, 0b0011).verdict == INDETERMINATE

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from forcebench import cli
+from forcebench import bvm, cli
 from forcebench.cli import execute, main
 from forcebench.errors import (
     UnknownCommand,
@@ -20,10 +20,16 @@ from forcebench.report import (
     PASS,
     AuditReport,
     AuditResult,
+    Claim,
     emit_report,
     parse_machine_report,
 )
-from forcebench.semigen import DisjointifyReport
+from forcebench.semigen import (
+    DisjointifyReport,
+    disjointify_sg_audit,
+    restriction_audit,
+    semigeneric_sup_audit,
+)
 from forcebench.workspace import parse_workspace
 
 REPO = Path(__file__).resolve().parents[1]
@@ -272,8 +278,98 @@ def test_sg_audit_names_the_claim_its_carrier_allows(carrier, claim, note):
 
 @pytest.mark.parametrize("closed", [True, False])
 def test_failing_sg_bound_reports_its_claim(monkeypatch, closed):
-    failing = DisjointifyReport(equal=False, closure_ok=closed, gaps=[] if closed else ["gap"])
+    failing = DisjointifyReport(gaps=[] if closed else ["gap"])
+    claim = "disjointification_degree" if closed else "disjointification_lower_bound"
+    failing.record(claim, False, "; ".join(failing.gaps))
     monkeypatch.setattr(cli, "disjointify_sg_audit", lambda trace: failing)
     (result,) = execute(_sg_doc(["{0}", "{1}", "{0,1}"]), "sg-audit").results
     expected = "disjointification_degree: " if closed else "disjointification_lower_bound: gap"
     assert result.verdict == FAIL and result.witnesses == (expected,)
+
+
+def test_vacuous_sg_audit_is_indeterminate(tmp_path, capsys):
+    # a predense set but no antichain and no ordinal name: no name is audited
+    trace = (
+        ', {"kind": "trace", "name": "M", "algebra": "B", "carrier": ["{0}", "{1}", "{0,1}"],'
+        ' "predense": [["{0}", "{1}"]]}'
+    )
+    ws = tmp_path / "vacuous.json"
+    ws.write_text(minimal_doc(trace, audits='[{"audit": "sg-audit", "target": "M"}]'))
+    code = main(["--workspace", str(ws), "--command", "sg-audit", "--format", "json"])
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert code == 1
+    assert result["verdict"] == INDETERMINATE and result["details"]["names_audited"] == 0
+
+
+@pytest.mark.parametrize("option", ["pool_cap", "max_rank", "depth"])
+@pytest.mark.parametrize("value", [-1, "x", 2.5, True])
+def test_numeric_audit_options_are_validated(option, value):
+    audit = {"audit": "gallery" if option == "depth" else "bvm-audit", option: value}
+    if option != "depth":
+        audit["target"] = "B"
+    with pytest.raises(ValidationError, match=option):
+        parse_workspace(minimal_doc(audits=json.dumps([audit])))
+
+
+def test_bad_pool_cap_exits_2(tmp_path):
+    ws = tmp_path / "cap.json"
+    ws.write_text(minimal_doc(audits='[{"audit": "bvm-audit", "target": "B", "pool_cap": -1}]'))
+    assert main(["--workspace", str(ws), "--command", "bvm-audit"]) == 2
+
+
+def _bvm_doc():
+    return parse_workspace(
+        minimal_doc(audits='[{"audit": "bvm-audit", "target": "B", "pool_cap": 6}]')
+    )
+
+
+def _library_forcing_audit(doc):
+    pool = bvm.standard_name_pool(doc.resolve("B", "algebra"), max_rank=2)[:6]
+    return bvm.forcing_audit(doc.resolve("B", "algebra"), pool, bvm.standard_formula_pool())
+
+
+def test_cli_yields_the_forcing_audits_claims():
+    doc = _bvm_doc()
+    [(_, _, ledger, details)] = cli._run_task(doc, doc.audits[0], None, 8)
+    library = _library_forcing_audit(doc)
+    assert ledger.claims == library.claims
+    assert details == {"cases": library.cases, "pool": 6} and library.cases > 0
+
+
+def test_cli_reports_a_planted_divergence(monkeypatch):
+    calls = []
+    honest = bvm.hf_satisfies
+
+    def flip_third(phi, env, pool):
+        calls.append(phi)
+        return honest(phi, env, pool) ^ (len(calls) == 3)
+
+    monkeypatch.setattr(bvm, "hf_satisfies", flip_third)
+    (result,) = execute(_bvm_doc(), "bvm-audit").results
+    calls.clear()
+    library = _library_forcing_audit(_bvm_doc())
+    (divergence,) = library.divergences
+    assert divergence.startswith("atom ")
+    assert result.verdict == FAIL
+    assert result.witnesses == (f"truth_values_match_oracle: {divergence}",)
+
+
+@pytest.mark.parametrize("carrier", [["{0}", "{1}", "{0,1}"], ["{0,1}"]])
+def test_cli_yields_the_semigenericity_audits_claims(carrier):
+    doc = _sg_doc(carrier)
+    trace = doc.resolve("M", "trace")
+    [(_, _, ledger, _)] = cli._run_task(doc, doc.audits[0], None, 8)
+    parts = [disjointify_sg_audit(trace), semigeneric_sup_audit(trace)]
+    parts += [restriction_audit(trace, b) for b in sorted(trace.carrier) if b]
+    expected = {}
+    for part in parts:
+        for name, claim in part.claims.items():
+            if name in expected:
+                expected[name] = Claim(
+                    expected[name].passed and claim.passed,
+                    expected[name].cases + claim.cases,
+                    expected[name].witness,
+                )
+            else:
+                expected[name] = Claim(claim.passed, claim.cases, claim.witness)
+    assert ledger.claims == expected
