@@ -1,8 +1,15 @@
 #!/usr/bin/env python3
-"""Walk through the limit counterexamples at a chosen depth, with witnesses."""
+"""Walk through the limit counterexamples at a chosen depth, with witnesses.
+
+The last line gives the elapsed seconds (from building the tower to the last
+verdict) and the process's peak resident memory, so deep runs can be
+compared:  python3 scripts/gallery_demo.py --depth 128
+"""
 import argparse
 import pathlib
+import resource
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -16,6 +23,7 @@ def main() -> int:
     parser.add_argument("--depth", type=int, default=16)
     args = parser.parse_args()
 
+    started = time.perf_counter()
     tower = build_fresh_tower(args.depth)
     print(f"fresh tower to depth {args.depth}")
     t2 = ConstantThread(2, ~generator("y1") & generator("y0"))
@@ -33,6 +41,8 @@ def main() -> int:
             mark = "ok " if claim.passed else "XXX"
             extra = f" ({claim.witness})" if claim.witness and not claim.passed else ""
             print(f"  [{mark}] {name} @ depth {claim.certified_depth}{extra}")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"elapsed {time.perf_counter() - started:.2f} s, peak RSS {peak_mb:.1f} MB")
     return 0
 
 

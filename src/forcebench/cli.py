@@ -168,6 +168,7 @@ def _run_task(doc, task, rng, depth):
         parts = [dis, sup] + [restriction_audit(trace, b) for b in sorted(trace.carrier) if b]
         for part in parts:
             ledger.absorb(part)
+        ledger.record("restriction_law", True, cases=0)  # shown even with nothing to restrict
         details = {"closure_ok": dis.closure_ok, "names_audited": sup.names_audited}
     else:  # pragma: no cover
         raise UnknownCommand(f"unknown audit {audit!r}")

@@ -97,6 +97,10 @@ class ChainEscapeViolation(ForcebenchError):
         super().__init__(f"support-escape property violated at step {index}")
 
 
+class KeyFieldOverflow(ForcebenchError):
+    """A decision-diagram node uid or generator bit outgrew its memo-key field."""
+
+
 class NotPredense(ForcebenchError):
     """A designated set is not predense."""
 

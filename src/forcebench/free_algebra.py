@@ -8,67 +8,81 @@ generators stay linear-sized here.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .errors import ChainEscapeViolation, ChainNotDescending
+from .errors import ChainEscapeViolation, ChainNotDescending, KeyFieldOverflow
 
 # -- interned decision nodes -------------------------------------------------
 
+# Memo keys pack fixed-width fields into one int, so packing is injective; a
+# node uid (_UID_BITS) or generator bit index (_BIT_BITS) outgrowing its field
+# raises KeyFieldOverflow.  _UNIQUE: bit|lo uid|hi uid.  _APPLY_MEMO: smaller
+# uid|other uid|op (and 0, or 1; not 2, one uid).  Cutoff projections: bit|uid.
+_UID_BITS = 29
+_BIT_BITS = 24
+_HI_SHIFT = _UID_BITS + 2
+_UIDS = itertools.count(2)  # the leaves are uids 0 and 1
+_BITS = itertools.count()
+
 
 class _Node:
-    __slots__ = ("var", "key", "lo", "hi")
+    __slots__ = ("var", "key", "lo", "hi", "uid", "mask")
 
-    def __init__(self, var: str, key: tuple, lo, hi):
-        self.var = var
-        self.key = key  # generator_sort_key(var): the node's level
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, key: tuple, lo, hi):
+        self.var, self.key = key[2], key  # generator_sort_key(var): the level
+        self.lo, self.hi = lo, hi
+        self.uid = next(_UIDS)
+        if self.uid >> _UID_BITS:
+            raise KeyFieldOverflow(f"node uid {self.uid} outgrew {_UID_BITS} bits")
+        self.mask = 1 << key[3] | lo.mask | hi.mask  # bits of the support
 
 
 class _Leaf:
-    __slots__ = ("value",)
+    __slots__ = ("uid", "mask")
 
-    def __init__(self, value: bool):
-        self.value = value
+    def __init__(self, uid: int):
+        self.uid, self.mask = uid, 0
 
 
-_FALSE = _Leaf(False)
-_TRUE = _Leaf(True)
+_FALSE = _Leaf(0)
+_TRUE = _Leaf(1)
 
 # Every table is filled with setdefault or with a value that any racing
-# writer computes identically, so concurrent audits intern one node per key.
-_UNIQUE: dict[tuple[str, int, int], _Node] = {}
-_APPLY_MEMO: dict[tuple, object] = {}
-_QUANT_MEMO: dict[tuple, object] = {}
-_SUPPORT_MEMO: dict[int, frozenset[str]] = {}
-_KEYS: dict[str, tuple[str, int, str]] = {}
+# writer computes identically, so concurrent audits intern one node per key;
+# each name's bit is drawn from one counter, so no two names share a bit.
+_UNIQUE: dict[int, _Node] = {}
+_APPLY_MEMO: dict[int, object] = {}
+_QUANT_MEMO: dict[int | tuple, object] = {}
+_KEYS: dict[str, tuple[str, int, str, int]] = {}
+_NAMES: dict[int, str] = {}  # generator bit index -> name
 
 _NAME_RE = re.compile(r"^(.*?)(\d*)$")
 
 
-def generator_sort_key(name: str) -> tuple[str, int, str]:
+def generator_sort_key(name: str) -> tuple[str, int, str, int]:
     """Global order: alphabetic prefix, then numeric suffix as a number, then
-    the name itself (so x1 and x01 stay apart).  Computed once per name; the
-    same name always gets the same key object."""
+    the name itself (so x1 and x01 stay apart), then the name's bit index,
+    which no comparison reaches.  Computed once per name: one key object."""
     key = _KEYS.get(name)
     if key is None:
-        m = _NAME_RE.match(name)
-        prefix, digits = m.group(1), m.group(2)
-        key = _KEYS.setdefault(name, (prefix, int(digits) if digits else -1, name))
+        bit = next(_BITS)  # a racing writer that loses the setdefault wastes its bit
+        if bit >> _BIT_BITS:
+            raise KeyFieldOverflow(f"generator bit {bit} outgrew {_BIT_BITS} bits")
+        _NAMES[bit] = name
+        prefix, digits = _NAME_RE.match(name).groups()
+        key = _KEYS.setdefault(name, (prefix, int(digits) if digits else -1, name, bit))
     return key
 
 
-def _make(var: str, key: tuple, lo, hi):
+def _make(key: tuple, lo, hi):
     if lo is hi:
         return lo
-    ukey = (var, id(lo), id(hi))
-    node = _UNIQUE.get(ukey)
-    if node is None:
-        node = _UNIQUE.setdefault(ukey, _Node(var, key, lo, hi))
-    return node
+    ukey = (key[3] << _UID_BITS | lo.uid) << _UID_BITS | hi.uid
+    return _UNIQUE.get(ukey) or _UNIQUE.setdefault(ukey, _Node(key, lo, hi))
 
 
 def _branch(a: _Node, b: _Node):
@@ -91,11 +105,12 @@ def _and(a, b):
         return a
     if a is b:
         return a
-    key = ("and", id(a), id(b)) if id(a) <= id(b) else ("and", id(b), id(a))
+    ua, ub = a.uid, b.uid
+    key = ua << _HI_SHIFT | ub << 2 if ua < ub else ub << _HI_SHIFT | ua << 2
     out = _APPLY_MEMO.get(key)
     if out is None:
         top, a0, a1, b0, b1 = _branch(a, b)
-        out = _make(top.var, top.key, _and(a0, b0), _and(a1, b1))
+        out = _make(top.key, _and(a0, b0), _and(a1, b1))
         _APPLY_MEMO[key] = out
     return out
 
@@ -109,11 +124,12 @@ def _or(a, b):
         return a
     if a is b:
         return a
-    key = ("or", id(a), id(b)) if id(a) <= id(b) else ("or", id(b), id(a))
+    ua, ub = a.uid, b.uid
+    key = (ua << _HI_SHIFT | ub << 2 if ua < ub else ub << _HI_SHIFT | ua << 2) | 1
     out = _APPLY_MEMO.get(key)
     if out is None:
         top, a0, a1, b0, b1 = _branch(a, b)
-        out = _make(top.var, top.key, _or(a0, b0), _or(a1, b1))
+        out = _make(top.key, _or(a0, b0), _or(a1, b1))
         _APPLY_MEMO[key] = out
     return out
 
@@ -123,10 +139,10 @@ def _not(a):
         return _FALSE
     if a is _FALSE:
         return _TRUE
-    key = ("not", id(a))
+    key = a.uid << 2 | 2
     out = _APPLY_MEMO.get(key)
     if out is None:
-        out = _make(a.var, a.key, _not(a.lo), _not(a.hi))
+        out = _make(a.key, _not(a.lo), _not(a.hi))
         _APPLY_MEMO[key] = out
     return out
 
@@ -134,11 +150,11 @@ def _not(a):
 def _exists(node, gens: frozenset[str]):
     if isinstance(node, _Leaf):
         return node
-    key = (id(node), gens)
+    key = (node.uid, gens)
     out = _QUANT_MEMO.get(key)
     if out is None:
         lo, hi = _exists(node.lo, gens), _exists(node.hi, gens)
-        out = _or(lo, hi) if node.var in gens else _make(node.var, node.key, lo, hi)
+        out = _or(lo, hi) if node.var in gens else _make(node.key, lo, hi)
         _QUANT_MEMO[key] = out
     return out
 
@@ -154,22 +170,12 @@ def _exists_from(node, cutoff: tuple):
         return node
     if node.key >= cutoff:
         return _TRUE
-    key = (id(node), cutoff)
+    key = cutoff[3] << _UID_BITS | node.uid
     out = _QUANT_MEMO.get(key)
     if out is None:
         lo, hi = _exists_from(node.lo, cutoff), _exists_from(node.hi, cutoff)
-        out = _make(node.var, node.key, lo, hi)
+        out = _make(node.key, lo, hi)
         _QUANT_MEMO[key] = out
-    return out
-
-
-def _support(node) -> frozenset[str]:
-    if isinstance(node, _Leaf):
-        return frozenset()
-    out = _SUPPORT_MEMO.get(id(node))
-    if out is None:
-        out = frozenset({node.var}) | _support(node.lo) | _support(node.hi)
-        _SUPPORT_MEMO[id(node)] = out
     return out
 
 
@@ -188,7 +194,7 @@ class FreeElement:
         return isinstance(other, FreeElement) and self._node is other._node
 
     def __hash__(self) -> int:
-        return hash(id(self._node))
+        return self._node.uid
 
     def __and__(self, other: "FreeElement") -> "FreeElement":
         return FreeElement(_and(self._node, other._node))
@@ -219,7 +225,8 @@ class FreeElement:
 
     @property
     def support(self) -> frozenset[str]:
-        return _support(self._node)
+        mask = self._node.mask
+        return frozenset(_NAMES[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 FREE_ZERO = FreeElement(_FALSE)
@@ -227,7 +234,7 @@ FREE_ONE = FreeElement(_TRUE)
 
 
 def generator(name: str) -> FreeElement:
-    return FreeElement(_make(name, generator_sort_key(name), _FALSE, _TRUE))
+    return FreeElement(_make(generator_sort_key(name), _FALSE, _TRUE))
 
 
 def all_meet(parts: Iterable[FreeElement]) -> FreeElement:
@@ -274,6 +281,11 @@ class FreeAlgebra:
         """The sort key of the last generator, None when there are none."""
         return max(map(generator_sort_key, self.generators), default=None)
 
+    @cached_property
+    def _foreign(self) -> int:
+        """Every generator bit but this algebra's, later ones included."""
+        return ~sum(1 << generator_sort_key(g)[3] for g in self.generators)
+
     @property
     def zero(self) -> FreeElement:
         return FREE_ZERO
@@ -288,7 +300,7 @@ class FreeAlgebra:
         return generator(name)
 
     def contains(self, e: FreeElement) -> bool:
-        return e.support <= self.generators
+        return not e._node.mask & self._foreign
 
     def leq(self, a: FreeElement, b: FreeElement) -> bool:
         return a.leq(b)

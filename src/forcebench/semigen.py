@@ -155,12 +155,13 @@ def disjointify_sg_audit(trace: ModelTrace) -> DisjointifyReport:
     )
     report.sg_from_predense = sg_value(trace)
     report.sg_from_antichains = gen_value(derived)
+    cases = len(trace.designated_predense)  # one per disjointified set
     if report.closure_ok:
         ok = report.sg_from_predense == report.sg_from_antichains
-        report.record("disjointification_degree", ok)
+        report.record("disjointification_degree", ok, cases=cases)
     else:
         ok = alg.leq(report.sg_from_antichains, report.sg_from_predense)
-        report.record("disjointification_lower_bound", ok, "; ".join(report.gaps))
+        report.record("disjointification_lower_bound", ok, "; ".join(report.gaps), cases)
     return report
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcebench import free_algebra
-from forcebench.errors import ChainEscapeViolation, ChainNotDescending
+from forcebench.errors import ChainEscapeViolation, ChainNotDescending, KeyFieldOverflow
 from forcebench.free_algebra import (
     FREE_ONE,
     FREE_ZERO,
@@ -270,8 +270,12 @@ _SCRATCH_RUNS = itertools.count()
 
 
 def test_unique_table_interns_one_node_per_key_across_threads():
-    # generator names no other test uses, so every node is new to the tables
-    names = [f"race{next(_SCRATCH_RUNS)}_{k}" for k in range(24)]
+    # generator names no other test uses, so every node and name is new to
+    # the tables; each thread registers names of its own between the shared
+    # ones, so distinct names race for bits too
+    run = next(_SCRATCH_RUNS)
+    names = [f"race{run}_{k}" for k in range(24)]
+    own = [[f"{'xy'[i % 2]}race{run}_t{i}_{k}" for k in range(24)] for i in range(4)]
 
     def build():
         gens = [generator(n) for n in names]
@@ -286,6 +290,8 @@ def test_unique_table_interns_one_node_per_key_across_threads():
 
     def worker(i):
         barrier.wait(timeout=30)
+        for mine, shared in zip(own[i], names):
+            generator(mine), generator(shared)
         results[i] = build()
 
     interval = sys.getswitchinterval()
@@ -302,3 +308,56 @@ def test_unique_table_interns_one_node_per_key_across_threads():
     assert all(r is not None for r in results)
     for other in results[1:] + [build()]:
         assert all(a._node is b._node for a, b in zip(results[0], other))
+    registered = names + [n for mine in own for n in mine]
+    bits = [free_algebra.generator_sort_key(n)[3] for n in registered]
+    assert len(set(bits)) == len(registered)
+    for name, bit in zip(registered, bits):
+        assert generator(name)._node.mask == 1 << bit
+        assert generator(name).support == {name}
+
+
+def walked_support(e) -> frozenset:
+    """The generators on the nodes of e's diagram, by walking it."""
+    seen, out, stack = set(), set(), [e._node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, free_algebra._Node) and node.uid not in seen:
+            seen.add(node.uid)
+            out.add(node.var)
+            stack += [node.lo, node.hi]
+    return frozenset(out)
+
+
+def test_support_and_contains_match_a_walk_of_the_diagram():
+    run = next(_SCRATCH_RUNS)
+    names = [f"{p}mask{run}_{k}" for k in range(4) for p in "xy"]
+    # cached before any other name of this test has a bit
+    early = FreeAlgebra(frozenset(names[:3]))
+    assert early.contains(generator(names[0]))
+    assert not any(n in free_algebra._KEYS for n in names[3:])
+    algebras = [early] + [
+        FreeAlgebra(frozenset(names[k::j])) for j in (1, 2, 3) for k in range(j)
+    ]
+    for seed in range(80):
+        e = free_normalize(random_expr(random.Random(seed), names, 12))
+        ref = walked_support(e)
+        assert e.support == ref
+        for alg in algebras:
+            assert alg.contains(e) == (ref <= alg.generators), (seed, alg)
+
+
+def test_uid_overflow_raises_a_named_error(monkeypatch):
+    run = next(_SCRATCH_RUNS)
+    limit = 1 << free_algebra._UID_BITS
+    monkeypatch.setattr(free_algebra, "_UIDS", itertools.count(limit - 1))
+    assert generator(f"over{run}_0")._node.uid == limit - 1  # the last uid that fits
+    with pytest.raises(KeyFieldOverflow, match="uid"):
+        generator(f"over{run}_1")
+
+
+def test_bit_overflow_raises_a_named_error(monkeypatch):
+    run = next(_SCRATCH_RUNS)
+    monkeypatch.setattr(free_algebra, "_BITS", itertools.count(1 << free_algebra._BIT_BITS))
+    with pytest.raises(KeyFieldOverflow, match="bit"):
+        generator(f"bitover{run}")
+    assert f"bitover{run}" not in free_algebra._KEYS

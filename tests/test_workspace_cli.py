@@ -301,6 +301,44 @@ def test_vacuous_sg_audit_is_indeterminate(tmp_path, capsys):
     assert result["verdict"] == INDETERMINATE and result["details"]["names_audited"] == 0
 
 
+def _sg_run(tmp_path, capsys, carrier, predense):
+    trace = (
+        ', {"kind": "trace", "name": "M", "algebra": "B", "carrier": ' + json.dumps(carrier)
+        + ', "predense": ' + json.dumps(predense) + ', "antichains": [["{0}", "{1}"]],'
+        ' "kappa": 3, "delta": [0]}'
+    )
+    ws = tmp_path / "sg.json"
+    ws.write_text(minimal_doc(trace, audits='[{"audit": "sg-audit", "target": "M"}]'))
+    code = main(["--workspace", str(ws), "--command", "sg-audit", "--format", "json"])
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    doc = parse_workspace(ws.read_text())
+    [(_, _, ledger, _)] = cli._run_task(doc, doc.audits[0], None, 8)
+    return code, result["verdict"], ledger
+
+
+@pytest.mark.parametrize(
+    "carrier, predense, claim",
+    [
+        (["{0}", "{1}", "{0,1}"], [], "disjointification_degree"),
+        (["{0}", "{1}", "{0,1}"], [["{0}", "{1}"], ["{0,1}"]], "disjointification_degree"),
+        (["{0,1}"], [["{0}", "{1}"], ["{0,1}"]], "disjointification_lower_bound"),
+    ],
+)
+def test_disjointification_counts_one_case_per_predense_set(
+    tmp_path, capsys, carrier, predense, claim
+):
+    # no predense set: nothing was disjointified, so the claim holds over nothing
+    code, verdict, ledger = _sg_run(tmp_path, capsys, carrier, predense)
+    assert ledger.claims[claim].passed and ledger.claims[claim].cases == len(predense)
+    assert (code, verdict) == ((0, PASS) if predense else (1, INDETERMINATE))
+
+
+def test_sg_audit_on_a_carrier_of_zeros_restricts_nothing(tmp_path, capsys):
+    code, verdict, ledger = _sg_run(tmp_path, capsys, ["{}"], [["{0}", "{1}"]])
+    assert ledger.claims["restriction_law"].cases == 0
+    assert (code, verdict) == (1, INDETERMINATE)
+
+
 @pytest.mark.parametrize("option", ["pool_cap", "max_rank", "depth"])
 @pytest.mark.parametrize("value", [-1, "x", 2.5, True])
 def test_numeric_audit_options_are_validated(option, value):
