@@ -21,7 +21,8 @@ from .errors import ChainEscapeViolation, ChainNotDescending, KeyFieldOverflow
 # Memo keys pack fixed-width fields into one int, so packing is injective; a
 # node uid (_UID_BITS) or generator bit index (_BIT_BITS) outgrowing its field
 # raises KeyFieldOverflow.  _UNIQUE: bit|lo uid|hi uid.  _APPLY_MEMO: smaller
-# uid|other uid|op (and 0, or 1; not 2, one uid).  Cutoff projections: bit|uid.
+# uid|other uid|op (and 0, or 1; not 2, one uid).  _QUANT_MEMO: the node's
+# kept support mask|uid (the mask is unbounded, so it takes the high end).
 _UID_BITS = 29
 _BIT_BITS = 24
 _HI_SHIFT = _UID_BITS + 2
@@ -56,7 +57,7 @@ _TRUE = _Leaf(1)
 # each name's bit is drawn from one counter, so no two names share a bit.
 _UNIQUE: dict[int, _Node] = {}
 _APPLY_MEMO: dict[int, object] = {}
-_QUANT_MEMO: dict[int | tuple, object] = {}
+_QUANT_MEMO: dict[int, object] = {}
 _KEYS: dict[str, tuple[str, int, str, int]] = {}
 _NAMES: dict[int, str] = {}  # generator bit index -> name
 
@@ -147,34 +148,24 @@ def _not(a):
     return out
 
 
-def _exists(node, gens: frozenset[str]):
-    if isinstance(node, _Leaf):
-        return node
-    key = (node.uid, gens)
-    out = _QUANT_MEMO.get(key)
-    if out is None:
-        lo, hi = _exists(node.lo, gens), _exists(node.hi, gens)
-        out = _or(lo, hi) if node.var in gens else _make(node.key, lo, hi)
-        _QUANT_MEMO[key] = out
-    return out
+def _exists_outside(node, kept: int, gone: int):
+    """Existential projection of every generator whose bit is not in ``kept``;
+    ``gone`` is ``~kept``, passed down so that no node recomputes it.
 
-
-def _exists_from(node, cutoff: tuple):
-    """Existential projection of every generator whose key is >= cutoff.
-
-    Those generators sit below the cutoff level, so the projection keeps the
-    nodes above it and turns every node at or below it into 1: a reduced
-    diagram that is not a leaf is satisfiable.
+    The result depends only on the node and on which generators of its
+    support are kept, so that sub-mask and the uid make the memo key.
     """
-    if isinstance(node, _Leaf):
-        return node
-    if node.key >= cutoff:
-        return _TRUE
-    key = cutoff[3] << _UID_BITS | node.uid
+    mask = node.mask
+    if not mask & gone:
+        return node  # a leaf, or nothing to project
+    mine = mask & kept
+    if not mine:
+        return _TRUE  # a reduced diagram that is not a leaf is satisfiable
+    key = mine << _UID_BITS | node.uid
     out = _QUANT_MEMO.get(key)
     if out is None:
-        lo, hi = _exists_from(node.lo, cutoff), _exists_from(node.hi, cutoff)
-        out = _make(node.key, lo, hi)
+        lo, hi = _exists_outside(node.lo, kept, gone), _exists_outside(node.hi, kept, gone)
+        out = _make(node.key, lo, hi) if mine >> node.key[3] & 1 else _or(lo, hi)
         _QUANT_MEMO[key] = out
     return out
 
@@ -244,30 +235,10 @@ def all_meet(parts: Iterable[FreeElement]) -> FreeElement:
     return out
 
 
-def free_project(
-    e: FreeElement, gens: Iterable[str], cutoff: tuple | None = None
-) -> FreeElement:
-    """Least element independent of ``gens`` above e: existential projection.
-
-    This is the retraction of the free-algebra inclusion that adds ``gens``.
-    ``cutoff`` (from ``projection_cutoff``) says that e's generators in
-    ``gens`` are exactly those whose key is >= it; the projection is then a
-    level cutoff, memoized on the level rather than on the set.
-    """
-    if cutoff is not None:
-        return FreeElement(_exists_from(e._node, cutoff))
-    gens = frozenset(gens)
-    return FreeElement(_exists(e._node, gens)) if gens else e
-
-
-def projection_cutoff(kept: "FreeAlgebra", gens: Iterable[str]) -> tuple | None:
-    """The level at which projecting ``gens`` out of an element over the
-    generators of ``kept`` and ``gens`` is a cutoff: the first key of gens,
-    when every generator of gens sorts after every kept one; None otherwise."""
-    first = min(map(generator_sort_key, gens), default=None)
-    if first is None or (kept.last_key is not None and kept.last_key >= first):
-        return None
-    return first
+def free_project(e: FreeElement, onto: "FreeAlgebra") -> FreeElement:
+    """The least element of ``onto`` above e: existential projection of every
+    generator outside ``onto``, the retraction of the inclusion of ``onto``."""
+    return FreeElement(_exists_outside(e._node, onto.mask, onto._foreign))
 
 
 @dataclass(frozen=True)
@@ -277,14 +248,14 @@ class FreeAlgebra:
     generators: frozenset[str]
 
     @cached_property
-    def last_key(self) -> tuple | None:
-        """The sort key of the last generator, None when there are none."""
-        return max(map(generator_sort_key, self.generators), default=None)
+    def mask(self) -> int:
+        """The bits of this algebra's generators."""
+        return sum(1 << generator_sort_key(g)[3] for g in self.generators)
 
     @cached_property
     def _foreign(self) -> int:
         """Every generator bit but this algebra's, later ones included."""
-        return ~sum(1 << generator_sort_key(g)[3] for g in self.generators)
+        return ~self.mask
 
     @property
     def zero(self) -> FreeElement:
@@ -485,16 +456,20 @@ def chain_vanishing(h: FreeElement, chain: GeneratorChain) -> ChainVerdict:
     support-escape property, which is then reported as a violation rather
     than silently accepted.
     """
-    limit = len(h.support) + 32
-    indices = [chain.chain_index(g, limit) for g in h.support]
+    support = h.support
+    limit = len(support) + 32
+    indices = [chain.chain_index(g, limit) for g in support]
     k = max((j for j in indices if j is not None), default=-1)
     depth = k + 2
 
     prev: FreeElement | None = None
+    prefix = 0  # the bits of the first n chain generators
     for n in range(1, depth + 1):
         a_n = chain.element_at(n)
-        expected = frozenset(chain.generator_at(j) for j in range(n))
-        if not a_n.support <= expected or chain.generator_at(n - 1) not in a_n.support:
+        newest = 1 << generator_sort_key(chain.generator_at(n - 1))[3]
+        prefix |= newest
+        mask = a_n._node.mask
+        if mask & ~prefix or not mask & newest:
             raise ChainEscapeViolation(n)
         if prev is not None and not a_n.leq(prev):
             raise ChainNotDescending(n - 1)

@@ -20,7 +20,7 @@ from .finite_cba import (
     byte_rows,
     format_element,
 )
-from .free_algebra import FreeAlgebra, FreeElement, free_project, projection_cutoff
+from .free_algebra import FreeAlgebra, FreeElement, free_project
 from .report import Ledger
 
 
@@ -161,21 +161,17 @@ def stone_dual_quotient(h: CompleteHom) -> tuple[int, ...]:
 class FreeInclusion:
     """Inclusion of free algebras on G into G'; retraction is projection over G'-G.
 
-    When every fresh generator sorts after every source generator (as in the
-    fresh towers), the projection is a level cutoff of the diagram.
+    ``project`` is ``free_project`` onto the source: one existential
+    projection, memoized on each node's kept support, whichever generators
+    are fresh.
     """
 
     source: FreeAlgebra
     target: FreeAlgebra
-    fresh: frozenset[str] = field(init=False, repr=False, compare=False)
-    _cutoff: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.source.generators <= self.target.generators:
             raise ArityMismatch("source generators must be contained in target generators")
-        fresh = self.target.generators - self.source.generators
-        object.__setattr__(self, "fresh", fresh)
-        object.__setattr__(self, "_cutoff", projection_cutoff(self.source, fresh))
 
     @property
     def regular(self) -> bool:
@@ -189,7 +185,7 @@ class FreeInclusion:
     def project(self, e: FreeElement) -> FreeElement:
         if not self.target.contains(e):
             raise ArityMismatch("element outside the target algebra")
-        return free_project(e, self.fresh, self._cutoff)
+        return free_project(e, self.source)
 
     def then(self, other: "FreeInclusion") -> "FreeInclusion":
         if other.source != self.target:

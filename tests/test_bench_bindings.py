@@ -40,3 +40,27 @@ def test_tracer_binding_resolves(module, path):
         assert isinstance(owner.__dict__.get(attr), (types.FunctionType, property)), path
     else:
         assert isinstance(getattr(owner, attr, None), types.FunctionType), path
+
+
+def test_tower_projections_go_through_the_traced_binding(monkeypatch):
+    # the tracer times tower projections as free_algebra.project by
+    # rebinding morphisms.free_project; a step that bypassed that name would
+    # leave the fresh-tower hot layer empty
+    from forcebench import gallery, morphisms
+
+    project, free_project = morphisms.FreeInclusion.project, morphisms.free_project
+    projected, traced = [], []
+
+    def counted_project(self, e):
+        projected.append(e)
+        return project(self, e)
+
+    def counted_free_project(e, *args):
+        traced.append(e)
+        return free_project(e, *args)
+
+    monkeypatch.setattr(morphisms.FreeInclusion, "project", counted_project)
+    monkeypatch.setattr(morphisms, "free_project", counted_free_project)
+    gallery.build_fresh_tower(4)
+    assert len(projected) >= 2 * 4
+    assert traced == projected

@@ -25,7 +25,6 @@ from forcebench.free_algebra import (
     free_project,
     generator,
     parse_free_expression,
-    projection_cutoff,
 )
 from forcebench.morphisms import FreeInclusion
 
@@ -33,6 +32,11 @@ from .oracles import element_truth_table, expr_vars, reference_format, truth_tab
 
 
 GENS = ("x0", "x1", "x2", "y")
+
+
+def without(gens) -> FreeAlgebra:
+    """The algebra on GENS minus gens: projecting onto it quantifies gens out."""
+    return FreeAlgebra(frozenset(GENS).difference(gens))
 
 
 def exprs(depth=4):
@@ -119,19 +123,19 @@ def test_format_roundtrip():
 
 def test_project_examples():
     x0, y = generator("x0"), generator("y")
-    assert free_project(x0 & y, {"y"}) == x0
-    assert free_project(y, {"y"}) == FREE_ONE
-    assert free_project(x0, {"y"}) == x0
+    assert free_project(x0 & y, without({"y"})) == x0
+    assert free_project(y, without({"y"})) == FREE_ONE
+    assert free_project(x0, without({"y"})) == x0
 
 
 @settings(max_examples=150)
 @given(exprs(), st.sets(st.sampled_from(GENS)))
 def test_project_is_least_independent_upper_bound(expr, gens):
     e = free_normalize(expr)
-    p = free_project(e, gens)
+    p = free_project(e, without(gens))
     assert e.leq(p)
     assert p.support.isdisjoint(gens)
-    assert free_project(p, gens) == p  # idempotent
+    assert free_project(p, without(gens)) == p  # idempotent
     # least: oracle by scanning all functions over the remaining generators
     rest = tuple(g for g in GENS if g not in gens)
     if len(rest) <= 2:
@@ -160,9 +164,10 @@ def test_project_is_least_independent_upper_bound(expr, gens):
 @given(exprs(), exprs(), st.sets(st.sampled_from(GENS)))
 def test_project_monotone(a, b, gens):
     ea, eb = free_normalize(a), free_normalize(b)
+    onto = without(gens)
     if ea.leq(eb):
-        assert free_project(ea, gens).leq(free_project(eb, gens))
-    assert free_project(ea | eb, gens) == free_project(ea, gens) | free_project(eb, gens)
+        assert free_project(ea, onto).leq(free_project(eb, onto))
+    assert free_project(ea | eb, onto) == free_project(ea, onto) | free_project(eb, onto)
 
 
 def cylinder_chain():
@@ -216,7 +221,7 @@ def test_free_algebra_membership():
         alg.var("y0")
 
 
-# -- level-cutoff projection, cached keys, the unique table ------------------
+# -- projection onto kept generators, cached keys, the unique table ----------
 
 MIXED = ("x0", "x2", "x10", "y0", "y1", "y12")
 
@@ -233,23 +238,33 @@ def random_expr(rng: random.Random, names, size: int):
     )
 
 
-def test_cutoff_projection_equals_set_quantification():
+def exists_table(table, names, kept) -> tuple[bool, ...]:
+    """The truth table of the existential over every generator outside kept:
+    each row is the OR of the rows that agree with it on the kept generators."""
+    same = sum(1 << (len(names) - 1 - i) for i, g in enumerate(names) if g in kept)
+    hits = {row & same for row, value in enumerate(table) if value}
+    return tuple(row & same in hits for row in range(len(table)))
+
+
+def test_inclusion_projection_matches_a_truth_table_existential():
     target = FreeAlgebra(frozenset(MIXED))
-    # fresh generators after the kept ones: the cutoff path
+    # fresh generators after the kept ones, as in a tower step
     suffix = [frozenset(MIXED[:k]) for k in range(len(MIXED))]
-    # fresh generators interleaved with kept ones: the set path
+    # fresh generators interleaved with kept ones
     interleaved = [frozenset({"x0", "x10", "y1"}), frozenset({"x2", "y0"}), frozenset({"y12"})]
     for seed in range(60):
-        e = free_normalize(random_expr(random.Random(seed), MIXED, 14))
-        for kept, fast in [(k, True) for k in suffix] + [(k, False) for k in interleaved]:
-            inc = FreeInclusion(FreeAlgebra(kept), target)
-            assert (projection_cutoff(inc.source, inc.fresh) is not None) == fast
-            assert inc.project(e) == free_project(e, inc.fresh)
+        expr = random_expr(random.Random(seed), MIXED, 14)
+        table = truth_table(expr, MIXED)
+        e = free_normalize(expr)
+        for kept in suffix + interleaved:
+            got = FreeInclusion(FreeAlgebra(kept), target).project(e)
+            want = exists_table(table, MIXED, kept)
+            assert element_truth_table(got, MIXED) == want, (seed, sorted(kept), format_free(got))
 
 
 def test_cutoff_projections_share_memo_entries_across_inclusions():
-    # hom(a, b) and hom(a, c) of a tower quantify different fresh sets above
-    # the same level, so the second projection is answered from the memo
+    # hom(a, b) and hom(a, c) of a tower quantify different fresh sets out
+    # of the same source, so the second projection is answered from the memo
     source = FreeAlgebra(frozenset({"x0", "x2", "x10", "y0"}))
     short = FreeInclusion(source, FreeAlgebra(source.generators | {"y1", "y12"}))
     long = FreeInclusion(source, FreeAlgebra(source.generators | {"y1", "y12", "y13"}))
@@ -257,6 +272,21 @@ def test_cutoff_projections_share_memo_entries_across_inclusions():
     p = short.project(e)
     before = len(free_algebra._QUANT_MEMO)
     assert long.project(e) == p
+    assert len(free_algebra._QUANT_MEMO) == before
+
+
+def test_sources_keeping_the_same_support_share_memo_entries():
+    # the two sources differ only outside e's support; the generators they
+    # keep interleave with those quantified out
+    kept = frozenset({"x0", "x10", "y1"})
+    e = free_normalize(parse_free_expression("(x0 ∧ y0) ∨ (x2 ∧ ¬y1) ∨ (x10 ∧ y12)"))
+    assert e.support == frozenset(MIXED)
+    target = FreeAlgebra(frozenset(MIXED) | {"w3"})
+    narrow = FreeInclusion(FreeAlgebra(kept), target)
+    wide = FreeInclusion(FreeAlgebra(kept | {"w3"}), target)
+    p = narrow.project(e)
+    before = len(free_algebra._QUANT_MEMO)
+    assert wide.project(e) == p
     assert len(free_algebra._QUANT_MEMO) == before
 
 
@@ -314,6 +344,41 @@ def test_unique_table_interns_one_node_per_key_across_threads():
     for name, bit in zip(registered, bits):
         assert generator(name)._node.mask == 1 << bit
         assert generator(name).support == {name}
+
+
+def test_names_registered_at_once_get_distinct_bits(monkeypatch):
+    # both threads have drawn a bit before either stores its name, so a bit
+    # taken from the size of the table would be the same for both
+    run = next(_SCRATCH_RUNS)
+    names = [f"pair{run}_{i}" for i in range(2)]
+    both_drawn = threading.Barrier(2)
+
+    class Rendezvous(dict):
+        def __setitem__(self, bit, name):
+            both_drawn.wait(timeout=10)
+            super().__setitem__(bit, name)
+
+    table = free_algebra._NAMES
+    rendezvous = Rendezvous(table)
+    monkeypatch.setattr(free_algebra, "_NAMES", rendezvous)
+    keys = [None, None]
+
+    def register(i):
+        keys[i] = free_algebra.generator_sort_key(names[i])
+
+    threads = [threading.Thread(target=register, args=(i,)) for i in range(2)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        table.update(rendezvous)
+    assert not any(t.is_alive() for t in threads)
+    assert None not in keys
+    bits = [key[3] for key in keys]
+    assert bits[0] != bits[1]
+    assert [table[bit] for bit in bits] == names
 
 
 def walked_support(e) -> frozenset:
