@@ -186,55 +186,39 @@ class Exists:
 Formula = object
 
 
-def free_variables(phi: Formula) -> frozenset[str]:
+def _parts(phi: Formula) -> tuple[tuple, str | None, tuple]:
+    """(terms, bound variable or None, subformulas) of one formula node; the
+    terms are read outside the binder."""
     if isinstance(phi, Atomic):
-        out = set()
-        for t in (phi.left, phi.right):
-            if isinstance(t, Var):
-                out.add(t.name)
-        return frozenset(out)
+        return (phi.left, phi.right), None, ()
     if isinstance(phi, Not):
-        return free_variables(phi.body)
+        return (), None, (phi.body,)
     if isinstance(phi, (And, Or)):
-        return frozenset().union(*(free_variables(p) for p in phi.parts)) if phi.parts else frozenset()
+        return (), None, phi.parts
     if isinstance(phi, (BoundedExists, BoundedForall)):
-        inner = free_variables(phi.body) - {phi.var}
-        if isinstance(phi.bound, Var):
-            inner |= {phi.bound.name}
-        return inner
+        return (phi.bound,), phi.var, (phi.body,)
     if isinstance(phi, Exists):
-        return free_variables(phi.body) - {phi.var}
+        return (), phi.var, (phi.body,)
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def free_variables(phi: Formula) -> frozenset[str]:
+    terms, var, subs = _parts(phi)
+    inner = frozenset().union(*(free_variables(p) for p in subs)) - {var}
+    return inner | {t.name for t in terms if isinstance(t, Var)}
 
 
 def formula_constants(phi: Formula) -> frozenset[BName]:
-    if isinstance(phi, Atomic):
-        return frozenset(t for t in (phi.left, phi.right) if isinstance(t, BName))
-    if isinstance(phi, Not):
-        return formula_constants(phi.body)
-    if isinstance(phi, (And, Or)):
-        out: frozenset[BName] = frozenset()
-        for p in phi.parts:
-            out |= formula_constants(p)
-        return out
-    if isinstance(phi, (BoundedExists, BoundedForall)):
-        bound = frozenset({phi.bound}) if isinstance(phi.bound, BName) else frozenset()
-        return bound | formula_constants(phi.body)
-    if isinstance(phi, Exists):
-        return formula_constants(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+    terms, _, subs = _parts(phi)
+    out = frozenset(t for t in terms if isinstance(t, BName))
+    for p in subs:
+        out |= formula_constants(p)
+    return out
 
 
 def quantifier_depth(phi: Formula) -> int:
-    if isinstance(phi, Atomic):
-        return 0
-    if isinstance(phi, Not):
-        return quantifier_depth(phi.body)
-    if isinstance(phi, (And, Or)):
-        return max((quantifier_depth(p) for p in phi.parts), default=0)
-    if isinstance(phi, (BoundedExists, BoundedForall, Exists)):
-        return 1 + quantifier_depth(phi.body)
-    raise TypeError(f"not a formula: {phi!r}")
+    _, var, subs = _parts(phi)
+    return (var is not None) + max((quantifier_depth(p) for p in subs), default=0)
 
 
 # -- truth values ----------------------------------------------------------------
@@ -587,25 +571,29 @@ def fullness_witness(
     return mix(alg, atoms, chosen)
 
 
-_LIFT_MEMO: dict[tuple[CompleteHom, BName], BName] = {}
-
-
 def lift_name(h: CompleteHom, n: BName) -> BName:
-    """Relabel a name along a homomorphism: the induced map of name forests."""
+    """Relabel a name along a homomorphism: the induced map of name forests.
+
+    A subname shared within the forest is lifted once; nothing is kept
+    after the call returns.
+    """
     if n.algebra != h.source:
         raise MixedAlgebras("name is not over the source algebra")
-    key = (h, n)
-    out = _LIFT_MEMO.get(key)
-    if out is None:
-        acc: dict[BName, int] = {}
-        for sub, p in n.entries:
-            lifted = lift_name(h, sub)
-            q = h.apply(p)
-            if q:
-                acc[lifted] = acc.get(lifted, 0) | q
-        out = BName(h.target, tuple(acc.items()))
-        _LIFT_MEMO[key] = out
-    return out
+    done: dict[BName, BName] = {}
+
+    def lift(m: BName) -> BName:
+        out = done.get(m)
+        if out is None:
+            acc: dict[BName, int] = {}
+            for sub, p in m.entries:
+                lifted = lift(sub)
+                q = h.apply(p)
+                if q:
+                    acc[lifted] = acc.get(lifted, 0) | q
+            out = done[m] = BName(h.target, tuple(acc.items()))
+        return out
+
+    return lift(n)
 
 
 def delta1_audit(
@@ -630,13 +618,14 @@ def delta1_audit(
     report.record("bounded_formulas_commute", True, cases=0)
     report.record("sigma1_pairs_pin_values", True, cases=0)
     source = NamePool(h.source, pool, rank_bound)
-    target = NamePool(h.target, (lift_name(h, n) for n in source.names), rank_bound)
+    lifts = {n: lift_name(h, n) for n in source.names}
+    target = NamePool(h.target, lifts.values(), rank_bound)
     for phi in d0_formulas:
         fvs = tuple(sorted(free_variables(phi)))
         for picks in itertools.product(source.names, repeat=len(fvs)):
             env = dict(zip(fvs, picks))
             lhs = h.apply(truth_value(phi, env, h.source, source, rank_bound))
-            env_lift = {v: lift_name(h, n) for v, n in env.items()}
+            env_lift = {v: lifts[n] for v, n in env.items()}
             rhs = truth_value(phi, env_lift, h.target, target, rank_bound)
             witness = "" if lhs == rhs else (
                 f"bounded formula value moved: {format_element(h.target, lhs)} vs "
@@ -653,7 +642,7 @@ def delta1_audit(
             if vn != h.source.neg(vp):
                 witness = "pair is not complementary on the source"
             else:
-                env_lift = {v: lift_name(h, n) for v, n in env.items()}
+                env_lift = {v: lifts[n] for v, n in env.items()}
                 wp = truth_value(pos, env_lift, h.target, target, rank_bound)
                 wn = truth_value(neg, env_lift, h.target, target, rank_bound)
                 if not h.target.leq(h.apply(vp), wp) or not h.target.leq(h.apply(vn), wn):
@@ -674,18 +663,16 @@ def _standard_labels(algebra: FiniteCBA) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def standard_name_pool(
-    algebra: FiniteCBA, max_rank: int = 3, entries_cap: int = 2
-) -> tuple[BName, ...]:
+def standard_name_pool(algebra: FiniteCBA, max_rank: int = 3) -> tuple[BName, ...]:
     """The deterministic shipped pool: layered partial functions over a small
-    frontier of lower-rank names, capped at ``entries_cap`` entries each."""
+    frontier of lower-rank names, with at most two entries each."""
     labels = _standard_labels(algebra)
     c0 = check_name(algebra, EMPTY)
     seen: set[BName] = {c0}
     frontier = [c0]
     for layer_rank in range(1, max_rank + 1):
         new: list[BName] = []
-        for k in range(1, entries_cap + 1):
+        for k in (1, 2):
             for doms in itertools.combinations(frontier, k):
                 for labs in itertools.product(labels, repeat=k):
                     cand = BName(algebra, tuple(zip(doms, labs)))

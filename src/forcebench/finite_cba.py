@@ -41,9 +41,6 @@ class FiniteCBA:
     def neg(self, a: int) -> int:
         return self.one & ~a
 
-    def implies(self, a: int, b: int) -> int:
-        return self.neg(a) | b
-
     def leq(self, a: int, b: int) -> bool:
         return a & ~b == 0
 
@@ -77,9 +74,6 @@ class FiniteCBA:
 
     def nonzero_elements(self) -> Iterator[int]:
         return iter(range(1, self.one + 1))
-
-    def compatible(self, a: int, b: int) -> bool:
-        return a & b != 0
 
     def is_antichain(self, xs: Iterable[int]) -> bool:
         """Pairwise incompatible nonzero elements."""
@@ -206,6 +200,8 @@ def format_element(algebra: FiniteCBA, a: int) -> str:
 
 
 def parse_element(algebra: FiniteCBA, text: str) -> int:
+    if not isinstance(text, str):
+        raise TypeError(f"element must be a string like '{{0,2}}', got {text!r}")
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError(f"element must look like '{{0,2}}', got {text!r}")

@@ -80,16 +80,7 @@ def build_system(algebras: Iterable, steps: Iterable) -> IterationSystem:
     steps = tuple(steps)
     if len(steps) != len(algebras) - 1:
         raise ValueError("need exactly one step between consecutive stages")
-    for n, s in enumerate(steps):
-        if s.source != algebras[n] or s.target != algebras[n + 1]:
-            raise CommutationFailure(n, n, n + 1)
-        if not s.regular:
-            raise NotRegular(f"step at stage {n} is not regular")
-    system = IterationSystem(
-        len(algebras), lambda n: algebras[n], lambda n: steps[n], len(algebras) - 1
-    )
-    _audit_commutation(system, len(algebras) - 1)
-    return system
+    return _audited(len(algebras), algebras.__getitem__, steps.__getitem__, len(algebras) - 1)
 
 
 def build_lazy_system(
@@ -98,13 +89,19 @@ def build_lazy_system(
     depth: int,
 ) -> IterationSystem:
     """Lazy system audited to ``depth``: step shapes, regularity, commutation."""
+    return _audited(None, algebra_rule, step_rule, depth)
+
+
+def _audited(length, algebra_at, step_at, depth: int) -> IterationSystem:
+    """The system, once every step to ``depth`` has its declared stages and
+    is regular, and every composable triple to ``depth`` commutes."""
     for n in range(depth):
-        s = step_rule(n)
-        if s.source != algebra_rule(n) or s.target != algebra_rule(n + 1):
+        s = step_at(n)
+        if s.source != algebra_at(n) or s.target != algebra_at(n + 1):
             raise CommutationFailure(n, n, n + 1)
         if not s.regular:
             raise NotRegular(f"step at stage {n} is not regular")
-    system = IterationSystem(None, algebra_rule, step_rule, depth)
+    system = IterationSystem(length, algebra_at, step_at, depth)
     _audit_commutation(system, depth)
     return system
 
@@ -184,26 +181,24 @@ def thread_validate(
     return ThreadCertificate(stages[-1] if stages else 0, checked)
 
 
+def _thread(system: IterationSystem, rule: Callable[[int], object], description: str) -> Thread:
+    """The thread with coordinates ``rule(n)``: materialized on an eager
+    system, computed on demand on a lazy one."""
+    if system.eager:
+        return VectorThread(tuple(rule(n) for n in system.stages()))
+    return RuleThread(rule, description=description)
+
+
 def pointwise_sup(system: IterationSystem, threads: list[Thread]) -> Thread:
     """Coordinatewise join; a thread because retractions preserve joins."""
-    if system.eager:
-        coords = []
-        for n in system.stages():
-            vals = [coordinate(system, t, n) for t in threads]
-            out = vals[0]
-            for v in vals[1:]:
-                out = out | v
-            coords.append(out)
-        return VectorThread(tuple(coords))
 
     def rule(n: int):
-        vals = [coordinate(system, t, n) for t in threads]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out | v
+        out = coordinate(system, threads[0], n)
+        for t in threads[1:]:
+            out = out | coordinate(system, t, n)
         return out
 
-    return RuleThread(rule, description="pointwise sup")
+    return _thread(system, rule, "pointwise sup")
 
 
 def meet_with_constant(
@@ -217,9 +212,19 @@ def meet_with_constant(
             return coordinate(system, g, n) & coordinate(system, h, n)
         return system.hom(n, stage).project(coordinate(system, g, stage) & h.seed)
 
-    if system.eager:
-        return VectorThread(tuple(rule(n) for n in system.stages()))
-    return RuleThread(rule, description="meet with constant")
+    return _thread(system, rule, "meet with constant")
+
+
+def largest_constant_below(system: IterationSystem, thread: Thread, s: int, depth: int):
+    """The largest stage-``s`` seed whose constant thread stays below
+    ``thread`` at every stage from ``s`` to ``depth + 1``: by the adjunction
+    of each i_sb with its retraction, the meet over b of ¬π_sb(¬t_b)."""
+    alg_s = system.algebra(s)
+    bound = alg_s.one
+    for b in range(s, depth + 2):
+        blocked = system.hom(s, b).project(system.algebra(b).neg(coordinate(system, thread, b)))
+        bound = bound & alg_s.neg(blocked)
+    return bound
 
 
 # -- the antichain pointwise-sup lemma ------------------------------------------------
@@ -377,17 +382,9 @@ def direct_limit_correspondence_audit(
     report.record("threads_reached_or_gapped", True, cases=0)
     details = []
     for i, t in enumerate(threads):
-        best = []
         # constraints reach one coordinate past the last seed stage, so the
         # boundary seed is not vacuously unconstrained
-        for s in range(depth + 1):
-            alg_s = system.algebra(s)
-            bound = alg_s.one
-            for b in range(s, depth + 2):
-                coord = coordinate(system, t, b)
-                blocked = system.hom(s, b).project(system.algebra(b).neg(coord))
-                bound = bound & alg_s.neg(blocked)
-            best.append(bound)
+        best = [largest_constant_below(system, t, s, depth) for s in range(depth + 1)]
         verdict, witness = "gap", ""
         if any(best):
             # join the constants and compare coordinatewise

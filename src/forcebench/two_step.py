@@ -247,12 +247,11 @@ def canonical_representative(
     h: CompleteHom,
     antichain: tuple[int, ...],
     family: tuple[int, ...],
-    audit_uniqueness: bool = True,
 ) -> int:
     """The unique c with [c] = [c_a] at every a of a maximal source antichain.
 
     Built as the join of i(a) ∧ c_a; uniqueness = any element agreeing on
-    every class equals it, checked by perturbation when requested.
+    every class equals it, checked by perturbation up to 8 target atoms.
     """
     require_regular(h)
     if not h.source.is_maximal_antichain(antichain):
@@ -262,7 +261,7 @@ def canonical_representative(
     c = 0
     for a, c_a in zip(antichain, family):
         c |= h.apply(a) & c_a
-    if audit_uniqueness and h.target.atom_count <= 8:
+    if h.target.atom_count <= 8:
         for a, c_a in zip(antichain, family):
             if (c ^ c_a) & h.apply(a):
                 raise InvariantViolation("representative misses its class")

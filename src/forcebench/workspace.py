@@ -90,6 +90,8 @@ def parse_workspace(text: str) -> WorkspaceDoc:
         if audit["audit"] not in AUDIT_KINDS:
             raise ValidationError("audits", f"unknown audit {audit['audit']!r}")
         target = audit.get("target")
+        if target is not None and not isinstance(target, str):
+            raise ValidationError("audits", f"target {target!r} is not a string")
         if target is not None and target not in doc.objects:
             raise UnresolvedReference(target)
         for key in ("max_rank", "pool_cap", "depth"):
@@ -104,12 +106,17 @@ def _declare(doc: WorkspaceDoc, decl) -> None:
     if not isinstance(decl, dict) or "kind" not in decl or "name" not in decl:
         raise ValidationError("objects", "each declaration needs 'kind' and 'name'")
     kind, name = decl["kind"], decl["name"]
+    if not isinstance(name, str):
+        raise ValidationError("objects", f"name {name!r} is not a string")
     if name in doc.objects:
         raise ValidationError(name, "declared twice")
+    builder = _BUILDERS.get(kind) if isinstance(kind, str) else None
+    if builder is None:
+        raise ValidationError(name, f"unknown kind {kind!r}")
     try:
-        obj = _BUILDERS[kind](doc, decl)
-    except KeyError:
-        raise ValidationError(name, f"unknown kind {kind!r}") from None
+        obj = builder(doc, decl)
+    except KeyError as e:
+        raise ValidationError(name, f"missing field {e.args[0]!r}") from None
     except (UnresolvedReference, ValidationError):
         raise
     except (ForcebenchError, ValueError, TypeError) as e:
@@ -121,7 +128,7 @@ def _declare(doc: WorkspaceDoc, decl) -> None:
 
 def _build_algebra(doc: WorkspaceDoc, decl) -> FiniteCBA:
     atoms = decl["atoms"]
-    if not isinstance(atoms, int) or atoms < 0:
+    if not isinstance(atoms, int) or isinstance(atoms, bool) or atoms < 0:
         raise ValidationError(decl["name"], "atoms must be a nonnegative integer")
     return FiniteCBA(atoms)
 

@@ -1,6 +1,7 @@
 import pytest
 
-from forcebench.free_algebra import FREE_ONE, all_meet, generator
+import forcebench.gallery as gallery
+from forcebench.free_algebra import FREE_ONE, ChainVerdict, all_meet, generator
 from forcebench.gallery import (
     build_fresh_tower,
     sup_gap_audit,
@@ -100,3 +101,47 @@ def test_family_fails_stage_antichain_precondition():
     for stage in range(0, 5):
         with pytest.raises(NotAntichainAtStage):
             antichain_sup_audit(tower.system, family, stage=stage, depth=6)
+
+
+# (passed, cases, witness, certified_depth) of every claim at depth 5
+SUP_GAP_5 = {
+    "first_member_projects_to_one": (True, 1, "", 0),
+    "pairwise_incompatible": (True, 10, "", 5),
+    "pointwise_sup_is_one": (True, 5, "", 5),
+    "diagonal_avoids_family": (True, 5, "", 5),
+    "no_constant_below_diagonal": (True, 6, "", 5),
+}
+WEDGE_MEET_5 = {
+    "meets_are_nonzero_cylinders": (True, 5, "", 5),
+    "pointwise_meet_not_a_thread": (True, 1, "pointwise meet loses coherence at (0,1)", 5),
+    "lower_bounds_squeezed_under_cylinders": (True, 5, "", 5),
+    "sample_lower_bound_fails_escape": (True, 1, "x0 candidate fails at chain step 2", 5),
+    "zero_is_the_only_survivor": (True, 1, "", 5),
+}
+
+
+def _claims(report):
+    return {
+        name: (c.passed, c.cases, c.witness, c.certified_depth)
+        for name, c in report.claims.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "audit, expected", [(sup_gap_audit, SUP_GAP_5), (wedge_meet_audit, WEDGE_MEET_5)]
+)
+def test_every_claim_at_depth_5_is_pinned(audit, expected):
+    claims = _claims(audit(5))
+    assert claims == expected
+    assert list(claims) == list(expected)
+
+
+def test_gap_certificate_witness_is_the_first_failing_stage(monkeypatch):
+    # a planted chain test that lets every seed through: each of the six
+    # stages fails, and the claim keeps the first
+    monkeypatch.setattr(
+        gallery, "chain_vanishing", lambda h, chain: ChainVerdict("lower_bound_zero", None, 0)
+    )
+    claim = sup_gap_audit(5).claims["no_constant_below_diagonal"]
+    assert (claim.passed, claim.cases, claim.certified_depth) == (False, 6, 5)
+    assert claim.witness == "stage-0 seed slipped through the chain"

@@ -25,6 +25,7 @@ from forcebench.iteration import (
     cofinal_reindex_audit,
     coordinate,
     direct_limit_correspondence_audit,
+    largest_constant_below,
     meet_with_constant,
     omega_length_oracle,
     pointwise_sup,
@@ -477,3 +478,42 @@ def test_commutation_audit_reports_the_first_failing_triple():
     with pytest.raises(CommutationFailure) as err:
         _audit_commutation(tower, 5)
     assert err.value.stages == (0, 1, 3)
+
+
+def random_chain(rng, length, max_atoms=5):
+    """A finite system of ``length`` stages, each step a random regular embedding."""
+    algebras, steps = [FiniteCBA(rng.randint(1, 2))], []
+    while len(algebras) < length:
+        prev = algebras[-1]
+        nxt = FiniteCBA(rng.randint(prev.atom_count, min(prev.atom_count + 2, max_atoms)))
+        fiber = list(range(prev.atom_count)) + [
+            rng.randrange(prev.atom_count) for _ in range(nxt.atom_count - prev.atom_count)
+        ]
+        rng.shuffle(fiber)
+        steps.append(hom_from_fiber_map(prev, nxt, fiber))
+        algebras.append(nxt)
+    return build_system(algebras, steps)
+
+
+def test_largest_constant_below_is_the_join_of_every_constant_below():
+    # arbitrary coordinates, coherent or not: the bound is the join of the
+    # stage-s seeds whose images stay below every coordinate from s to the end
+    rng = random.Random(13)
+    pairs = 0
+    for _ in range(40):
+        system = random_chain(rng, 4)
+        coords = tuple(rng.randrange(system.algebra(n).one + 1) for n in system.stages())
+        thread, depth = VectorThread(coords), system.length - 2
+        for s in range(depth + 1):
+            alg_s = system.algebra(s)
+            below = alg_s.sup(
+                x
+                for x in alg_s.elements()
+                if all(
+                    system.algebra(b).leq(system.hom(s, b).apply(x), coords[b])
+                    for b in range(s, system.length)
+                )
+            )
+            assert largest_constant_below(system, thread, s, depth) == below
+            pairs += 1
+    assert pairs == 120

@@ -2,8 +2,8 @@
 
 Each planted-violation case breaks one guaranteed identity and expects the
 check that guards it to raise; the subprocess test runs these cases and the
-two-step, gallery, bvm, semigenericity, workspace and free-algebra suites
-with assert statements stripped.
+two-step, gallery, bvm, semigenericity, workspace, free-algebra and
+iteration suites with assert statements stripped.
 """
 import os
 import pathlib
@@ -41,6 +41,7 @@ def test_suites_pass_under_python_O():
             sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
             "tests/test_two_step.py", "tests/test_gallery.py", "tests/test_bvm.py",
             "tests/test_semigen.py", "tests/test_workspace_cli.py", "tests/test_free_algebra.py",
+            "tests/test_iteration.py",
             f"tests/{this}",
             "--deselect", f"tests/{this}::test_suites_pass_under_python_O",
         ],

@@ -411,3 +411,34 @@ def test_cli_yields_the_semigenericity_audits_claims(carrier):
             else:
                 expected[name] = Claim(claim.passed, claim.cases, claim.witness)
     assert ledger.claims == expected
+
+
+_TRACE = '{"kind": "trace", "name": "M", "algebra": "B", "carrier": [3]}'
+_LABEL = '{"kind": "name", "name": "d", "algebra": "B", "entries": [[{"check": []}, ["{0}"]]]}'
+
+
+@pytest.mark.parametrize(
+    "objects, audits, message",
+    [
+        ('{"kind": "algebra", "name": "C"}', "[]", "C: missing field 'atoms'"),
+        (_TRACE, "[]", "M: element must be a string"),
+        (_LABEL, "[]", "d: element must be a string"),
+        ('{"kind": "algebra", "name": ["C"], "atoms": 1}', "[]", "objects: name ['C']"),
+        ("", '[{"audit": "complete", "target": ["B"]}]', "audits: target ['B']"),
+        ('{"kind": "algebra", "name": "C", "atoms": true}', "[]", "C: atoms must be"),
+    ],
+    ids=["missing-field", "trace-element", "name-label", "object-name", "audit-target", "bool-atoms"],
+)
+def test_malformed_workspace_is_a_parse_error(tmp_path, objects, audits, message):
+    ws = tmp_path / "bad.json"
+    ws.write_text(minimal_doc(", " + objects if objects else "", audits=audits))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "forcebench", "--workspace", str(ws), "--command", "verify-all"],
+        capture_output=True, text=True, cwd=str(REPO), env=env,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
