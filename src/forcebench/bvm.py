@@ -9,8 +9,10 @@ and the audits compare the two routes case by case.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import EmptyPool, MixedAlgebras, NotAntichain, RankExceeded
@@ -132,11 +134,25 @@ class Var:
     name: str
 
 
-Term = "Var | BName"
+class Formula:
+    """A formula node; it collects its constants and compiles its two routes
+    (see "compiled routes" below) once, on first use, and keeps them."""
+
+    @cached_property
+    def constants(self) -> tuple[BName, ...]:
+        return tuple(formula_constants(self))
+
+    @cached_property
+    def boolean_route(self):
+        return _boolean(self, {}, 0)
+
+    @cached_property
+    def oracle_route(self):
+        return _oracle(self, {}, 0)
 
 
 @dataclass(frozen=True)
-class Atomic:
+class Atomic(Formula):
     op: str  # "eq" | "mem" | "sub"
     left: object
     right: object
@@ -147,43 +163,40 @@ class Atomic:
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(Formula):
     body: object
 
 
 @dataclass(frozen=True)
-class And:
+class And(Formula):
     parts: tuple
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(Formula):
     parts: tuple
 
 
 @dataclass(frozen=True)
-class BoundedExists:
+class BoundedExists(Formula):
     var: str
     bound: object
     body: object
 
 
 @dataclass(frozen=True)
-class BoundedForall:
+class BoundedForall(Formula):
     var: str
     bound: object
     body: object
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(Formula):
     """Unbounded existential; interpreted pool-relatively (flagged Sigma-1)."""
 
     var: str
     body: object
-
-
-Formula = object
 
 
 def _parts(phi: Formula) -> tuple[tuple, str | None, tuple]:
@@ -255,28 +268,16 @@ def _tv_eq(n0: BName, n1: BName) -> int:
     return out
 
 
-def _resolve(term, env: Mapping[str, BName]) -> BName:
-    if isinstance(term, Var):
-        try:
-            return env[term.name]
-        except KeyError:
-            raise KeyError(f"unbound variable {term.name!r}") from None
-    if isinstance(term, BName):
-        return term
-    raise TypeError(f"not a term: {term!r}")
-
-
 class NamePool:
     """A name pool validated once: one algebra, every rank within a bound.
 
     ``names`` are in ``BName.sort_key`` order; unbounded quantifiers range
     over them.  Handed to ``truth_value`` in place of a plain tuple, it spares
     each call the pass over the whole pool: only the environment and the
-    formula's constants are checked then, and the constants are collected
-    once per formula.
+    formula's constants (``Formula.constants``) are checked then.
     """
 
-    __slots__ = ("algebra", "names", "max_rank", "_constants")
+    __slots__ = ("algebra", "names", "max_rank")
 
     def __init__(
         self,
@@ -289,15 +290,6 @@ class NamePool:
         self.algebra = algebra
         self.names = tuple(sorted(names, key=BName.sort_key))
         self.max_rank = max((n.rank for n in names), default=-1)
-        # id(phi) -> (phi, its constants); holding phi keeps its id unique
-        self._constants: dict[int, tuple[Formula, tuple[BName, ...]]] = {}
-
-    def constants(self, phi: Formula) -> tuple[BName, ...]:
-        """``formula_constants(phi)``, walked once per formula."""
-        hit = self._constants.get(id(phi))
-        if hit is None:
-            hit = self._constants.setdefault(id(phi), (phi, tuple(formula_constants(phi))))
-        return hit[1]
 
 
 def _admit(names: tuple[BName, ...], algebra: FiniteCBA, rank_bound: int, what: str) -> None:
@@ -321,71 +313,110 @@ def truth_value(
     A plain tuple pool is validated on every call; build a ``NamePool`` once
     to evaluate many formulas or assignments over the same pool.
     """
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    params = (*env.values(), *phi.constants)
     if not isinstance(pool, NamePool):
-        params = (*env.values(), *formula_constants(phi))
         if algebra is None:
             algebra = next((n.algebra for n in (*params, *pool)), None)
             if algebra is None:
                 raise MixedAlgebras("cannot infer the algebra: no parameters given")
         pool = NamePool(algebra, pool, rank_bound)
-    else:
-        params = (*env.values(), *pool.constants(phi))
-        if algebra not in (None, pool.algebra):
-            raise MixedAlgebras("pool over a different algebra")
-        if pool.max_rank > rank_bound:
-            raise RankExceeded(f"pool name of rank {pool.max_rank} exceeds bound {rank_bound}")
+    elif algebra not in (pool.algebra, None):
+        raise MixedAlgebras("pool over a different algebra")
+    elif pool.max_rank > rank_bound:
+        raise RankExceeded(f"pool name of rank {pool.max_rank} exceeds bound {rank_bound}")
     _admit(params, pool.algebra, rank_bound, "formula parameter")
-    return _truth(phi, dict(env), pool.algebra, pool.names)
+    try:
+        return phi.boolean_route(env, None, pool)
+    except KeyError as e:  # the route reads nothing else that can miss
+        raise KeyError(f"unbound variable {e.args[0]!r}") from None
 
 
-_MISSING = object()
+# -- compiled routes ---------------------------------------------------------------
+#
+# Each formula compiles to ``boolean_route`` and ``oracle_route``, nested
+# closures ``run(env, bound, ctx)`` called with bound None; ctx is the
+# NamePool or the tuple of pool values.  A subformula is compiled at its
+# binder ``depth``, with ``scope`` mapping each variable bound there to the
+# depth of its innermost binder: its slot in the list ``bound``, which the
+# outermost binder makes per evaluation.  A free variable is read by name
+# from env, which neither route writes to.  The routes share only this
+# lookup, since the forcing audit compares them.  A bad term or subformula
+# fails compilation.
 
 
-def _truth(phi, env, alg: FiniteCBA, pool) -> int:
-    # env is mutated around quantifier scopes and restored; callers hand in a
-    # private dict
+def _relation(rel, left, right, scope: dict[str, int], literal):
+    """``run(env, bound, ctx)``: rel of two terms; ``literal`` reads a non-variable."""
+    if isinstance(left, Var) and isinstance(right, Var):
+        a, b = left.name, right.name
+        i, j = scope.get(a), scope.get(b)
+        if i is None and j is None:
+            return lambda env, bound, ctx: rel(env[a], env[b])
+        if i is None:
+            return lambda env, bound, ctx: rel(env[a], bound[j])
+        if j is None:
+            return lambda env, bound, ctx: rel(bound[i], env[b])
+        return lambda env, bound, ctx: rel(bound[i], bound[j])
+    get_left, get_right = _term(left, scope, literal), _term(right, scope, literal)
+    return lambda env, bound, ctx: rel(get_left(env, bound), get_right(env, bound))
+
+
+def _term(term, scope: dict[str, int], literal):
+    if not isinstance(term, Var):
+        return literal(term)
+    name, slot = term.name, scope.get(term.name)
+    if slot is None:
+        return lambda env, bound: env[name]
+    return lambda env, bound: bound[slot]
+
+
+def _name_term(term):
+    if not isinstance(term, BName):
+        raise TypeError(f"not a term: {term!r}")
+    return lambda env, bound: term
+
+
+def _boolean(phi, scope: dict[str, int], depth: int):
+    """phi's boolean value."""
     if isinstance(phi, Atomic):
-        a, b = _resolve(phi.left, env), _resolve(phi.right, env)
-        if phi.op == "eq":
-            return _tv_eq(a, b)
-        if phi.op == "mem":
-            return _tv_mem(a, b)
-        return _tv_sub(a, b)
+        rel = {"eq": _tv_eq, "mem": _tv_mem, "sub": _tv_sub}[phi.op]
+        return _relation(rel, phi.left, phi.right, scope, _name_term)
     if isinstance(phi, Not):
-        return alg.neg(_truth(phi.body, env, alg, pool))
-    if isinstance(phi, And):
-        return alg.inf(_truth(p, env, alg, pool) for p in phi.parts)
-    if isinstance(phi, Or):
-        return alg.sup(_truth(p, env, alg, pool) for p in phi.parts)
-    if isinstance(phi, (BoundedExists, BoundedForall, Exists)):
-        var = phi.var
-        saved = env.get(var, _MISSING)
-        try:
-            if isinstance(phi, BoundedExists):
-                bound = _resolve(phi.bound, env)
-                total = 0
-                for sub, p in bound.entries:
-                    env[var] = sub
-                    total |= p & _truth(phi.body, env, alg, pool)
-                return total
-            if isinstance(phi, BoundedForall):
-                bound = _resolve(phi.bound, env)
-                total = alg.one
-                for sub, p in bound.entries:
-                    env[var] = sub
-                    total &= alg.neg(p) | _truth(phi.body, env, alg, pool)
-                return total
-            total = 0
-            for cand in pool:
-                env[var] = cand
-                total |= _truth(phi.body, env, alg, pool)
-            return total
-        finally:
-            if saved is _MISSING:
-                env.pop(var, None)
-            else:
-                env[var] = saved
-    raise TypeError(f"not a formula: {phi!r}")
+        body = _boolean(phi.body, scope, depth)
+        return lambda env, bound, pool: pool.algebra.neg(body(env, bound, pool))
+    if isinstance(phi, (And, Or)):
+        parts = tuple(_boolean(p, scope, depth) for p in phi.parts)
+        if isinstance(phi, And):
+            return lambda env, bound, pool: pool.algebra.inf(p(env, bound, pool) for p in parts)
+        return lambda env, bound, pool: pool.algebra.sup(p(env, bound, pool) for p in parts)
+    if not isinstance(phi, (BoundedExists, BoundedForall, Exists)):
+        raise TypeError(f"not a formula: {phi!r}")
+    size, body = quantifier_depth(phi), _boolean(phi.body, {**scope, phi.var: depth}, depth + 1)
+    if isinstance(phi, Exists):  # joins as over a name holding every pool name at 1
+        entries = lambda env, bound, pool: zip(pool.names, itertools.repeat(pool.algebra.one))
+    else:
+        of = _term(phi.bound, scope, _name_term)
+        entries = lambda env, bound, pool: of(env, bound).entries
+
+    def exists(env, bound, pool):
+        bound = [None] * size if bound is None else bound
+        total = 0
+        for sub, p in entries(env, bound, pool):
+            bound[depth] = sub
+            total |= p & body(env, bound, pool)
+        return total
+
+    def forall(env, bound, pool):
+        bound = [None] * size if bound is None else bound
+        alg = pool.algebra
+        total = alg.one
+        for sub, p in entries(env, bound, pool):
+            bound[depth] = sub
+            total &= alg.neg(p) | body(env, bound, pool)
+        return total
+
+    return forall if isinstance(phi, BoundedForall) else exists
 
 
 # -- evaluation and the oracle ---------------------------------------------------
@@ -413,56 +444,46 @@ def hf_satisfies(
     phi: Formula, env: Mapping[str, HF], pool_values: tuple[HF, ...] = ()
 ) -> bool:
     """Classical satisfaction over hereditarily finite sets: the audit oracle."""
-    return _hf_sat(phi, dict(env), pool_values)
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    return phi.oracle_route(env, None, pool_values)
 
 
-def _resolve_hf(term, env):
-    if isinstance(term, Var):
-        return env[term.name]
+def _hf_literal(term):
     if isinstance(term, BName):
         raise TypeError("oracle formulas must be closed by the environment")
-    return term
+    return lambda env, bound: term
 
 
-def _hf_sat(phi, env, pool_values) -> bool:
+def _oracle(phi, scope: dict[str, int], depth: int):
+    """Whether phi holds classically."""
     if isinstance(phi, Atomic):
-        a, b = _resolve_hf(phi.left, env), _resolve_hf(phi.right, env)
-        if phi.op == "eq":
-            return a == b
-        if phi.op == "mem":
-            return a in b
-        return a <= b
+        rel = {"eq": operator.eq, "mem": lambda a, b: a in b, "sub": operator.le}[phi.op]
+        return _relation(rel, phi.left, phi.right, scope, _hf_literal)
     if isinstance(phi, Not):
-        return not _hf_sat(phi.body, env, pool_values)
-    if isinstance(phi, And):
-        return all(_hf_sat(p, env, pool_values) for p in phi.parts)
-    if isinstance(phi, Or):
-        return any(_hf_sat(p, env, pool_values) for p in phi.parts)
-    if isinstance(phi, (BoundedExists, BoundedForall, Exists)):
-        var = phi.var
-        saved = env.get(var, _MISSING)
-        try:
-            if isinstance(phi, Exists):
-                values = pool_values
-            else:
-                values = _resolve_hf(phi.bound, env)
-            if isinstance(phi, BoundedForall):
-                for m in values:
-                    env[var] = m
-                    if not _hf_sat(phi.body, env, pool_values):
-                        return False
-                return True
-            for m in values:
-                env[var] = m
-                if _hf_sat(phi.body, env, pool_values):
-                    return True
-            return False
-        finally:
-            if saved is _MISSING:
-                env.pop(var, None)
-            else:
-                env[var] = saved
-    raise TypeError(f"not a formula: {phi!r}")
+        body = _oracle(phi.body, scope, depth)
+        return lambda env, bound, pool: not body(env, bound, pool)
+    if isinstance(phi, (And, Or)):
+        parts = tuple(_oracle(p, scope, depth) for p in phi.parts)
+        test = all if isinstance(phi, And) else any
+        return lambda env, bound, pool: test(p(env, bound, pool) for p in parts)
+    if not isinstance(phi, (BoundedExists, BoundedForall, Exists)):
+        raise TypeError(f"not a formula: {phi!r}")
+    size, forall = quantifier_depth(phi), isinstance(phi, BoundedForall)
+    body = _oracle(phi.body, {**scope, phi.var: depth}, depth + 1)
+    of = None if isinstance(phi, Exists) else _term(phi.bound, scope, _hf_literal)
+
+    def quantify(env, bound, pool):
+        bound = [None] * size if bound is None else bound
+        # ∃ is True at the first member that satisfies the body, ∀ False at
+        # the first that fails it
+        for m in pool if of is None else of(env, bound):
+            bound[depth] = m
+            if (not body(env, bound, pool)) is forall:
+                return not forall
+        return forall
+
+    return quantify
 
 
 @dataclass
@@ -491,21 +512,24 @@ def forcing_audit(
     report = ForcingAuditReport()
     cases = 0
     pool = NamePool(algebra, pool, rank_bound)
-    atoms = range(algebra.atom_count)
-    # the oracle environment of a case reads its values by pool position
-    hf_pool_at = [tuple(_eval(n, atom) for n in pool.names) for atom in atoms]
+    names, atoms = pool.names, range(algebra.atom_count)
+    hf_pool_at = [tuple(_eval(n, atom) for n in names) for atom in atoms]
+    rows = list(zip(names, *hf_pool_at))  # a pool name and its value at each atom
     for phi in formulas:
         fvs = tuple(sorted(free_variables(phi)))
-        for picks in itertools.product(range(len(pool.names)), repeat=len(fvs)):
-            env = {v: pool.names[i] for v, i in zip(fvs, picks)}
+        cases += len(atoms) * len(names) ** len(fvs)
+        # refilled per assignment: the names, then their values at each atom
+        envs = [{} for _ in range(1 + len(atoms))]
+        env, per_atom = envs[0], list(enumerate(zip(envs[1:], hf_pool_at)))
+        for picks in itertools.product(rows, repeat=len(fvs)):
+            for v, row in zip(fvs, picks):
+                for e, x in zip(envs, row):
+                    e[v] = x
             value = truth_value(phi, env, algebra, pool, rank_bound)
-            cases += len(atoms)
-            for atom in atoms:
-                hf_pool = hf_pool_at[atom]
-                hf_env = {v: hf_pool[i] for v, i in zip(fvs, picks)}
+            for atom, (hf_env, hf_pool) in per_atom:
                 oracle = hf_satisfies(phi, hf_env, hf_pool)
-                forced = bool(value >> atom & 1)
-                if oracle != forced:
+                if oracle != (value >> atom & 1):
+                    forced = bool(value >> atom & 1)
                     report.divergences.append(
                         f"atom {atom}: boolean route says {forced}, oracle says {oracle} "
                         f"({phi!r} @ {[format_name(n) for n in env.values()]})"
@@ -684,6 +708,20 @@ def standard_name_pool(algebra: FiniteCBA, max_rank: int = 3) -> tuple[BName, ..
         top = sorted((n for n in new if n.rank == layer_rank), key=BName.sort_key)
         frontier = [c0] + top[:3]
     return tuple(sorted(seen, key=BName.sort_key))
+
+
+def standard_pool_size(atom_count: int, max_rank: int = 3) -> int:
+    """``len(standard_name_pool(algebra, max_rank))`` for an algebra with
+    this many atoms, counted without building a name."""
+    labels = atom_count + (atom_count > 1)  # the atoms, and 1 when it is no atom
+    total, new = (1 + labels, labels) if max_rank else (1, 0)
+    for rank in range(2, max_rank + 1):
+        m = min(3, new)
+        new = m * labels + (m + m * (m - 1) // 2) * labels * labels
+        total += new
+        if m == 3:  # so is every later layer's, which adds as many names
+            return total + (max_rank - rank) * new
+    return total
 
 
 def random_name_pool(

@@ -126,22 +126,34 @@ def _declare(doc: WorkspaceDoc, decl) -> None:
     doc.order.append(name)
 
 
+def _natural(decl, key: str, default=None) -> int:
+    value = decl[key] if default is None else decl.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValidationError(decl["name"], f"{key} must be a nonnegative integer")
+    return value
+
+
+def _ref(doc: WorkspaceDoc, decl, key: str, kind: str):
+    if not isinstance(decl[key], str):
+        raise ValidationError(decl["name"], f"{key} must name a declared {kind}, not {decl[key]!r}")
+    return doc.resolve(decl[key], kind)
+
+
 def _build_algebra(doc: WorkspaceDoc, decl) -> FiniteCBA:
-    atoms = decl["atoms"]
-    if not isinstance(atoms, int) or isinstance(atoms, bool) or atoms < 0:
-        raise ValidationError(decl["name"], "atoms must be a nonnegative integer")
-    return FiniteCBA(atoms)
+    return FiniteCBA(_natural(decl, "atoms"))
 
 
 def _build_poset(doc: WorkspaceDoc, decl) -> Poset:
     elements = [str(e) for e in decl["elements"]]
-    pairs = [(str(a), str(b)) for a, b in decl.get("order", [])]
-    return Poset.from_pairs(elements, pairs)
+    pairs = decl.get("order", [])
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ValidationError(decl["name"], "order entries must be [below, above] pairs")
+    return Poset.from_pairs(elements, [(str(a), str(b)) for a, b in pairs])
 
 
 def _build_hom(doc: WorkspaceDoc, decl) -> CompleteHom:
-    source = doc.resolve(decl["source"], "algebra")
-    target = doc.resolve(decl["target"], "algebra")
+    source = _ref(doc, decl, "source", "algebra")
+    target = _ref(doc, decl, "target", "algebra")
     return CompleteHom(source, target, tuple(decl["fiber"]))
 
 
@@ -150,7 +162,7 @@ def _build_free(doc: WorkspaceDoc, decl) -> FreeAlgebra:
 
 
 def _build_name(doc: WorkspaceDoc, decl) -> BName:
-    algebra = doc.resolve(decl["algebra"], "algebra")
+    algebra = _ref(doc, decl, "algebra", "algebra")
 
     def sub_name(spec) -> BName:
         if isinstance(spec, dict) and "check" in spec:
@@ -171,7 +183,7 @@ def _build_name(doc: WorkspaceDoc, decl) -> BName:
 
 
 def _build_presentation(doc: WorkspaceDoc, decl) -> AtomwisePresentation:
-    base = doc.resolve(decl["base"], "algebra")
+    base = _ref(doc, decl, "base", "algebra")
     fibers = tuple(doc.resolve(f, "algebra") for f in decl["fibers"])
     return AtomwisePresentation(base, fibers)
 
@@ -183,7 +195,7 @@ def _build_system(doc: WorkspaceDoc, decl) -> IterationSystem:
 
 
 def _build_trace(doc: WorkspaceDoc, decl) -> ModelTrace:
-    algebra = doc.resolve(decl["algebra"], "algebra")
+    algebra = _ref(doc, decl, "algebra", "algebra")
 
     def elems(seq):
         return tuple(parse_element(algebra, x) for x in seq)
@@ -198,7 +210,7 @@ def _build_trace(doc: WorkspaceDoc, decl) -> ModelTrace:
         frozenset(elems(decl.get("carrier", []))),
         designated_predense=tuple(elems(d) for d in decl.get("predense", [])),
         designated_antichains=tuple(elems(a) for a in decl.get("antichains", [])),
-        kappa=decl.get("kappa", 1),
+        kappa=_natural(decl, "kappa", 1),
         delta=frozenset(decl.get("delta", [0])),
         ordinal_names=tuple(names),
     )

@@ -1,14 +1,32 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the implementation's data paths: subset-relation
-computations run on raw down-sets, and free-algebra checks run on truth
-tables, so the canonical-form engine is cross-checked rather than trusted.
+computations run on raw down-sets, free-algebra checks run on truth
+tables, and formulas are evaluated by walking their trees, so the
+canonical-form engine and the compiled formula routes are cross-checked
+rather than trusted.
 """
 from __future__ import annotations
 
 import itertools
 import re
+from typing import Mapping
 
+from forcebench.bvm import (
+    And,
+    Atomic,
+    BName,
+    BoundedExists,
+    BoundedForall,
+    Exists,
+    Not,
+    Or,
+    Var,
+    _tv_eq,
+    _tv_mem,
+    _tv_sub,
+)
+from forcebench.finite_cba import FiniteCBA
 from forcebench.free_algebra import (
     FreeElement,
     FreeExpr,
@@ -138,3 +156,131 @@ def packed_row(values, at) -> int:
     """``values[at(d)]`` for every element d, one byte per d (byte d): the
     packed row a ``ByteRows`` is expected to hold, built byte by byte."""
     return int.from_bytes(bytes(values[at(d)] for d in range(len(values))), "little")
+
+
+# -- reference interpreters for formulas -------------------------------------------
+#
+# The tree-walking evaluators that ``bvm`` replaced with compiled routes,
+# kept as they were: the boolean value of a formula and the
+# hereditarily-finite oracle, each resolving variables through a dict that
+# binders mutate and restore.
+
+
+def _resolve(term, env: Mapping[str, BName]) -> BName:
+    if isinstance(term, Var):
+        try:
+            return env[term.name]
+        except KeyError:
+            raise KeyError(f"unbound variable {term.name!r}") from None
+    if isinstance(term, BName):
+        return term
+    raise TypeError(f"not a term: {term!r}")
+
+
+_MISSING = object()
+
+
+def _truth(phi, env, alg: FiniteCBA, pool) -> int:
+    # env is mutated around quantifier scopes and restored; callers hand in a
+    # private dict
+    if isinstance(phi, Atomic):
+        a, b = _resolve(phi.left, env), _resolve(phi.right, env)
+        if phi.op == "eq":
+            return _tv_eq(a, b)
+        if phi.op == "mem":
+            return _tv_mem(a, b)
+        return _tv_sub(a, b)
+    if isinstance(phi, Not):
+        return alg.neg(_truth(phi.body, env, alg, pool))
+    if isinstance(phi, And):
+        return alg.inf(_truth(p, env, alg, pool) for p in phi.parts)
+    if isinstance(phi, Or):
+        return alg.sup(_truth(p, env, alg, pool) for p in phi.parts)
+    if isinstance(phi, (BoundedExists, BoundedForall, Exists)):
+        var = phi.var
+        saved = env.get(var, _MISSING)
+        try:
+            if isinstance(phi, BoundedExists):
+                bound = _resolve(phi.bound, env)
+                total = 0
+                for sub, p in bound.entries:
+                    env[var] = sub
+                    total |= p & _truth(phi.body, env, alg, pool)
+                return total
+            if isinstance(phi, BoundedForall):
+                bound = _resolve(phi.bound, env)
+                total = alg.one
+                for sub, p in bound.entries:
+                    env[var] = sub
+                    total &= alg.neg(p) | _truth(phi.body, env, alg, pool)
+                return total
+            total = 0
+            for cand in pool:
+                env[var] = cand
+                total |= _truth(phi.body, env, alg, pool)
+            return total
+        finally:
+            if saved is _MISSING:
+                env.pop(var, None)
+            else:
+                env[var] = saved
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _resolve_hf(term, env):
+    if isinstance(term, Var):
+        return env[term.name]
+    if isinstance(term, BName):
+        raise TypeError("oracle formulas must be closed by the environment")
+    return term
+
+
+def _hf_sat(phi, env, pool_values) -> bool:
+    if isinstance(phi, Atomic):
+        a, b = _resolve_hf(phi.left, env), _resolve_hf(phi.right, env)
+        if phi.op == "eq":
+            return a == b
+        if phi.op == "mem":
+            return a in b
+        return a <= b
+    if isinstance(phi, Not):
+        return not _hf_sat(phi.body, env, pool_values)
+    if isinstance(phi, And):
+        return all(_hf_sat(p, env, pool_values) for p in phi.parts)
+    if isinstance(phi, Or):
+        return any(_hf_sat(p, env, pool_values) for p in phi.parts)
+    if isinstance(phi, (BoundedExists, BoundedForall, Exists)):
+        var = phi.var
+        saved = env.get(var, _MISSING)
+        try:
+            if isinstance(phi, Exists):
+                values = pool_values
+            else:
+                values = _resolve_hf(phi.bound, env)
+            if isinstance(phi, BoundedForall):
+                for m in values:
+                    env[var] = m
+                    if not _hf_sat(phi.body, env, pool_values):
+                        return False
+                return True
+            for m in values:
+                env[var] = m
+                if _hf_sat(phi.body, env, pool_values):
+                    return True
+            return False
+        finally:
+            if saved is _MISSING:
+                env.pop(var, None)
+            else:
+                env[var] = saved
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def reference_truth_value(phi, env, algebra, pool=()):
+    """The boolean value of phi under env, by the reference walk."""
+    return _truth(phi, dict(env), algebra, tuple(pool))
+
+
+def reference_hf_satisfies(phi, env, pool_values=()):
+    """Classical satisfaction of phi under env, by the reference walk."""
+    return _hf_sat(phi, dict(env), tuple(pool_values))

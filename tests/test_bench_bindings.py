@@ -14,9 +14,14 @@ import pytest
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def _tracer_targets():
+def _tracer_namespace():
     namespace = {"__name__": "bench_tracer"}
     exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    return namespace
+
+
+def _tracer_targets():
+    namespace = _tracer_namespace()
     targets = [
         target
         for table in (namespace["KERNELS"], namespace["ENTRY_POINTS"])
@@ -64,3 +69,37 @@ def test_tower_projections_go_through_the_traced_binding(monkeypatch):
     gallery.build_fresh_tower(4)
     assert len(projected) >= 2 * 4
     assert traced == projected
+
+
+def test_every_forcing_oracle_hot_target_records_calls(monkeypatch):
+    # a traced forcing-oracle run fails on any hot key whose functions saw
+    # no call; a compiled route that inlined the lattice operations or
+    # bypassed truth_value/hf_satisfies would do that
+    from forcebench import bvm
+    from forcebench.finite_cba import FiniteCBA
+
+    namespace = _tracer_namespace()
+    tables = {**namespace["KERNELS"], **namespace["ENTRY_POINTS"]}
+    calls = {}
+    for key in namespace["HOT"]["forcing-oracle"]:
+        for module, path in tables[key]:
+            owner = importlib.import_module(f"forcebench.{module}")
+            *classes, attr = path.split(".")
+            for name in classes:
+                owner = getattr(owner, name)
+            real = owner.__dict__[attr] if classes else getattr(owner, attr)
+            calls[path] = 0
+
+            def counted(*args, _real=real, _path=path, **kwargs):
+                calls[_path] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+    # the cold memo tables of a fresh benchmark worker
+    monkeypatch.setattr(bvm, "_ATOMIC_MEMO", {})
+    monkeypatch.setattr(bvm, "_EVAL_MEMO", {})
+    b2 = FiniteCBA(2)
+    pool = bvm.standard_name_pool(b2, max_rank=2)[:7]
+    assert bvm.forcing_audit(b2, pool, bvm.standard_formula_pool()).passed
+    assert {"FiniteCBA.sup", "FiniteCBA.inf", "FiniteCBA.neg", "truth_value"} <= set(calls)
+    assert all(calls.values()), calls

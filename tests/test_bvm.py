@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcebench.bvm import (
+    And,
     Atomic,
     BName,
     BoundedExists,
@@ -12,6 +13,7 @@ from forcebench.bvm import (
     Exists,
     NamePool,
     Not,
+    Or,
     Var,
     check_name,
     delta1_audit,
@@ -43,6 +45,8 @@ from forcebench.finite_cba import FiniteCBA, Ultrafilter, ultrafilters
 from forcebench.hf import EMPTY, hf, hf_rank, hf_universe, von_neumann
 from forcebench.morphisms import hom_from_fiber_map, identity_hom
 from forcebench.report import INDETERMINATE
+
+from .oracles import reference_hf_satisfies, reference_truth_value
 
 B1 = FiniteCBA(1)
 B2 = FiniteCBA(2)
@@ -125,6 +129,15 @@ def test_truth_value_rank_bound():
     deep = check_name(B2, von_neumann(5))
     with pytest.raises(RankExceeded):
         truth_value(Atomic("eq", deep, deep), {}, B2, rank_bound=4)
+
+
+def test_standard_pool_size_counts_the_standard_pool():
+    for atoms in range(1, 6):
+        for max_rank in range(6):
+            pool = standard_name_pool(FiniteCBA(atoms), max_rank)
+            assert bvm.standard_pool_size(atoms, max_rank) == len(pool), (atoms, max_rank)
+    # each layer from rank 4 on adds 3L + 6L^2 names over L labels
+    assert bvm.standard_pool_size(1, 10**12) - bvm.standard_pool_size(1, 10**12 - 1) == 9
 
 
 def test_forcing_audit_b1_degenerates_to_classical_truth():
@@ -439,3 +452,157 @@ def test_name_pool_checks_cached_constants_on_every_call():
         with pytest.raises(MixedAlgebras):
             truth_value(foreign, {"u": c0}, B2, names)
     assert truth_value(deep, {"u": c0}, B2, names, rank_bound=6) == 0
+
+
+# -- the evaluators' contract -------------------------------------------------------
+
+
+def test_unbound_variable_raises_only_when_reached():
+    c0 = check_name(B2, EMPTY)
+    x, z = Var("x"), Var("z")
+    with pytest.raises(KeyError) as raised:
+        truth_value(Atomic("eq", x, c0), {}, B2)
+    assert raised.value.args == ("unbound variable 'x'",)
+    with pytest.raises(KeyError, match="'x'"):
+        hf_satisfies(Atomic("eq", x, Var("y")), {"y": EMPTY})
+    # a binder over the empty name never reaches its body
+    assert truth_value(BoundedExists("z", c0, Atomic("eq", x, z)), {}, B2) == 0
+    assert hf_satisfies(BoundedExists("z", EMPTY, Atomic("eq", x, z)), {}) is False
+    assert hf_satisfies(BoundedForall("z", Var("y"), Atomic("eq", x, z)), {"y": EMPTY}) is True
+
+
+def test_non_formulas_and_non_terms_raise_type_errors():
+    c0 = check_name(B2, EMPTY)
+    u = Var("u")
+    for bad in (42, u, c0, Not(42), And((Atomic("eq", u, u), "phi"))):
+        with pytest.raises(TypeError, match="not a formula"):
+            truth_value(bad, {"u": c0}, B2)
+    for bad in (42, u, EMPTY, Not(42)):
+        with pytest.raises(TypeError, match="not a formula"):
+            hf_satisfies(bad, {"u": EMPTY})
+    # a hereditarily-finite literal is no term of the boolean route
+    for bad in (Atomic("eq", frozenset(), c0), Atomic("mem", u, frozenset())):
+        with pytest.raises(TypeError, match="not a term"):
+            truth_value(bad, {"u": c0}, B2)
+
+
+def test_the_oracle_takes_literals_but_no_names():
+    c0 = check_name(B2, EMPTY)
+    one = hf(EMPTY)
+    assert hf_satisfies(Atomic("mem", EMPTY, Var("b")), {"b": one}) is True
+    assert hf_satisfies(Atomic("eq", frozenset(), frozenset()), {}) is True
+    assert hf_satisfies(Atomic("sub", one, EMPTY), {}) is False
+    assert hf_satisfies(BoundedExists("z", one, Atomic("eq", Var("z"), EMPTY)), {}) is True
+    for closed_by_name in (Atomic("eq", c0, Var("a")), Not(Atomic("mem", Var("a"), c0))):
+        with pytest.raises(TypeError, match="oracle formulas must be closed by the environment"):
+            hf_satisfies(closed_by_name, {"a": EMPTY})
+
+
+def test_evaluation_leaves_the_callers_env_unchanged():
+    pool = standard_name_pool(B2, max_rank=2)[:6]
+    u, z = Var("u"), Var("z")
+    shadowing = (
+        BoundedExists("z", u, Atomic("eq", z, u)),
+        BoundedForall("z", u, Atomic("mem", z, Var("z"))),
+        Exists("z", Atomic("mem", z, u)),
+        Exists("u", BoundedExists("u", u, Atomic("sub", u, z))),
+    )
+    env = {"u": pool[4], "z": pool[5]}
+    hf_pool = tuple(_eval_all(pool, 0))
+    hf_env = {"u": hf_pool[4], "z": hf_pool[5]}
+    for phi in shadowing:
+        before, hf_before = dict(env), dict(hf_env)
+        truth_value(phi, env, B2, pool)
+        hf_satisfies(phi, hf_env, hf_pool)
+        assert env == before and all(env[k] is before[k] for k in env)
+        assert hf_env == hf_before
+    # an evaluation that raises inside a binder leaves env as it was too
+    broken = BoundedExists("z", u, Atomic("eq", z, Var("missing")))
+    before = dict(env)
+    with pytest.raises(KeyError):
+        truth_value(broken, env, B2, pool)
+    with pytest.raises(KeyError):
+        hf_satisfies(broken, hf_env, hf_pool)
+    assert env == before and hf_env == {"u": hf_pool[4], "z": hf_pool[5]}
+
+
+def _eval_all(pool, atom):
+    return [eval_at_atom(n, Ultrafilter(pool[0].algebra, atom)) for n in pool]
+
+
+# -- differential check against the reference walks ----------------------------------
+
+_VARS = ("u", "v", "z")
+
+
+def _random_formula(rng, constants, depth):
+    """A formula of depth at most ``depth`` over u, v, z and the constants;
+    binders reuse the three variable names, so they shadow free variables
+    and each other."""
+
+    def term():
+        if constants and rng.random() < 0.25:
+            return rng.choice(constants)
+        return Var(rng.choice(_VARS))
+
+    kind = rng.choice(("atomic",) * 2 + ("not", "and", "or", "exists", "forall", "unbounded"))
+    if depth == 0 or kind == "atomic":
+        return Atomic(rng.choice(("eq", "mem", "sub")), term(), term())
+    sub = lambda: _random_formula(rng, constants, depth - 1)  # noqa: E731
+    if kind == "not":
+        return Not(sub())
+    if kind in ("and", "or"):
+        parts = tuple(sub() for _ in range(rng.randint(0, 3)))
+        return And(parts) if kind == "and" else Or(parts)
+    var = rng.choice(_VARS)
+    if kind == "unbounded":
+        return Exists(var, sub())
+    return (BoundedExists if kind == "exists" else BoundedForall)(var, term(), sub())
+
+
+def _closed_at(phi, values):
+    """phi with each name constant replaced by its value at an atom."""
+    if isinstance(phi, Atomic):
+        left, right = (values.get(t, t) if isinstance(t, BName) else t for t in (phi.left, phi.right))
+        return Atomic(phi.op, left, right)
+    if isinstance(phi, Not):
+        return Not(_closed_at(phi.body, values))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(_closed_at(p, values) for p in phi.parts))
+    if isinstance(phi, Exists):
+        return Exists(phi.var, _closed_at(phi.body, values))
+    bound = values.get(phi.bound, phi.bound) if isinstance(phi.bound, BName) else phi.bound
+    return type(phi)(phi.var, bound, _closed_at(phi.body, values))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (KeyError, TypeError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compiled_routes_match_the_reference_walks(seed):
+    rng = random.Random(seed)
+    for trial in range(60):
+        algebra = FiniteCBA(rng.randint(1, 3))
+        pool = random_name_pool(algebra, rng.randint(1, 6), 2, rng)
+        phi = _random_formula(rng, pool[:3], rng.randint(0, 3))
+        # a free variable left out of env is reached only on some paths
+        env = {v: rng.choice(pool) for v in _VARS if rng.random() < 0.9}
+        witness = (seed, trial, phi, env)
+        value = _outcome(truth_value, phi, env, algebra, pool)
+        assert value == _outcome(reference_truth_value, phi, env, algebra, pool), witness
+        for atom in range(algebra.atom_count):
+            hf_pool = _eval_all(pool, atom)
+            values = dict(zip(pool, hf_pool))
+            hf_env = {v: values[n] for v, n in env.items()}
+            closed = _closed_at(phi, values)
+            oracle = _outcome(hf_satisfies, closed, hf_env, hf_pool)
+            assert oracle == _outcome(reference_hf_satisfies, closed, hf_env, hf_pool), witness
+            if isinstance(value, int):
+                assert oracle == bool(value >> atom & 1), (*witness, atom)
+            # with name constants left in, phi is refused by the oracle
+            if phi.constants:
+                assert _outcome(hf_satisfies, phi, hf_env, hf_pool) is TypeError, witness

@@ -426,8 +426,26 @@ _LABEL = '{"kind": "name", "name": "d", "algebra": "B", "entries": [[{"check": [
         ('{"kind": "algebra", "name": ["C"], "atoms": 1}', "[]", "objects: name ['C']"),
         ("", '[{"audit": "complete", "target": ["B"]}]', "audits: target ['B']"),
         ('{"kind": "algebra", "name": "C", "atoms": true}', "[]", "C: atoms must be"),
+        (
+            '{"kind": "poset", "name": "P", "elements": ["a"], "order": [["a", "a", "a"]]}',
+            "[]",
+            "P: order entries must be [below, above] pairs",
+        ),
+        (
+            '{"kind": "hom", "name": "h", "source": ["B"], "target": "B", "fiber": [0, 1]}',
+            "[]",
+            "h: source must name a declared algebra, not ['B']",
+        ),
+        (
+            '{"kind": "trace", "name": "M", "algebra": "B", "carrier": [], "kappa": "x"}',
+            "[]",
+            "M: kappa must be a nonnegative integer",
+        ),
     ],
-    ids=["missing-field", "trace-element", "name-label", "object-name", "audit-target", "bool-atoms"],
+    ids=[
+        "missing-field", "trace-element", "name-label", "object-name", "audit-target",
+        "bool-atoms", "poset-order-triple", "hom-source-list", "trace-kappa-string",
+    ],
 )
 def test_malformed_workspace_is_a_parse_error(tmp_path, objects, audits, message):
     ws = tmp_path / "bad.json"
@@ -442,3 +460,17 @@ def test_malformed_workspace_is_a_parse_error(tmp_path, objects, audits, message
     assert "Traceback" not in out.stderr
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_bvm_audit_over_the_pool_budget_checks_no_case(tmp_path, capsys):
+    # the standard pool over a million atoms would hold about 6e12 names;
+    # it is counted, not built
+    ws = tmp_path / "huge.json"
+    ws.write_text('{"version": 1, "objects": [{"kind": "algebra", "name": "C", "atoms": 1000000}]}')
+    assert main(["--workspace", str(ws), "--command", "bvm-audit", "--format", "json"]) == 1
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["verdict"] == INDETERMINATE and result["witnesses"] == []
+    assert result["details"]["cases"] == 0
+    assert f"over the budget {cli.POOL_BUDGET}" in result["details"]["note"]
+    assert bvm.standard_pool_size(1_000_000, 2) > cli.POOL_BUDGET
+    assert bvm.standard_pool_size(64, 2) <= cli.POOL_BUDGET
