@@ -24,12 +24,18 @@ from .report import Ledger
 DEFAULT_RANK_BOUND = 4
 
 
+# (algebra, entries) -> the one name; filled with setdefault, so concurrent
+# audits intern one name per key
+_INTERNED: dict[tuple, "BName"] = {}
+
+
 class BName:
-    """A rank-bounded name; immutable, hashable, structurally compared."""
+    """A rank-bounded name; immutable and interned, so equal names are one
+    object and compare (and hash) by identity."""
 
-    __slots__ = ("algebra", "entries", "rank", "_hash", "_key")
+    __slots__ = ("algebra", "entries", "rank", "_key")
 
-    def __init__(self, algebra: FiniteCBA, entries: Iterable[tuple["BName", int]]):
+    def __new__(cls, algebra: FiniteCBA, entries: Iterable[tuple["BName", int]]):
         items = []
         for sub, label in entries:
             if not isinstance(sub, BName):
@@ -43,32 +49,26 @@ class BName:
             items.append((sub, label))
         if len({s for s, _ in items}) != len(items):
             raise ValueError("entries must form a partial function on names")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "entries", frozenset(items))
-        object.__setattr__(self, "rank", 1 + max((s.rank for s, _ in items), default=-1))
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", hash((algebra, self.entries)))
+        key = (algebra, frozenset(items))
+        self = _INTERNED.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "algebra", algebra)
+            object.__setattr__(self, "entries", key[1])
+            object.__setattr__(self, "rank", 1 + max((s.rank for s, _ in items), default=-1))
+            object.__setattr__(self, "_key", None)
+            self = _INTERNED.setdefault(key, self)
+        return self
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("BName is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BName)
-            and self._hash == other._hash
-            and self.algebra == other.algebra
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"BName({format_name(self)})"
 
     def label(self, sub: "BName") -> int:
         for s, p in self.entries:
-            if s == sub:
+            if s is sub:
                 return p
         return 0
 

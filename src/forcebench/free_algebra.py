@@ -1,10 +1,10 @@
 """Free boolean algebras on named generators with decidable operations.
 
 Elements are reduced ordered decision diagrams keyed by a global total order
-on generator names, so semantic equality is node identity and every element
-carries exactly its essential support.  This is the carrier for the atomless
-towers of the counterexample gallery: conjunction chains over fresh
-generators stay linear-sized here.
+on generator names.  Each element is its interned root node, so semantic
+equality is identity and every element carries exactly its essential
+support.  This is the carrier for the atomless towers of the counterexample
+gallery: conjunction chains over fresh generators stay linear-sized here.
 """
 from __future__ import annotations
 
@@ -30,7 +30,46 @@ _UIDS = itertools.count(2)  # the leaves are uids 0 and 1
 _BITS = itertools.count()
 
 
-class _Node:
+class FreeElement:
+    """A canonical-form element of the free boolean algebra: an interned
+    decision node or one of the two leaves, so equality is identity."""
+
+    __slots__ = ()
+
+    def __and__(self, other: "FreeElement") -> "FreeElement":
+        return _and(self, other)
+
+    def __or__(self, other: "FreeElement") -> "FreeElement":
+        return _or(self, other)
+
+    def __invert__(self) -> "FreeElement":
+        return _not(self)
+
+    def __bool__(self) -> bool:
+        """Nonzero, as for the bitmask elements of finite algebras."""
+        return self is not _FALSE
+
+    def __repr__(self) -> str:
+        return f"FreeElement({format_free(self)})"
+
+    @property
+    def is_zero(self) -> bool:
+        return self is _FALSE
+
+    @property
+    def is_one(self) -> bool:
+        return self is _TRUE
+
+    def leq(self, other: "FreeElement") -> bool:
+        return _and(self, _not(other)) is _FALSE
+
+    @property
+    def support(self) -> frozenset[str]:
+        mask = self.mask
+        return frozenset(_NAMES[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class _Node(FreeElement):
     __slots__ = ("var", "key", "lo", "hi", "uid", "mask")
 
     def __init__(self, key: tuple, lo, hi):
@@ -42,15 +81,15 @@ class _Node:
         self.mask = 1 << key[3] | lo.mask | hi.mask  # bits of the support
 
 
-class _Leaf:
+class _Leaf(FreeElement):
     __slots__ = ("uid", "mask")
 
     def __init__(self, uid: int):
         self.uid, self.mask = uid, 0
 
 
-_FALSE = _Leaf(0)
-_TRUE = _Leaf(1)
+_FALSE = FREE_ZERO = _Leaf(0)
+_TRUE = FREE_ONE = _Leaf(1)
 
 # Every table is filled with setdefault or with a value that any racing
 # writer computes identically, so concurrent audits intern one node per key;
@@ -83,7 +122,10 @@ def _make(key: tuple, lo, hi):
     if lo is hi:
         return lo
     ukey = (key[3] << _UID_BITS | lo.uid) << _UID_BITS | hi.uid
-    return _UNIQUE.get(ukey) or _UNIQUE.setdefault(ukey, _Node(key, lo, hi))
+    node = _UNIQUE.get(ukey)  # not `or`: a node's truth is a Python call
+    if node is None:
+        node = _UNIQUE.setdefault(ukey, _Node(key, lo, hi))
+    return node
 
 
 def _branch(a: _Node, b: _Node):
@@ -170,62 +212,8 @@ def _exists_outside(node, kept: int, gone: int):
     return out
 
 
-# -- public element type -----------------------------------------------------
-
-
-class FreeElement:
-    """A canonical-form element of the free boolean algebra; equality is O(1)."""
-
-    __slots__ = ("_node",)
-
-    def __init__(self, node):
-        self._node = node
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeElement) and self._node is other._node
-
-    def __hash__(self) -> int:
-        return self._node.uid
-
-    def __and__(self, other: "FreeElement") -> "FreeElement":
-        return FreeElement(_and(self._node, other._node))
-
-    def __or__(self, other: "FreeElement") -> "FreeElement":
-        return FreeElement(_or(self._node, other._node))
-
-    def __invert__(self) -> "FreeElement":
-        return FreeElement(_not(self._node))
-
-    def __bool__(self) -> bool:
-        """Nonzero, as for the bitmask elements of finite algebras."""
-        return self._node is not _FALSE
-
-    def __repr__(self) -> str:
-        return f"FreeElement({format_free(self)})"
-
-    @property
-    def is_zero(self) -> bool:
-        return self._node is _FALSE
-
-    @property
-    def is_one(self) -> bool:
-        return self._node is _TRUE
-
-    def leq(self, other: "FreeElement") -> bool:
-        return _and(self._node, _not(other._node)) is _FALSE
-
-    @property
-    def support(self) -> frozenset[str]:
-        mask = self._node.mask
-        return frozenset(_NAMES[i] for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-FREE_ZERO = FreeElement(_FALSE)
-FREE_ONE = FreeElement(_TRUE)
-
-
 def generator(name: str) -> FreeElement:
-    return FreeElement(_make(generator_sort_key(name), _FALSE, _TRUE))
+    return _make(generator_sort_key(name), _FALSE, _TRUE)
 
 
 def all_meet(parts: Iterable[FreeElement]) -> FreeElement:
@@ -238,7 +226,7 @@ def all_meet(parts: Iterable[FreeElement]) -> FreeElement:
 def free_project(e: FreeElement, onto: "FreeAlgebra") -> FreeElement:
     """The least element of ``onto`` above e: existential projection of every
     generator outside ``onto``, the retraction of the inclusion of ``onto``."""
-    return FreeElement(_exists_outside(e._node, onto.mask, onto._foreign))
+    return _exists_outside(e, onto.mask, onto._foreign)
 
 
 @dataclass(frozen=True)
@@ -271,7 +259,7 @@ class FreeAlgebra:
         return generator(name)
 
     def contains(self, e: FreeElement) -> bool:
-        return not e._node.mask & self._foreign
+        return not e.mask & self._foreign
 
     def leq(self, a: FreeElement, b: FreeElement) -> bool:
         return a.leq(b)
@@ -405,7 +393,7 @@ def format_free(e: FreeElement) -> str:
         walk(node.hi, path)
         path.pop()
 
-    walk(e._node, [])
+    walk(e, [])
     parts = [" ∧ ".join(cube) if cube else "1" for cube in cubes]
     parts.sort()
     if len(parts) == 1:
@@ -468,7 +456,7 @@ def chain_vanishing(h: FreeElement, chain: GeneratorChain) -> ChainVerdict:
         a_n = chain.element_at(n)
         newest = 1 << generator_sort_key(chain.generator_at(n - 1))[3]
         prefix |= newest
-        mask = a_n._node.mask
+        mask = a_n.mask
         if mask & ~prefix or not mask & newest:
             raise ChainEscapeViolation(n)
         if prev is not None and not a_n.leq(prev):

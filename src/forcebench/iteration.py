@@ -568,8 +568,8 @@ def reindex_system(system: IterationSystem, indices: tuple[int, ...]) -> Iterati
     """The subsystem along a strictly increasing cofinal index map."""
     if not system.eager:
         raise NotEager("re-indexing is for eager systems")
-    if list(indices) != sorted(set(indices)):
-        raise ValueError("indices must be strictly increasing")
+    if not indices or indices[0] < 0 or list(indices) != sorted(set(indices)):
+        raise ValueError("indices must be strictly increasing stages, at least one")
     if indices[-1] != system.length - 1:
         raise ValueError("a cofinal map must reach the last stage")
     algebras = [system.algebra(i) for i in indices]

@@ -83,17 +83,6 @@ class CompleteHom:
             and composite.fiber == tuple(self.fiber[s] for s in other.fiber)
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CompleteHom)
-            and self.source == other.source
-            and self.target == other.target
-            and self.fiber == other.fiber
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.fiber))
-
 
 def identity_hom(algebra: FiniteCBA) -> CompleteHom:
     return CompleteHom(algebra, algebra, tuple(range(algebra.atom_count)))

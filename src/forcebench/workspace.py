@@ -82,9 +82,9 @@ def parse_workspace(text: str) -> WorkspaceDoc:
     if version != WORKSPACE_VERSION:
         raise ValidationError("workspace", f"unsupported version {version!r}")
     doc = WorkspaceDoc(version)
-    for decl in data.get("objects", []):
+    for decl in _list(data, "objects", [], "workspace"):
         _declare(doc, decl)
-    for audit in data.get("audits", []):
+    for audit in _list(data, "audits", [], "workspace"):
         if not isinstance(audit, dict) or "audit" not in audit:
             raise ValidationError("audits", "each entry needs an 'audit' key")
         if audit["audit"] not in AUDIT_KINDS:
@@ -95,8 +95,7 @@ def parse_workspace(text: str) -> WorkspaceDoc:
         if target is not None and target not in doc.objects:
             raise UnresolvedReference(target)
         for key in ("max_rank", "pool_cap", "depth"):
-            value = audit.get(key, 0)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if not _is_natural(audit.get(key, 0)):
                 raise ValidationError("audits", f"{key} must be a nonnegative integer")
         doc.audits.append(dict(audit))
     return doc
@@ -126,10 +125,23 @@ def _declare(doc: WorkspaceDoc, decl) -> None:
     doc.order.append(name)
 
 
+def _is_natural(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _natural(decl, key: str, default=None) -> int:
     value = decl[key] if default is None else decl.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_natural(value):
         raise ValidationError(decl["name"], f"{key} must be a nonnegative integer")
+    return value
+
+
+def _list(decl, key: str, default=None, owner: str | None = None) -> list:
+    """``decl[key]``, or ``default`` when absent, which must be a JSON list;
+    a failure names ``owner`` (the declaration by default) and the field."""
+    value = decl[key] if default is None else decl.get(key, default)
+    if not isinstance(value, list):
+        raise ValidationError(owner or decl["name"], f"{key} must be a list, not {value!r}")
     return value
 
 
@@ -144,8 +156,8 @@ def _build_algebra(doc: WorkspaceDoc, decl) -> FiniteCBA:
 
 
 def _build_poset(doc: WorkspaceDoc, decl) -> Poset:
-    elements = [str(e) for e in decl["elements"]]
-    pairs = decl.get("order", [])
+    elements = [str(e) for e in _list(decl, "elements")]
+    pairs = _list(decl, "order", [])
     if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
         raise ValidationError(decl["name"], "order entries must be [below, above] pairs")
     return Poset.from_pairs(elements, [(str(a), str(b)) for a, b in pairs])
@@ -154,11 +166,11 @@ def _build_poset(doc: WorkspaceDoc, decl) -> Poset:
 def _build_hom(doc: WorkspaceDoc, decl) -> CompleteHom:
     source = _ref(doc, decl, "source", "algebra")
     target = _ref(doc, decl, "target", "algebra")
-    return CompleteHom(source, target, tuple(decl["fiber"]))
+    return CompleteHom(source, target, tuple(_list(decl, "fiber")))
 
 
 def _build_free(doc: WorkspaceDoc, decl) -> FreeAlgebra:
-    return FreeAlgebra(frozenset(str(g) for g in decl["generators"]))
+    return FreeAlgebra(frozenset(str(g) for g in _list(decl, "generators")))
 
 
 def _build_name(doc: WorkspaceDoc, decl) -> BName:
@@ -170,7 +182,7 @@ def _build_name(doc: WorkspaceDoc, decl) -> BName:
         if isinstance(spec, dict) and "ref" in spec:
             return doc.resolve(spec["ref"], "name")
         if isinstance(spec, dict) and "entries" in spec:
-            return build(spec["entries"])
+            return build(_list(spec, "entries", owner=decl["name"]))
         raise ValidationError(decl["name"], f"bad subname {spec!r}")
 
     def build(entries) -> BName:
@@ -179,18 +191,18 @@ def _build_name(doc: WorkspaceDoc, decl) -> BName:
             pairs.append((sub_name(sub), parse_element(algebra, label)))
         return name_from_pairs(algebra, pairs)
 
-    return build(decl.get("entries", []))
+    return build(_list(decl, "entries", []))
 
 
 def _build_presentation(doc: WorkspaceDoc, decl) -> AtomwisePresentation:
     base = _ref(doc, decl, "base", "algebra")
-    fibers = tuple(doc.resolve(f, "algebra") for f in decl["fibers"])
+    fibers = tuple(doc.resolve(f, "algebra") for f in _list(decl, "fibers"))
     return AtomwisePresentation(base, fibers)
 
 
 def _build_system(doc: WorkspaceDoc, decl) -> IterationSystem:
-    algebras = [doc.resolve(a, "algebra") for a in decl["algebras"]]
-    steps = [doc.resolve(s, "hom") for s in decl["steps"]]
+    algebras = [doc.resolve(a, "algebra") for a in _list(decl, "algebras")]
+    steps = [doc.resolve(s, "hom") for s in _list(decl, "steps")]
     return build_system(algebras, steps)
 
 
@@ -200,18 +212,21 @@ def _build_trace(doc: WorkspaceDoc, decl) -> ModelTrace:
     def elems(seq):
         return tuple(parse_element(algebra, x) for x in seq)
 
+    delta = _list(decl, "delta", [0])
+    if not all(map(_is_natural, delta)):
+        raise ValidationError(decl["name"], "delta items must be nonnegative integers")
     names = []
-    for n in decl.get("ordinal_names", []):
+    for n in _list(decl, "ordinal_names", []):
         names.append(
             OrdinalName(algebra, elems(n["antichain"]), tuple(n["labels"]))
         )
     return ModelTrace(
         algebra,
-        frozenset(elems(decl.get("carrier", []))),
-        designated_predense=tuple(elems(d) for d in decl.get("predense", [])),
-        designated_antichains=tuple(elems(a) for a in decl.get("antichains", [])),
+        frozenset(elems(_list(decl, "carrier", []))),
+        designated_predense=tuple(elems(d) for d in _list(decl, "predense", [])),
+        designated_antichains=tuple(elems(a) for a in _list(decl, "antichains", [])),
         kappa=_natural(decl, "kappa", 1),
-        delta=frozenset(decl.get("delta", [0])),
+        delta=frozenset(delta),
         ordinal_names=tuple(names),
     )
 

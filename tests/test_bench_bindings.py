@@ -7,6 +7,7 @@ The tracer source is executed into a fresh namespace, so nothing under
 """
 import importlib
 import pathlib
+import sys
 import types
 
 import pytest
@@ -71,17 +72,14 @@ def test_tower_projections_go_through_the_traced_binding(monkeypatch):
     assert traced == projected
 
 
-def test_every_forcing_oracle_hot_target_records_calls(monkeypatch):
-    # a traced forcing-oracle run fails on any hot key whose functions saw
-    # no call; a compiled route that inlined the lattice operations or
-    # bypassed truth_value/hf_satisfies would do that
-    from forcebench import bvm
-    from forcebench.finite_cba import FiniteCBA
-
+def _count_hot_calls(monkeypatch, sweep):
+    """Wrap every function of the sweep's hot keys on every binding it has,
+    as the tracer does; returns attribute path -> calls."""
     namespace = _tracer_namespace()
     tables = {**namespace["KERNELS"], **namespace["ENTRY_POINTS"]}
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "forcebench"]
     calls = {}
-    for key in namespace["HOT"]["forcing-oracle"]:
+    for key in namespace["HOT"][sweep]:
         for module, path in tables[key]:
             owner = importlib.import_module(f"forcebench.{module}")
             *classes, attr = path.split(".")
@@ -94,7 +92,23 @@ def test_every_forcing_oracle_hot_target_records_calls(monkeypatch):
                 calls[_path] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(owner, attr, counted)
+            if classes:
+                monkeypatch.setattr(owner, attr, counted)
+            for mod in () if classes else modules:
+                for binding, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, binding, counted)
+    return calls
+
+
+def test_every_forcing_oracle_hot_target_records_calls(monkeypatch):
+    # a traced forcing-oracle run fails on any hot key whose functions saw
+    # no call; a compiled route that inlined the lattice operations or
+    # bypassed truth_value/hf_satisfies would do that
+    from forcebench import bvm
+    from forcebench.finite_cba import FiniteCBA
+
+    calls = _count_hot_calls(monkeypatch, "forcing-oracle")
     # the cold memo tables of a fresh benchmark worker
     monkeypatch.setattr(bvm, "_ATOMIC_MEMO", {})
     monkeypatch.setattr(bvm, "_EVAL_MEMO", {})
@@ -102,4 +116,19 @@ def test_every_forcing_oracle_hot_target_records_calls(monkeypatch):
     pool = bvm.standard_name_pool(b2, max_rank=2)[:7]
     assert bvm.forcing_audit(b2, pool, bvm.standard_formula_pool()).passed
     assert {"FiniteCBA.sup", "FiniteCBA.inf", "FiniteCBA.neg", "truth_value"} <= set(calls)
+    assert all(calls.values()), calls
+
+
+def test_every_fresh_tower_hot_target_records_calls(monkeypatch):
+    # a traced fresh-tower run fails the same way; a diagram node class that
+    # overrode the element operations, or a kernel that called the node
+    # functions around them, would do that.  Every hot target is called
+    # whether the decision-diagram memo tables are warm or cold.
+    from forcebench import gallery
+
+    calls = _count_hot_calls(monkeypatch, "fresh-tower")
+    tower = gallery.build_fresh_tower(4)
+    assert gallery.sup_gap_audit(4, tower).passed
+    assert gallery.wedge_meet_audit(4, tower).passed
+    assert {"FreeElement.__and__", "FreeElement.leq", "free_project", "generator"} <= set(calls)
     assert all(calls.values()), calls

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +79,95 @@ def test_relation_form_names_collapse():
     c0 = check_name(B2, EMPTY)
     n = name_from_pairs(B2, [(c0, 0b01), (c0, 0b10)])
     assert n.label(c0) == 0b11
+
+
+def test_equal_names_are_one_object():
+    c0, c1 = check_name(B2, EMPTY), check_name(B2, hf(EMPTY))
+    assert BName(B2, [(c0, 1), (c1, 3)]) is BName(B2, [(c1, 3), (c0, 1)])
+    assert check_name(B2, hf(EMPTY, hf(EMPTY))) is check_name(B2, hf(EMPTY, hf(EMPTY)))
+    # over two equal algebras that are distinct objects
+    assert FiniteCBA(2) is not FiniteCBA(2)
+    assert check_name(FiniteCBA(2), hf(EMPTY)) is check_name(FiniteCBA(2), hf(EMPTY)) is c1
+    assert BName(FiniteCBA(2), [(c0, 1)]) is BName(B2, [(c0, 1)]) is dot_d()
+    assert name_from_pairs(B2, [(c0, 0b01), (c1, 0b10), (c0, 0b10)]) is BName(
+        B2, [(c0, 0b11), (c1, 0b10)]
+    )
+    n = BName(B2, [(c0, 0b11), (c1, 0b01)])
+    assert mix(B2, [0b01, 0b10], [n, n]) is n
+    assert mix(B2, [0b01, 0b10], [dot_d(), c1]) is BName(B2, [(c0, 0b11)]) is c1
+    assert lift_name(identity_hom(B2), n) is n
+    b4 = FiniteCBA(4)
+    h = hom_from_fiber_map(B2, b4, [0, 0, 1, 1])
+    lifted = BName(b4, [(check_name(b4, EMPTY), 0b1111), (check_name(b4, hf(EMPTY)), 0b0011)])
+    assert lift_name(h, n) is lift_name(h, n) is lifted
+
+
+def test_every_check_runs_when_an_equal_name_is_interned():
+    c0 = check_name(B2, EMPTY)
+    assert BName(B2, [(c0, 0b01)]) is dot_d()
+    with pytest.raises(TypeError):
+        BName(B2, [(EMPTY, 0b01)])
+    with pytest.raises(MixedAlgebras):
+        BName(B2, [(check_name(B1, EMPTY), 0b01)])
+    with pytest.raises(ValueError, match="nonzero"):
+        BName(B2, [(c0, 0)])
+    with pytest.raises(ValueError, match="outside"):
+        BName(B2, [(c0, 0b101)])
+    with pytest.raises(ValueError, match="partial function"):
+        BName(B2, [(c0, 0b01), (c0, 0b01)])
+    with pytest.raises(MixedAlgebras):
+        mix(FiniteCBA(1), [1], [dot_d()])
+    with pytest.raises(MixedAlgebras):
+        lift_name(identity_hom(B1), dot_d())
+
+
+def test_names_stay_immutable():
+    n = dot_d()
+    for attr, value in (("rank", 7), ("entries", frozenset()), ("algebra", B1), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(n, attr, value)
+    assert n.rank == 1 and n.algebra == B2 and n.label(check_name(B2, EMPTY)) == 0b01
+    assert dot_d() is n
+
+
+_SCRATCH_ALGEBRAS = itertools.count(40)
+
+
+def test_name_table_interns_one_name_per_key_across_threads():
+    # an algebra size no other test uses, so every name is new to the table
+    alg = FiniteCBA(next(_SCRATCH_ALGEBRAS))
+
+    def build():
+        out = [check_name(alg, EMPTY)]
+        for k in range(1, 120):
+            entries = [(out[k - 1], (k * 7919) % alg.one + 1)]
+            if k > 2:
+                entries.append((out[k // 3], k))
+            out.append(BName(alg, entries))
+        return out
+
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(i):
+        barrier.wait(timeout=30)
+        results[i] = build()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None for r in results)
+    for other in results[1:] + [build()]:
+        assert all(a is b for a, b in zip(results[0], other))
+    assert all(bvm._INTERNED[(alg, n.entries)] is n for n in results[0])
 
 
 def test_reflexivity_of_equality():

@@ -61,6 +61,16 @@ def test_normalize_contradiction_and_tautology():
     assert free_normalize(GOr(x0, GNot(x0))) == FREE_ONE
 
 
+def test_equal_diagrams_are_one_object():
+    a, b = generator("x0"), generator("x1")
+    assert generator("x0") is a
+    assert (a & b) is (b & a)
+    assert (a | b) is ~(~a & ~b)
+    assert ~FREE_ONE is FREE_ZERO and ~FREE_ZERO is FREE_ONE
+    assert free_normalize(parse_free_expression("x1 ∧ x0")) is (a & b)
+    assert {a & b, b & a, free_normalize(GAnd(GVar("x0"), GVar("x1")))} == {a & b}
+
+
 def test_normalize_absorbs():
     e = parse_free_expression("(x0 ∨ x1) ∧ ¬x1")
     f = parse_free_expression("x0 ∧ ¬x1")
@@ -337,12 +347,12 @@ def test_unique_table_interns_one_node_per_key_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert all(r is not None for r in results)
     for other in results[1:] + [build()]:
-        assert all(a._node is b._node for a, b in zip(results[0], other))
+        assert all(a is b for a, b in zip(results[0], other))
     registered = names + [n for mine in own for n in mine]
     bits = [free_algebra.generator_sort_key(n)[3] for n in registered]
     assert len(set(bits)) == len(registered)
     for name, bit in zip(registered, bits):
-        assert generator(name)._node.mask == 1 << bit
+        assert generator(name).mask == 1 << bit
         assert generator(name).support == {name}
 
 
@@ -383,7 +393,7 @@ def test_names_registered_at_once_get_distinct_bits(monkeypatch):
 
 def walked_support(e) -> frozenset:
     """The generators on the nodes of e's diagram, by walking it."""
-    seen, out, stack = set(), set(), [e._node]
+    seen, out, stack = set(), set(), [e]
     while stack:
         node = stack.pop()
         if isinstance(node, free_algebra._Node) and node.uid not in seen:
@@ -415,7 +425,7 @@ def test_uid_overflow_raises_a_named_error(monkeypatch):
     run = next(_SCRATCH_RUNS)
     limit = 1 << free_algebra._UID_BITS
     monkeypatch.setattr(free_algebra, "_UIDS", itertools.count(limit - 1))
-    assert generator(f"over{run}_0")._node.uid == limit - 1  # the last uid that fits
+    assert generator(f"over{run}_0").uid == limit - 1  # the last uid that fits
     with pytest.raises(KeyFieldOverflow, match="uid"):
         generator(f"over{run}_1")
 

@@ -387,6 +387,21 @@ def test_reindex_cofinal_invariance():
         reindex_system(system, (0, 1))  # not cofinal
 
 
+def _two_stage_system():
+    b1, b2 = FiniteCBA(1), FiniteCBA(2)
+    return build_system([b1, b2], [hom_from_fiber_map(b1, b2, [0, 0])])
+
+
+def test_reindex_rejects_an_empty_index_map():
+    with pytest.raises(ValueError, match="at least one"):
+        reindex_system(_two_stage_system(), ())
+
+
+def test_reindex_rejects_a_negative_stage():
+    with pytest.raises(ValueError, match="strictly increasing stages"):
+        reindex_system(_two_stage_system(), (-1, 1))
+
+
 def test_commutation_failure_detected():
     b2, b4 = FiniteCBA(2), FiniteCBA(4)
     step = hom_from_fiber_map(b2, b4, [0, 0, 1, 1])

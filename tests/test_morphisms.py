@@ -67,6 +67,19 @@ def test_fiber_map_must_be_total():
         CompleteHom(B2, C4, (0, 0, 1, 5))
 
 
+def test_hom_equality_is_structural():
+    h = CompleteHom(FiniteCBA(2), FiniteCBA(4), (0, 0, 1, 1))
+    same = hom_from_fiber_map(B2, C4, [0, 0, 1, 1])
+    assert h is not same and h == same and hash(h) == hash(same)
+    assert len({h, same}) == 1
+    assert h != CompleteHom(B2, C4, (0, 1, 1, 1))  # only the fiber differs
+    assert h != CompleteHom(FiniteCBA(3), C4, (0, 0, 1, 1))  # only the source
+    # a fiber has one entry per target atom, so a target of another size
+    # comes with a longer fiber
+    assert h != CompleteHom(B2, FiniteCBA(5), (0, 0, 1, 1, 1))
+    assert h != (B2, C4, (0, 0, 1, 1)) and h != "h"
+
+
 def test_constant_fiber_not_regular_ker():
     h = hom_from_fiber_map(B2, FiniteCBA(2), [0, 0])
     assert not h.regular

@@ -8,6 +8,8 @@ import pytest
 
 from forcebench import bvm, cli
 from forcebench.cli import execute, main
+from forcebench.finite_cba import FiniteCBA
+from forcebench.hf import EMPTY
 from forcebench.errors import (
     UnknownCommand,
     UnresolvedReference,
@@ -93,6 +95,23 @@ def test_relation_form_name_collapses():
     name = doc.resolve("n", "name")
     (entry,) = name.entries
     assert entry[1] == 0b11
+
+
+def test_workspace_names_are_the_interned_names():
+    doc = parse_workspace(
+        minimal_doc(
+            ', {"kind": "name", "name": "a", "algebra": "B", "entries": [[{"check": []}, "{0}"]]}'
+            ', {"kind": "name", "name": "r", "algebra": "B", "entries": [[{"ref": "a"}, "{0,1}"]]}'
+            ', {"kind": "name", "name": "i", "algebra": "B", '
+            '"entries": [[{"entries": [[{"check": []}, "{0}"], [{"check": []}, "{0}"]]}, "{0,1}"]]}'
+        )
+    )
+    a, r, i = (doc.resolve(n, "name") for n in "ari")
+    assert r is i
+    b2 = FiniteCBA(2)  # not the workspace's algebra object, but equal to it
+    assert b2 is not doc.resolve("B", "algebra")
+    assert a is bvm.BName(b2, [(bvm.check_name(b2, EMPTY), 0b01)])
+    assert r is bvm.BName(b2, [(a, 0b11)])
 
 
 def test_shipped_gallery_workspace_parses_to_tower_request():
@@ -441,15 +460,45 @@ _LABEL = '{"kind": "name", "name": "d", "algebra": "B", "entries": [[{"check": [
             "[]",
             "M: kappa must be a nonnegative integer",
         ),
+        ('{"kind": "poset", "name": "P", "elements": 5}', "[]", "P: elements must be a list"),
+        (
+            '{"kind": "trace", "name": "M", "algebra": "B", "carrier": [], "delta": "ab"}',
+            "[]",
+            "M: delta must be a list",
+        ),
+        (
+            '{"kind": "trace", "name": "M", "algebra": "B", "carrier": [], "delta": ["a"]}',
+            "[]",
+            "M: delta items must be nonnegative integers",
+        ),
     ],
     ids=[
         "missing-field", "trace-element", "name-label", "object-name", "audit-target",
         "bool-atoms", "poset-order-triple", "hom-source-list", "trace-kappa-string",
+        "poset-elements-int", "trace-delta-string", "trace-delta-item",
     ],
 )
 def test_malformed_workspace_is_a_parse_error(tmp_path, objects, audits, message):
+    _assert_parse_error(
+        tmp_path, minimal_doc(", " + objects if objects else "", audits=audits), message
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"version": 1, "objects": 5}', "workspace: objects must be a list"),
+        ('{"version": 1, "audits": 7}', "workspace: audits must be a list"),
+    ],
+    ids=["objects-int", "audits-int"],
+)
+def test_top_level_fields_that_are_not_lists_are_parse_errors(tmp_path, text, message):
+    _assert_parse_error(tmp_path, text, message)
+
+
+def _assert_parse_error(tmp_path, text, message):
     ws = tmp_path / "bad.json"
-    ws.write_text(minimal_doc(", " + objects if objects else "", audits=audits))
+    ws.write_text(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run(
