@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -24,16 +26,16 @@ from .report import Ledger
 DEFAULT_RANK_BOUND = 4
 
 
-# (algebra, entries) -> the one name; filled with setdefault, so concurrent
-# audits intern one name per key
-_INTERNED: dict[tuple, "BName"] = {}
+# (algebra, entries) -> the one live name; a miss is built under the lock
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 
 class BName:
     """A rank-bounded name; immutable and interned, so equal names are one
     object and compare (and hash) by identity."""
 
-    __slots__ = ("algebra", "entries", "rank", "_key")
+    __slots__ = ("algebra", "entries", "rank", "_key", "__weakref__")
 
     def __new__(cls, algebra: FiniteCBA, entries: Iterable[tuple["BName", int]]):
         items = []
@@ -50,14 +52,14 @@ class BName:
         if len({s for s, _ in items}) != len(items):
             raise ValueError("entries must form a partial function on names")
         key = (algebra, frozenset(items))
-        self = _INTERNED.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "algebra", algebra)
-            object.__setattr__(self, "entries", key[1])
-            object.__setattr__(self, "rank", 1 + max((s.rank for s, _ in items), default=-1))
-            object.__setattr__(self, "_key", None)
-            self = _INTERNED.setdefault(key, self)
+        with _INTERN_LOCK:
+            self = _INTERNED.get(key)
+            if self is None:
+                self = _INTERNED[key] = object.__new__(cls)
+                object.__setattr__(self, "algebra", algebra)
+                object.__setattr__(self, "entries", key[1])
+                object.__setattr__(self, "rank", 1 + max((s.rank for s, _ in items), default=-1))
+                object.__setattr__(self, "_key", None)
         return self
 
     def __setattr__(self, *a):  # immutability

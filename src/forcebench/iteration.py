@@ -291,23 +291,17 @@ def _unrefuted(system, threads, projections, stages, stage, g) -> str:
     chosen = next((t for t, proj in zip(threads, projections) if g_stage & proj), None)
     if chosen is None:
         return f"candidate meets no listed projection at stage {stage}"
-    f_stage = coordinate(system, chosen, stage)
-
-    def h_coord(n: int):
-        if n >= stage:
-            return coordinate(system, g, n) & system.hom(stage, n).apply(f_stage)
-        return system.hom(n, stage).project(g_stage & f_stage)
-
+    h = meet_with_constant(system, g, ConstantThread(stage, coordinate(system, chosen, stage)))
     for a, b in itertools.combinations(stages, 2):
-        if system.hom(a, b).project(h_coord(b)) != h_coord(a):
+        if system.hom(a, b).project(coordinate(system, h, b)) != coordinate(system, h, a):
             return f"refinement not coherent at ({a},{b})"
-    if not h_coord(stage):
+    if not coordinate(system, h, stage):
         return "refinement vanished at its own stage"
     for n in stages:
         alg_n = system.algebra(n)
-        if not alg_n.leq(h_coord(n), coordinate(system, g, n)):
+        if not alg_n.leq(coordinate(system, h, n), coordinate(system, g, n)):
             return f"refinement escapes the candidate at {n}"
-        if not alg_n.leq(h_coord(n), coordinate(system, chosen, n)):
+        if not alg_n.leq(coordinate(system, h, n), coordinate(system, chosen, n)):
             return f"refinement escapes the listed thread at {n}"
     return ""
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -168,6 +169,23 @@ def test_name_table_interns_one_name_per_key_across_threads():
     for other in results[1:] + [build()]:
         assert all(a is b for a, b in zip(results[0], other))
     assert all(bvm._INTERNED[(alg, n.entries)] is n for n in results[0])
+
+
+def test_a_trimmed_pool_releases_the_rest_of_the_name_table():
+    algebra = FiniteCBA(16)
+    before = {n for n in list(bvm._INTERNED.values()) if n.algebra == algebra}
+    pool = standard_name_pool(algebra, 2)
+    assert len(pool) == 1803
+    pool = pool[:32]
+    gc.collect()
+    kept, stack = set(), list(pool)
+    while stack:  # the trimmed pool and every name it reaches
+        n = stack.pop()
+        if n not in kept:
+            kept.add(n)
+            stack.extend(s for s, _ in n.entries)
+    live = {n for n in list(bvm._INTERNED.values()) if n.algebra == algebra}
+    assert live - before == kept - before and len(kept) < 100
 
 
 def test_reflexivity_of_equality():

@@ -3,12 +3,11 @@
 Each planted-violation case breaks one guaranteed identity and expects the
 check that guards it to raise; the subprocess test runs these cases and the
 two-step, gallery, bvm, semigenericity, workspace, free-algebra and
-iteration suites with assert statements stripped.
+iteration suites with assert statements stripped (see conftest.py), and the
+AST test keeps assert statements and ``__debug__`` out of the library.
 """
-import os
+import ast
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -30,25 +29,23 @@ from forcebench.two_step import (
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_suites_pass_under_python_O():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    this = pathlib.Path(__file__).name
-    out = subprocess.run(
-        [
-            sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            "tests/test_two_step.py", "tests/test_gallery.py", "tests/test_bvm.py",
-            "tests/test_semigen.py", "tests/test_workspace_cli.py", "tests/test_free_algebra.py",
-            "tests/test_iteration.py",
-            f"tests/{this}",
-            "--deselect", f"tests/{this}::test_suites_pass_under_python_O",
-        ],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
-    assert " passed" in out.stdout and "skipped" not in out.stdout
+def test_suites_pass_under_python_O(python_O_output):
+    # started from conftest.py when collection ends, so it runs beside the suite
+    returncode, stdout, stderr = python_O_output
+    assert returncode == 0, stdout[-2000:] + stderr[-2000:]
+    assert " passed" in stdout and "skipped" not in stdout
+
+
+def test_src_has_no_assert_and_no___debug__():
+    # both vanish under python -O: an invariant check there must raise
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+        ]
+        assert not found, f"{path.relative_to(ROOT)}: lines {found}"
 
 
 def _presentation():

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from forcebench import bvm, cli
+from forcebench import bvm, cli, workspace
 from forcebench.cli import execute, main
 from forcebench.finite_cba import FiniteCBA
 from forcebench.hf import EMPTY
@@ -300,7 +301,7 @@ def test_failing_sg_bound_reports_its_claim(monkeypatch, closed):
     failing = DisjointifyReport(gaps=[] if closed else ["gap"])
     claim = "disjointification_degree" if closed else "disjointification_lower_bound"
     failing.record(claim, False, "; ".join(failing.gaps))
-    monkeypatch.setattr(cli, "disjointify_sg_audit", lambda trace: failing)
+    monkeypatch.setattr(workspace, "disjointify_sg_audit", lambda trace: failing)
     (result,) = execute(_sg_doc(["{0}", "{1}", "{0,1}"]), "sg-audit").results
     expected = "disjointification_degree: " if closed else "disjointification_lower_bound: gap"
     assert result.verdict == FAIL and result.witnesses == (expected,)
@@ -436,6 +437,10 @@ _TRACE = '{"kind": "trace", "name": "M", "algebra": "B", "carrier": [3]}'
 _LABEL = '{"kind": "name", "name": "d", "algebra": "B", "entries": [[{"check": []}, ["{0}"]]]}'
 
 
+def _trace_with(field):
+    return '{"kind": "trace", "name": "M", "algebra": "B", "carrier": ["{0}"], ' + field + "}"
+
+
 @pytest.mark.parametrize(
     "objects, audits, message",
     [
@@ -471,11 +476,12 @@ _LABEL = '{"kind": "name", "name": "d", "algebra": "B", "entries": [[{"check": [
             "[]",
             "M: delta items must be nonnegative integers",
         ),
+        ("", '[{"audit": "bvm-audit"}]', "audits: bvm-audit needs a target algebra"),
     ],
     ids=[
         "missing-field", "trace-element", "name-label", "object-name", "audit-target",
         "bool-atoms", "poset-order-triple", "hom-source-list", "trace-kappa-string",
-        "poset-elements-int", "trace-delta-string", "trace-delta-item",
+        "poset-elements-int", "trace-delta-string", "trace-delta-item", "audit-without-target",
     ],
 )
 def test_malformed_workspace_is_a_parse_error(tmp_path, objects, audits, message):
@@ -494,6 +500,22 @@ def test_malformed_workspace_is_a_parse_error(tmp_path, objects, audits, message
 )
 def test_top_level_fields_that_are_not_lists_are_parse_errors(tmp_path, text, message):
     _assert_parse_error(tmp_path, text, message)
+
+
+@pytest.mark.parametrize(
+    "objects, message",
+    [
+        (_trace_with('"ordinal_names": [5]'), "M: ordinal_names items must be"),
+        (_trace_with('"predense": [5]'), "M: predense items must be lists"),
+        (_trace_with('"antichains": ["{0}"]'), "M: antichains items must be lists"),
+        ('{"kind": "name", "name": "d", "algebra": "B", "entries": [5]}', "d: entries must hold"),
+    ],
+    ids=["ordinal-names", "predense", "antichains", "name-entries"],
+)
+def test_list_items_of_the_wrong_shape_name_their_field(objects, message):
+    with pytest.raises(ValidationError) as raised:
+        parse_workspace(minimal_doc(", " + objects))
+    assert str(raised.value).startswith(message)
 
 
 def _assert_parse_error(tmp_path, text, message):
@@ -520,6 +542,28 @@ def test_bvm_audit_over_the_pool_budget_checks_no_case(tmp_path, capsys):
     (result,) = json.loads(capsys.readouterr().out)["results"]
     assert result["verdict"] == INDETERMINATE and result["witnesses"] == []
     assert result["details"]["cases"] == 0
-    assert f"over the budget {cli.POOL_BUDGET}" in result["details"]["note"]
-    assert bvm.standard_pool_size(1_000_000, 2) > cli.POOL_BUDGET
-    assert bvm.standard_pool_size(64, 2) <= cli.POOL_BUDGET
+    assert f"over the budget {workspace.POOL_BUDGET}" in result["details"]["note"]
+    assert bvm.standard_pool_size(1_000_000, 2) > workspace.POOL_BUDGET
+    assert bvm.standard_pool_size(64, 2) <= workspace.POOL_BUDGET
+
+
+def test_twostep_iso_over_the_atom_budget_checks_no_case(tmp_path, capsys):
+    # 8 -> 4,096 atoms: the presentation would take minutes; the atoms are
+    # counted, not presented
+    fiber = json.dumps([t % 8 for t in range(4096)])
+    ws = tmp_path / "wide.json"
+    ws.write_text(
+        '{"version": 1, "objects": [{"kind": "algebra", "name": "B", "atoms": 8},'
+        ' {"kind": "algebra", "name": "C", "atoms": 4096},'
+        ' {"kind": "hom", "name": "i", "source": "B", "target": "C", "fiber": ' + fiber + "}]}"
+    )
+    started = time.perf_counter()
+    assert main(["--workspace", str(ws), "--command", "twostep-iso", "--format", "json"]) == 1
+    assert time.perf_counter() - started < 10
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["verdict"] == INDETERMINATE and result["witnesses"] == []
+    assert result["details"] == {
+        "cases": 0,
+        "note": f"not run: 4096 target atoms, over the budget {workspace.ISO_BUDGET}",
+    }
+    assert workspace.ISO_BUDGET < 4096
