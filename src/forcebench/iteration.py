@@ -20,7 +20,7 @@ from .errors import (
 )
 from .finite_cba import Ultrafilter
 from .free_algebra import FreeAlgebra
-from .morphisms import FreeInclusion, identity_hom
+from .morphisms import EXHAUSTIVE_MAX_ATOMS, FreeInclusion, identity_hom
 from .poset import Poset, boolean_completion
 from .report import Ledger
 from .two_step import GenericQuotient, Triangle, canonical_representative, quotient_hom
@@ -579,7 +579,7 @@ def cofinal_reindex_audit(system: IterationSystem, indices: tuple[int, ...]) -> 
     sub = reindex_system(system, indices)
     last = system.length - 1
     alg = system.algebra(last)
-    for e in alg.elements() if alg.atom_count <= 6 else alg.atoms():
+    for e in alg.elements() if alg.atom_count <= EXHAUSTIVE_MAX_ATOMS else alg.atoms():
         full = ConstantThread(last, e)
         full_vec = VectorThread(tuple(coordinate(system, full, n) for n in system.stages()))
         sub_vec = VectorThread(tuple(full_vec.coords[i] for i in indices))

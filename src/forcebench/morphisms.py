@@ -21,7 +21,7 @@ from .finite_cba import (
     format_element,
 )
 from .free_algebra import FreeAlgebra, FreeElement, free_project
-from .report import Ledger
+from .report import Ledger, bits, draws
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,14 @@ EXHAUSTIVE_MAX_ATOMS = 6
 EXHAUSTIVE_SOURCE_ATOMS = 4
 
 
+def enumerable(h: CompleteHom) -> bool:
+    """Whether the cli asks for every case of h's retraction-law audit."""
+    return (
+        h.source.atom_count <= EXHAUSTIVE_SOURCE_ATOMS
+        and h.target.atom_count <= EXHAUSTIVE_MAX_ATOMS
+    )
+
+
 class _Cases:
     """The case lists of one audit, built once and shared by every law.
 
@@ -215,8 +223,7 @@ class _Cases:
 
     def __init__(self, h: CompleteHom, exhaustive: bool, rng, samples: int) -> None:
         B, C = h.source, h.target
-        key = (B.atom_count, C.atom_count, exhaustive, samples)
-        drawn = _random_0_draws(*key) if rng is None else _draw(rng, *key)
+        drawn = draws(_draw, rng, 0, B.atom_count, C.atom_count, exhaustive, samples)
         cs, bs, self.source_sets, self.target_sets = drawn
         self.h = h
         if cs is None:  # both sides enumerated
@@ -265,8 +272,7 @@ def _draw(
     B, C = FiniteCBA(source_atoms), FiniteCBA(target_atoms)
     cs = bs = None
     if not (exhaustive and max(source_atoms, target_atoms) <= EXHAUSTIVE_MAX_ATOMS):
-        cs = tuple(r.getrandbits(target_atoms) for _ in range(samples))
-        bs = tuple(r.getrandbits(source_atoms) for _ in range(samples))
+        cs, bs = bits(r, samples, target_atoms, source_atoms)
     if exhaustive and source_atoms <= 3:
         source_sets = _predense_families(source_atoms)
     else:
@@ -280,13 +286,6 @@ def _draw(
         xs.add(C.neg(C.sup(xs)))  # force the join up to 1
         target_sets.append(tuple(sorted(xs - {0})))
     return cs, bs, tuple(source_sets), tuple(target_sets)
-
-
-@functools.lru_cache(maxsize=256)
-def _random_0_draws(source_atoms: int, target_atoms: int, exhaustive: bool, samples: int):
-    """``_draw`` from a fresh ``Random(0)``, as every rng-less audit of one
-    shape draws: computed once per shape."""
-    return _draw(random.Random(0), source_atoms, target_atoms, exhaustive, samples)
 
 
 @functools.cache

@@ -1,4 +1,4 @@
-"""Audit evidence, audit reports and their two output formats.
+"""Audit evidence, the seeded case source, audit reports and their formats.
 
 Every audit returns a ``Ledger``: one ``Claim`` per law, in the order the
 laws were first recorded.  The machine format is a stable, versioned JSON
@@ -7,7 +7,9 @@ human format only, so reports can be diffed and replayed).
 """
 from __future__ import annotations
 
+import functools
 import json
+import random
 from dataclasses import dataclass, field
 
 MACHINE_SCHEMA_VERSION = 1
@@ -73,6 +75,24 @@ class Ledger:
         if any(c.cases == 0 for c in self.claims.values()):
             return INDETERMINATE
         return PASS
+
+
+def draws(draw, rng: random.Random | None, seed: int, *shape):
+    """The sampled cases of one audit: ``draw(rng, *shape)``, or without a
+    run's rng the cases a fresh ``Random(seed)`` draws, computed once per
+    (draw, seed, shape).  Every draw returns immutable tuples."""
+    return _fresh_draws(draw, seed, *shape) if rng is None else draw(rng, *shape)
+
+
+@functools.lru_cache(maxsize=512)  # thread-safe; each value is immutable
+def _fresh_draws(draw, seed: int, *shape):
+    return draw(random.Random(seed), *shape)
+
+
+def bits(r: random.Random, count: int, *widths: int) -> tuple[tuple[int, ...], ...]:
+    """A draw: ``count`` seeded elements of the algebra on each of ``widths``
+    atoms, width by width."""
+    return tuple(tuple(r.getrandbits(w) for _ in range(count)) for w in widths)
 
 
 def claim_passed(name: str) -> property:

@@ -22,8 +22,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .finite_cba import FiniteCBA, Restriction, Ultrafilter, atom_map, format_element
-from .morphisms import CompleteHom, require_regular
-from .report import Ledger
+from .morphisms import EXHAUSTIVE_MAX_ATOMS, CompleteHom, require_regular
+from .report import Ledger, bits, draws
 
 
 @dataclass(frozen=True)
@@ -54,23 +54,15 @@ class TwoStepAlgebra:
     tops: tuple[int, ...] = field(init=False)  # the top of each fiber
 
     def __post_init__(self) -> None:
-        offsets = []
-        total = 0
-        for f in self.presentation.fibers:
-            offsets.append(total)
-            total += f.atom_count
+        sizes = [f.atom_count for f in self.presentation.fibers]
+        *offsets, total = itertools.accumulate(sizes, initial=0)
         algebra = FiniteCBA(total)
-        fiber_map = []
-        for a, f in enumerate(self.presentation.fibers):
-            fiber_map.extend([a] * f.atom_count)
+        fiber_map = tuple(a for a, size in enumerate(sizes) for _ in range(size))
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "tops", tuple(f.one for f in self.presentation.fibers))
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(
-            self,
-            "embedding",
-            CompleteHom(self.presentation.base, algebra, tuple(fiber_map)),
-        )
+        embedding = CompleteHom(self.presentation.base, algebra, fiber_map)
+        object.__setattr__(self, "embedding", embedding)
 
     def atom_pair(self, t: int) -> tuple[int, int]:
         """Result atom index -> (base atom, fiber atom)."""
@@ -188,7 +180,7 @@ class GenericQuotient:
         require_regular(self.hom)
         target = self.hom.target
         mask = self.hom.apply(1 << self.atom)
-        if target.atom_count <= ISO_EXHAUSTIVE_ATOMS:
+        if target.atom_count <= EXHAUSTIVE_MAX_ATOMS:
             view = _narrow_view(target, mask)
         else:
             view = Restriction(target, mask)
@@ -209,7 +201,7 @@ class GenericQuotient:
 
 
 # One shared view per (parent, mask) of a parent with at most
-# ISO_EXHAUSTIVE_ATOMS atoms: 127 masks in all, where the enumerated iso sweep
+# EXHAUSTIVE_MAX_ATOMS atoms: 127 masks in all, where the enumerated iso sweep
 # asks for 23,646 views.  Views of wider parents are built per quotient, so
 # no audit keeps them alive.
 @functools.lru_cache(maxsize=256)
@@ -233,9 +225,9 @@ def _audit_sup_commutation(q: GenericQuotient) -> None:
         subsets = itertools.chain.from_iterable(
             itertools.combinations(pool, r) for r in (0, 1, 2, 3)
         )
-    else:
-        rng = random.Random(q.atom)
-        subsets = ([rng.getrandbits(C.atom_count) for _ in range(3)] for _ in range(50))
+    else:  # 50 seeded triples
+        (xs,) = draws(bits, None, q.atom, 150, C.atom_count)
+        subsets = zip(xs[::3], xs[1::3], xs[2::3])
     for subset in subsets:
         if q.class_of(C.sup(subset)) != q.algebra.sup(q.class_of(c) for c in subset):
             raise InvariantViolation(
@@ -251,7 +243,7 @@ def canonical_representative(
     """The unique c with [c] = [c_a] at every a of a maximal source antichain.
 
     Built as the join of i(a) ∧ c_a; uniqueness = any element agreeing on
-    every class equals it, checked by perturbation up to 8 target atoms.
+    every class equals it, checked by perturbation.
     """
     require_regular(h)
     if not h.source.is_maximal_antichain(antichain):
@@ -261,17 +253,13 @@ def canonical_representative(
     c = 0
     for a, c_a in zip(antichain, family):
         c |= h.apply(a) & c_a
-    if h.target.atom_count <= 8:
-        for a, c_a in zip(antichain, family):
-            if (c ^ c_a) & h.apply(a):
-                raise InvariantViolation("representative misses its class")
-        for t in range(h.target.atom_count):
-            other = c ^ (1 << t)
-            agree = all(
-                (other ^ c_a) & h.apply(a) == 0 for a, c_a in zip(antichain, family)
-            )
-            if agree:
-                raise InvariantViolation("perturbed element also matches every class")
+    for a, c_a in zip(antichain, family):
+        if (c ^ c_a) & h.apply(a):
+            raise InvariantViolation("representative misses its class")
+    for t in range(h.target.atom_count):
+        other = c ^ (1 << t)
+        if all((other ^ c_a) & h.apply(a) == 0 for a, c_a in zip(antichain, family)):
+            raise InvariantViolation("perturbed element also matches every class")
     return c
 
 
@@ -287,9 +275,8 @@ class TwoStepIso(Ledger):
     quotients: tuple[GenericQuotient, ...]
 
 
-# the iso audit enumerates its probe up to this many target atoms, and every
-# pair of probe elements up to ISO_ALL_PAIRS_ATOMS
-ISO_EXHAUSTIVE_ATOMS = 6
+# the iso audit enumerates its probe up to EXHAUSTIVE_MAX_ATOMS target atoms,
+# and every pair of probe elements up to this many
 ISO_ALL_PAIRS_ATOMS = 4
 
 
@@ -307,7 +294,7 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     presentation = AtomwisePresentation(B, tuple(q.algebra for q in quotients))
     # the sum has C's atoms (h is regular); each wide embedding tends to have
     # a presentation of its own, so only narrow sums are kept
-    if C.atom_count <= ISO_EXHAUSTIVE_ATOMS:
+    if C.atom_count <= EXHAUSTIVE_MAX_ATOMS:
         two = _checked_sum(presentation)
     else:
         two = build_two_step(presentation)
@@ -324,10 +311,8 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
 
     phi = atom_map(atom_image)
 
-    drawn, random_pairs = (
-        _random_0_iso_draws(C.atom_count) if rng is None else _iso_draws(rng, C.atom_count)
-    )
-    exhaustive = C.atom_count <= ISO_EXHAUSTIVE_ATOMS
+    drawn, random_pairs = draws(_iso_draws, rng, 0, C.atom_count)
+    exhaustive = C.atom_count <= EXHAUSTIVE_MAX_ATOMS
     probe = list(C.elements()) if exhaustive else [0, C.one, *drawn]
     # phi and every class map are evaluated once over the probe, and each
     # claim reads those lists; on the exhaustive probe c sits at index c
@@ -384,19 +369,12 @@ def _iso_draws(r: random.Random, atoms: int) -> tuple[tuple, tuple]:
     order it takes them from r: 32 probe elements above the enumerated
     sizes, then 128 random pairs above the all-pairs sizes."""
     drawn = ()
-    if atoms > ISO_EXHAUSTIVE_ATOMS:
-        drawn = tuple(r.getrandbits(atoms) for _ in range(32))
+    if atoms > EXHAUSTIVE_MAX_ATOMS:
+        (drawn,) = bits(r, 32, atoms)
     pairs = ()
     if atoms > ISO_ALL_PAIRS_ATOMS:
         pairs = tuple((r.getrandbits(atoms), r.getrandbits(atoms)) for _ in range(128))
     return drawn, pairs
-
-
-@functools.lru_cache(maxsize=128)
-def _random_0_iso_draws(atoms: int) -> tuple[tuple, tuple]:
-    """``_iso_draws`` from a fresh ``Random(0)``, as every rng-less iso audit
-    draws; the target width fixes whether the probe is enumerated."""
-    return _iso_draws(random.Random(0), atoms)
 
 
 def _at(algebra: FiniteCBA, x: int | None, label: str = "c") -> str:
@@ -450,12 +428,10 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
     if C1.atom_count <= 8 and C0.atom_count <= 8:
         c0s, c1s = list(C0.elements()), list(C1.elements())
         pairs = [(c, d) for c in c0s for d in c0s if q0.same_class(c, d)]
-    else:
-        r = random.Random(1)
-        c0s = [r.getrandbits(C0.atom_count) for _ in range(64)]
-        c1s = [r.getrandbits(C1.atom_count) for _ in range(64)]
+    else:  # 64 seeded elements of C0 and of C1, then 64 offsets in C0
+        c0s, c1s, offsets = draws(bits, None, 1, 64, C0.atom_count, C1.atom_count, C0.atom_count)
         # pairs in one class: d differs from c only off the class mask
-        pairs = [(c, c ^ (r.getrandbits(C0.atom_count) & ~q0.view.mask)) for c in c0s]
+        pairs = [(c, c ^ (x & ~q0.view.mask)) for c, x in zip(c0s, offsets)]
     same = q1.same_class
     bad = next(((c, d) for c, d in pairs if not same(j.apply(c), j.apply(d))), None)
     witness = "" if bad is None else f"{_at(C0, bad[0])} {_at(C0, bad[1], 'd')}"
@@ -560,11 +536,10 @@ def three_step_assoc_audit(
     report = Ledger()
     for u in range(base.atom_count):
         outer = GenericQuotient(i12, u)
-        r = random.Random(u)
         elements = (
             list(top_algebra.elements())
             if top_algebra.atom_count <= 10
-            else [r.getrandbits(top_algebra.atom_count) for _ in range(64)]
+            else draws(bits, None, u, 64, top_algebra.atom_count)[0]
         )
         for d in range(mid.fibers[u].atom_count):
             mid_atom = two1.offsets[u] + d

@@ -38,7 +38,7 @@ from .iteration import (
     ConstantThread, IterationSystem, build_system, direct_limit_correspondence_audit,
     omega_length_oracle, rcs_membership, thread_validate,
 )
-from .morphisms import EXHAUSTIVE_MAX_ATOMS, EXHAUSTIVE_SOURCE_ATOMS, CompleteHom, retraction_laws_audit
+from .morphisms import CompleteHom, enumerable, retraction_laws_audit
 from .poset import Poset, boolean_completion
 from .report import Ledger
 from .semigen import (
@@ -61,7 +61,7 @@ class WorkspaceDoc:
         if name not in self.objects:
             raise UnresolvedReference(name)
         if kind is not None and self.kinds[name] != kind:
-            raise ValidationError(name, f"expected a {kind}, found a {self.kinds[name]}")
+            raise ValidationError(name, f"expected {_a(kind)}, found {_a(self.kinds[name])}")
         return self.objects[name]
 
     def of_kind(self, kind: str) -> list[tuple[str, object]]:
@@ -92,8 +92,8 @@ def parse_workspace(text: str) -> WorkspaceDoc:
             raise ValidationError("audits", f"{audit['audit']} needs a target {spec.kind}")
         if target is not None and not isinstance(target, str):
             raise ValidationError("audits", f"target {target!r} is not a string")
-        if target is not None and target not in doc.objects:
-            raise UnresolvedReference(target)
+        if target is not None:
+            doc.resolve(target, spec.kind)
         # a request's value for any audit's option is checked, read or not
         for key in (k for other in AUDITS.values() for k in other.options):
             if not _is_natural(audit.get(key, 0)):
@@ -124,6 +124,10 @@ def _declare(doc: WorkspaceDoc, decl) -> None:
     doc.objects[name] = obj
     doc.kinds[name] = kind
     doc.order.append(name)
+
+
+def _a(kind: str) -> str:
+    return ("an " if kind[0] in "aeiou" else "a ") + kind
 
 
 def _is_natural(value) -> bool:
@@ -217,11 +221,15 @@ def _build_trace(doc: WorkspaceDoc, decl) -> ModelTrace:
     def elems(seq):
         return tuple(parse_element(algebra, x) for x in seq)
 
-    delta = _list(decl, "delta", [0], item=(_is_natural, "items must be nonnegative integers"))
+    naturals = (_is_natural, "items must be nonnegative integers")
+    delta = _list(decl, "delta", [0], item=naturals)
     lists = (lambda x: isinstance(x, list), "items must be lists of elements")
     dicts = (lambda x: isinstance(x, dict), "items must be {antichain, labels} objects")
     names = [
-        OrdinalName(algebra, elems(n["antichain"]), tuple(n["labels"]))
+        OrdinalName(
+            algebra, elems(_list(n, "antichain", owner=decl["name"])),
+            tuple(_list(n, "labels", owner=decl["name"], item=naturals)),
+        )
         for n in _list(decl, "ordinal_names", [], item=dicts)
     ]
     return ModelTrace(
@@ -277,10 +285,7 @@ def _complete(poset, request, rng, depth):
 
 
 def _retraction_laws(hom, request, rng, depth):
-    exhaustive = (
-        hom.source.atom_count <= EXHAUSTIVE_SOURCE_ATOMS
-        and hom.target.atom_count <= EXHAUSTIVE_MAX_ATOMS
-    )
+    exhaustive = enumerable(hom)
     ledger = retraction_laws_audit(hom, exhaustive=exhaustive, rng=rng)
     details = {"laws": len(ledger.claims), "exhaustive": exhaustive}
     yield request["audit"], request["target"], ledger, details

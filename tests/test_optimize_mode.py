@@ -4,7 +4,8 @@ Each planted-violation case breaks one guaranteed identity and expects the
 check that guards it to raise; the subprocess test runs these cases and the
 two-step, gallery, bvm, semigenericity, workspace, free-algebra and
 iteration suites with assert statements stripped (see conftest.py), and the
-AST test keeps assert statements and ``__debug__`` out of the library.
+AST tests keep assert statements and ``__debug__`` out of the library and
+confine ``Random(...)`` to the case source and the run.
 """
 import ast
 import pathlib
@@ -48,6 +49,36 @@ def test_src_has_no_assert_and_no___debug__():
         assert not found, f"{path.relative_to(ROOT)}: lines {found}"
 
 
+class _RandomSites(ast.NodeVisitor):
+    """The functions (or "<module>") that construct a ``Random``."""
+
+    def __init__(self):
+        self.scope, self.found = ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random":
+            self.found.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_random_is_constructed_only_by_the_case_source_and_the_run():
+    # every sampled audit draws through report.draws: from the run's rng,
+    # made in cli.execute, or else from a fresh Random(seed) made there
+    sites = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visitor = _RandomSites()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites |= {(path.name, scope) for scope in visitor.found}
+    assert sites == {("report.py", "_fresh_draws"), ("cli.py", "execute")}
+
+
 def _presentation():
     return AtomwisePresentation(FiniteCBA(2), (FiniteCBA(1), FiniteCBA(2)))
 
@@ -85,10 +116,16 @@ def test_sup_commutation_raises_on_broken_class_map(monkeypatch, target):
 def test_canonical_representative_raises_on_broken_embedding(
     monkeypatch, apply, message
 ):
-    h = hom_from_fiber_map(FiniteCBA(2), FiniteCBA(4), [0, 0, 1, 1])
+    # the uniqueness checks run at every target width
+    homs = [
+        hom_from_fiber_map(FiniteCBA(2), FiniteCBA(n), [2 * t // n for t in range(n)])
+        for n in (4, 10)
+    ]
     monkeypatch.setattr(CompleteHom, "apply", apply)
-    with pytest.raises(InvariantViolation, match=message):
-        canonical_representative(h, (0b01, 0b10), (0b0001, 0b0100))
+    for h in homs:
+        half = h.target.atom_count // 2
+        with pytest.raises(InvariantViolation, match=message):
+            canonical_representative(h, (0b01, 0b10), (1, 1 << half))
 
 
 @pytest.mark.parametrize(

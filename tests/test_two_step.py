@@ -2,10 +2,11 @@ import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
-from forcebench import finite_cba, morphisms, two_step
+from forcebench import finite_cba, morphisms, report, two_step
 from forcebench.errors import (
     EmptyFiber,
     NonCommuting,
@@ -510,7 +511,7 @@ def test_rng_less_iso_draws_are_a_fresh_random_0s(atoms):
     r = random.Random(0)
     drawn = tuple(r.getrandbits(atoms) for _ in range(32)) if atoms > 6 else ()
     pairs = tuple((r.getrandbits(atoms), r.getrandbits(atoms)) for _ in range(128))
-    assert two_step._random_0_iso_draws(atoms) == (drawn, pairs)
+    assert report.draws(two_step._iso_draws, None, 0, atoms) == (drawn, pairs)
     h = hom_from_fiber_map(B2, FiniteCBA(atoms), [t % 2 for t in range(atoms)])
     rng_less, seeded = two_step_iso_audit(h), two_step_iso_audit(h, random.Random(0))
     assert rng_less.claims == seeded.claims
@@ -522,6 +523,93 @@ def _first_random_pair(atoms):
     for _ in range(32):
         r.getrandbits(atoms)
     return r.getrandbits(atoms), r.getrandbits(atoms)
+
+
+def _fresh_bits(seed, count, atoms):
+    r = random.Random(seed)
+    return [r.getrandbits(atoms) for _ in range(count)]
+
+
+def test_rng_less_quotient_hom_draws_from_a_fresh_random_1():
+    # above 8 atoms: 64 elements of C0, 64 of C1, then 64 offsets in C0
+    calls = []
+
+    class RecordingHom(CompleteHom):
+        def apply(self, b):
+            calls.append(("apply", b))
+            return super().apply(b)
+
+        def project(self, c):
+            calls.append(("project", c))
+            return super().project(c)
+
+    C0, C1 = FiniteCBA(9), FiniteCBA(12)
+    i0 = hom_from_fiber_map(B2, C0, [t % 2 for t in range(9)])
+    j = RecordingHom(C0, C1, tuple(t % 9 for t in range(12)))
+    for atom in (0, 1):
+        calls.clear()
+        result = quotient_hom(Triangle(i0, i0.then(j), j), Ultrafilter(B2, atom))
+        r = random.Random(1)
+        c0s = [r.getrandbits(9) for _ in range(64)]
+        c1s = [r.getrandbits(12) for _ in range(64)]
+        mask0, mask1 = i0.apply(1 << atom), i0.then(j).apply(1 << atom)
+        pairs = [(c, c ^ (r.getrandbits(9) & ~mask0)) for c in c0s]
+        assert calls == (
+            [("apply", x) for pair in pairs for x in pair]
+            + [("apply", c) for c in c0s]
+            + [("project", c & mask1) for c in c1s]
+        )
+        assert [c.cases for c in result.claims.values()] == [64, 64, 1, 64]
+        assert result.passed
+
+
+class _RecordingMask:
+    """A class mask that records each element it is and-ed with."""
+
+    def __init__(self, mask, seen):
+        self.mask, self.seen = mask, seen
+
+    def __rand__(self, c):
+        self.seen.append(c)
+        return c & self.mask
+
+
+def test_rng_less_three_step_draws_from_a_fresh_random_u(monkeypatch):
+    # above 10 top atoms each base atom u draws 64 elements from Random(u)
+    real, seen = two_step.GenericQuotient, {}
+
+    def quotient(h, atom):
+        q = real(h, atom)
+        if h.source.atom_count == 4:  # quotienting once, at a middle atom
+            mask = _RecordingMask(q.view.mask, seen.setdefault(atom, []))
+            object.__setattr__(q, "view", SimpleNamespace(mask=mask))
+        return q
+
+    monkeypatch.setattr(two_step, "GenericQuotient", quotient)
+    mid = AtomwisePresentation(B2, (B2, B2))
+    ledger = three_step_assoc_audit(B2, mid, (FiniteCBA(3),) * 4)
+    assert ledger.passed and ledger.claims["quotient_twice_is_quotient_once"].cases == 4
+    assert seen == {m: _fresh_bits(m // 2, 64, 12) for m in range(4)}
+
+
+def test_rng_less_sup_check_draws_from_a_fresh_random_atom(monkeypatch):
+    # above 8 target atoms: 50 triples from Random(atom), each checked once
+    calls = []
+
+    class RecordingQuotient(GenericQuotient):
+        def class_of(self, c):
+            calls.append(c)
+            return super().class_of(c)
+
+    monkeypatch.setattr(two_step, "GenericQuotient", RecordingQuotient)
+    h = hom_from_fiber_map(B2, FiniteCBA(10), [t % 2 for t in range(10)])
+    for atom in (0, 1):
+        calls.clear()
+        quotient_algebra(h, Ultrafilter(B2, atom))
+        xs, expected = _fresh_bits(atom, 150, 10), []
+        for x, y, z in zip(xs[::3], xs[1::3], xs[2::3]):
+            expected += [x | y | z, x, y, z]
+        assert calls == expected
 
 
 def test_join_defect_on_a_wide_target_survives_the_phi_memo(monkeypatch):
@@ -548,7 +636,7 @@ def test_iso_audits_agree_across_threads():
     ]
     expected = [two_step_iso_audit(h).claims for h in homs]
     two_step._checked_sum.cache_clear()
-    two_step._random_0_iso_draws.cache_clear()
+    report._fresh_draws.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -595,10 +683,9 @@ def test_narrow_audits_agree_across_threads_from_cold_caches():
 
     expected = audit_all()
     for cache in (
-        morphisms._random_0_draws,
+        report._fresh_draws,
         morphisms._predense_families,
         two_step._checked_sum,
-        two_step._random_0_iso_draws,
         two_step._narrow_view,
         finite_cba._byte_masks,
     ):

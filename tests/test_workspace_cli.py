@@ -477,11 +477,13 @@ def _trace_with(field):
             "M: delta items must be nonnegative integers",
         ),
         ("", '[{"audit": "bvm-audit"}]', "audits: bvm-audit needs a target algebra"),
+        ("", '[{"audit": "complete", "target": "B"}]', "B: expected a poset, found an algebra"),
     ],
     ids=[
         "missing-field", "trace-element", "name-label", "object-name", "audit-target",
         "bool-atoms", "poset-order-triple", "hom-source-list", "trace-kappa-string",
         "poset-elements-int", "trace-delta-string", "trace-delta-item", "audit-without-target",
+        "audit-target-of-the-wrong-kind",
     ],
 )
 def test_malformed_workspace_is_a_parse_error(tmp_path, objects, audits, message):
@@ -509,8 +511,23 @@ def test_top_level_fields_that_are_not_lists_are_parse_errors(tmp_path, text, me
         (_trace_with('"predense": [5]'), "M: predense items must be lists"),
         (_trace_with('"antichains": ["{0}"]'), "M: antichains items must be lists"),
         ('{"kind": "name", "name": "d", "algebra": "B", "entries": [5]}', "d: entries must hold"),
+        (
+            _trace_with('"ordinal_names": [{"antichain": "{0,1}", "labels": [0]}]'),
+            "M: antichain must be a list, not '{0,1}'",
+        ),
+        (
+            _trace_with('"ordinal_names": [{"antichain": ["{0}", "{1}"], "labels": ["a"]}]'),
+            "M: labels items must be nonnegative integers",
+        ),
+        (
+            _trace_with('"ordinal_names": [{"antichain": ["{0}", "{1}"], "labels": 0}]'),
+            "M: labels must be a list, not 0",
+        ),
     ],
-    ids=["ordinal-names", "predense", "antichains", "name-entries"],
+    ids=[
+        "ordinal-names", "predense", "antichains", "name-entries",
+        "ordinal-name-antichain-string", "ordinal-name-label-string", "ordinal-name-labels-int",
+    ],
 )
 def test_list_items_of_the_wrong_shape_name_their_field(objects, message):
     with pytest.raises(ValidationError) as raised:
