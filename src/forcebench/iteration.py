@@ -280,24 +280,25 @@ def antichain_sup_audit(
         candidates = found
 
     for g in candidates:
-        witness = _unrefuted(system, threads, projections, stages, stage, g)
+        witness = _unrefuted(system, threads, projections, depth, stage, g)
         report.record(claim, not witness, witness)
     return report
 
 
-def _unrefuted(system, threads, projections, stages, stage, g) -> str:
+def _unrefuted(system, threads, projections, depth, stage, g) -> str:
     """Why the refinement fails to refute candidate g; "" when it refutes it."""
     g_stage = coordinate(system, g, stage)
     chosen = next((t for t, proj in zip(threads, projections) if g_stage & proj), None)
     if chosen is None:
         return f"candidate meets no listed projection at stage {stage}"
     h = meet_with_constant(system, g, ConstantThread(stage, coordinate(system, chosen, stage)))
-    for a, b in itertools.combinations(stages, 2):
-        if system.hom(a, b).project(coordinate(system, h, b)) != coordinate(system, h, a):
-            return f"refinement not coherent at ({a},{b})"
+    try:
+        thread_validate(system, h, depth)
+    except CoherenceFailure as failure:
+        return "refinement not coherent at ({},{})".format(*failure.stages)
     if not coordinate(system, h, stage):
         return "refinement vanished at its own stage"
-    for n in stages:
+    for n in system.stages(depth):
         alg_n = system.algebra(n)
         if not alg_n.leq(coordinate(system, h, n), coordinate(system, g, n)):
             return f"refinement escapes the candidate at {n}"

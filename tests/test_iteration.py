@@ -165,6 +165,19 @@ def test_antichain_sup_with_supplied_candidate():
     assert claim.cases == 1 and claim.passed  # the one candidate is refuted
 
 
+def test_antichain_sup_names_the_first_incoherent_pair_of_the_refinement(monkeypatch):
+    # stage 2's 0b1100 projects to 0b10 at stage 1, not to the planted 0b01
+    monkeypatch.setattr(iteration, "meet_with_constant", lambda *_: VectorThread((1, 0b01, 0b1100)))
+    system = doubling_chain()
+    t = ConstantThread(2, 0b0001)
+    u = ConstantThread(2, 0b0100)
+    g = ConstantThread(2, 0b0101)
+    report = antichain_sup_audit(system, [t, u], stage=2, depth=2, candidates=[g])
+    claim = report.claims["pointwise_sup_is_the_sup"]
+    assert not claim.passed
+    assert claim.witness == "refinement not coherent at (1,2)"
+
+
 def test_correspondence_finite_length():
     system = doubling_chain()
     report = direct_limit_correspondence_audit(system)

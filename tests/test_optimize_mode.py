@@ -4,14 +4,16 @@ Each planted-violation case breaks one guaranteed identity and expects the
 check that guards it to raise; the subprocess test runs these cases and the
 two-step, gallery, bvm, semigenericity, workspace, free-algebra and
 iteration suites with assert statements stripped (see conftest.py), and the
-AST tests keep assert statements and ``__debug__`` out of the library and
-confine ``Random(...)`` to the case source and the run.
+AST tests keep assert statements and ``__debug__`` out of the library,
+confine ``Random(...)`` to the case source and the run, and keep every
+module-level table named in ``tables.py``.
 """
 import ast
 import pathlib
 
 import pytest
 
+from forcebench import tables
 from forcebench.errors import InvariantViolation
 from forcebench.finite_cba import FiniteCBA, Ultrafilter
 from forcebench.free_algebra import FREE_ONE, FREE_ZERO, generator
@@ -77,6 +79,35 @@ def test_random_is_constructed_only_by_the_case_source_and_the_run():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         sites |= {(path.name, scope) for scope in visitor.found}
     assert sites == {("report.py", "_fresh_draws"), ("cli.py", "execute")}
+
+
+def _is_table(value) -> bool:
+    """An empty dict display or a ``WeakValueDictionary()`` call."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    func = getattr(value, "func", None)
+    return getattr(func, "attr", getattr(func, "id", None)) == "WeakValueDictionary"
+
+
+def _is_memo(decorator) -> bool:
+    """``functools.cache`` or ``lru_cache``, bare or called, by either spelling."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "attr", getattr(target, "id", None)) in {"cache", "lru_cache"}
+
+
+def test_every_module_level_table_is_registered():
+    # a new memo or intern table must be named in tables.py, as computed or
+    # as interning, so that tables.clear() and tables.entries() reach it
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value and _is_table(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {(path.stem, t.id) for t in targets}
+            elif isinstance(node, ast.FunctionDef) and any(map(_is_memo, node.decorator_list)):
+                found.add((path.stem, node.name))
+    assert found == set(tables.COMPUTED) | set(tables.INTERNING)
+    assert not set(tables.COMPUTED) & set(tables.INTERNING)
 
 
 def _presentation():

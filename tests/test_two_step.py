@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from forcebench import finite_cba, morphisms, report, two_step
+from forcebench import finite_cba, report, tables, two_step
 from forcebench.errors import (
     EmptyFiber,
     NonCommuting,
@@ -635,8 +635,7 @@ def test_iso_audits_agree_across_threads():
         for t in (4, 5, 6, 9, 17)
     ]
     expected = [two_step_iso_audit(h).claims for h in homs]
-    two_step._checked_sum.cache_clear()
-    report._fresh_draws.cache_clear()
+    tables.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -670,7 +669,7 @@ def test_narrow_quotients_share_one_view_and_wide_ones_do_not():
 
 
 def test_narrow_audits_agree_across_threads_from_cold_caches():
-    # every shape cache and view starts empty, and 8 threads race to fill it
+    # every computed table starts empty, and 8 threads race to fill it
     homs = [
         hom_from_fiber_map(FiniteCBA(s), FiniteCBA(t), [x % s for x in fiber])
         for s in (1, 2, 3, 4)
@@ -682,14 +681,7 @@ def test_narrow_audits_agree_across_threads_from_cold_caches():
         return [(retraction_laws_audit(h).claims, two_step_iso_audit(h).claims) for h in homs]
 
     expected = audit_all()
-    for cache in (
-        report._fresh_draws,
-        morphisms._predense_families,
-        two_step._checked_sum,
-        two_step._narrow_view,
-        finite_cba._byte_masks,
-    ):
-        cache.cache_clear()
+    tables.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
