@@ -510,28 +510,52 @@ def forcing_audit(
     The boolean value lands in the principal ultrafilter at an atom exactly
     when the evaluated sets classically satisfy the formula there.  Any
     divergence is a hard failure.
+
+    ``truth_value`` runs once per assignment.  The oracle, a pure function
+    of the formula and the values at the atom, runs once per formula, atom
+    and distinct tuple of free-variable values there; each case then reads
+    its answer as one bit of the assignment's expected atom mask.
     """
     report = ForcingAuditReport()
     cases = 0
     pool = NamePool(algebra, pool, rank_bound)
     names, atoms = pool.names, range(algebra.atom_count)
     hf_pool_at = [tuple(_eval(n, atom) for n in names) for atom in atoms]
-    rows = list(zip(names, *hf_pool_at))  # a pool name and its value at each atom
+    # a name's class is its value at every atom, all the oracle reads of it
+    classes: dict[tuple[HF, ...], int] = {}
+    class_of = [
+        classes.setdefault(tuple(_eval(n, atom) for atom in atoms), len(classes))
+        for n in names
+    ]
+    joint = list(classes)  # joint[c][atom]: the value of class c at the atom
     for phi in formulas:
         fvs = tuple(sorted(free_variables(phi)))
         cases += len(atoms) * len(names) ** len(fvs)
-        # refilled per assignment: the names, then their values at each atom
-        envs = [{} for _ in range(1 + len(atoms))]
-        env, per_atom = envs[0], list(enumerate(zip(envs[1:], hf_pool_at)))
-        for picks in itertools.product(rows, repeat=len(fvs)):
-            for v, row in zip(fvs, picks):
-                for e, x in zip(envs, row):
-                    e[v] = x
+        # for this formula only: the oracle's answer per (atom, values) and
+        # the atoms where it holds per tuple of classes
+        answers: dict[tuple, bool] = {}
+        expected: dict[tuple[int, ...], int] = {}
+        assignments = itertools.product(names, repeat=len(fvs))
+        keys = itertools.product(class_of, repeat=len(fvs))
+        for picks, key in zip(assignments, keys):
+            env = dict(zip(fvs, picks))
             value = truth_value(phi, env, algebra, pool, rank_bound)
-            for atom, (hf_env, hf_pool) in per_atom:
-                oracle = hf_satisfies(phi, hf_env, hf_pool)
-                if oracle != (value >> atom & 1):
-                    forced = bool(value >> atom & 1)
+            mask = expected.get(key)
+            if mask is None:
+                mask = 0
+                for atom in atoms:
+                    values = tuple(joint[c][atom] for c in key)
+                    oracle = answers.get((atom, values))
+                    if oracle is None:
+                        oracle = hf_satisfies(phi, dict(zip(fvs, values)), hf_pool_at[atom])
+                        answers[atom, values] = oracle
+                    mask |= oracle << atom
+                expected[key] = mask
+            if value == mask:
+                continue
+            for atom in atoms:
+                forced, oracle = bool(value >> atom & 1), bool(mask >> atom & 1)
+                if oracle != forced:
                     report.divergences.append(
                         f"atom {atom}: boolean route says {forced}, oracle says {oracle} "
                         f"({phi!r} @ {[format_name(n) for n in env.values()]})"

@@ -315,13 +315,14 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     exhaustive = C.atom_count <= EXHAUSTIVE_MAX_ATOMS
     probe = list(C.elements()) if exhaustive else [0, C.one, *drawn]
     # phi and every class map are evaluated once over the probe, and each
-    # claim reads those lists; on the exhaustive probe c sits at index c
+    # claim reads phi by subscript from phi_of: on the exhaustive probe the
+    # list of its values (c sits at index c), above it a memo for this audit
+    # only, one entry per operand it asks for
     if exhaustive:
-        phis = list(map(phi, probe))
-        phi_at = phis.__getitem__
-    else:  # a memo for this audit only, one entry per operand it asks for
-        phi_at = functools.cache(phi)
-        phis = list(map(phi_at, probe))
+        phi_of = phis = list(map(phi, probe))
+    else:
+        phi_of = _Memo(phi)
+        phis = [phi_of[c] for c in probe]
 
     # phi agrees with the per-atom class maps
     classes = [list(map(q.class_of, probe)) for q in quotients]
@@ -333,7 +334,7 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     iso.record("bijective_on_atoms", ok, "" if ok else "not a bijection on atoms")
     one, sum_one = C.one, two.algebra.one
     bad = next(
-        (c for c, p in zip(probe, phis) if phi_at(one & ~c) != sum_one & ~p), None
+        (c for c, p in zip(probe, phis) if phi_of[one & ~c] != sum_one & ~p), None
     )
     iso.record("complement_preserved", bad is None, _at(C, bad), len(probe))
     supports = map(two.support, phis)
@@ -344,14 +345,25 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     else:
         atom_masks = [1 << t for t in range(C.atom_count)]
         pairs = list(itertools.product(atom_masks, repeat=2)) + list(random_pairs)
-    bad = next(((c, d) for c, d in pairs if phi_at(c | d) != phi_at(c) | phi_at(d)), None)
+    bad = next(((c, d) for c, d in pairs if phi_of[c | d] != phi_of[c] | phi_of[d]), None)
     witness = "" if bad is None else f"{_at(C, bad[0])} {_at(C, bad[1], 'd')}"
     iso.record("join_preserved", bad is None, witness, len(pairs))
     i_sum = two.embedding.apply
     # phi ignores bits past C's atoms, so masking keeps a stray bit readable
-    bad = next((b for b in B.elements() if phi_at(h.apply(b) & one) != i_sum(b)), None)
+    bad = next((b for b in B.elements() if phi_of[h.apply(b) & one] != i_sum(b)), None)
     iso.record("embedding_transported", bad is None, _at(B, bad, "b"), B.one + 1)
     return iso
+
+
+class _Memo(dict):
+    """The values of a function, each computed on its first subscript."""
+
+    def __init__(self, function):
+        self.function = function
+
+    def __missing__(self, x):
+        self[x] = out = self.function(x)
+        return out
 
 
 # Shape-determined work of the iso audit, done once per shape: the 5,316

@@ -278,7 +278,9 @@ def test_forcing_audit_b4_random_pools():
         assert report.passed, (seed, report.divergences[:2])
 
 
-def test_forcing_audit_calls_truth_value_per_assignment_and_oracle_per_case(monkeypatch):
+def test_forcing_audit_calls_truth_value_per_assignment_and_oracle_per_distinct_values(
+    monkeypatch,
+):
     # the per-layer trace counts these two module-level calls; an audit that
     # bypassed either would read as a layer that did no work
     calls = {"truth_value": 0, "hf_satisfies": 0}
@@ -292,9 +294,98 @@ def test_forcing_audit_calls_truth_value_per_assignment_and_oracle_per_case(monk
     formulas = standard_formula_pool()
     report = forcing_audit(B2, pool, formulas)
     assignments = sum(len(pool) ** len(free_variables(phi)) for phi in formulas)
+    # the oracle runs once per formula, atom and tuple of values at the atom
+    distinct = [len({eval_at_atom(n, u) for n in pool}) for u in ultrafilters(B2)]
+    oracle_calls = sum(d ** len(free_variables(phi)) for phi in formulas for d in distinct)
     assert report.passed
+    assert report.cases == assignments * B2.atom_count
     assert calls["truth_value"] == assignments
-    assert calls["hf_satisfies"] == report.cases == assignments * B2.atom_count
+    assert calls["hf_satisfies"] == oracle_calls == 130
+
+
+def _per_case_divergences(algebra, pool, formulas, truth, oracle):
+    """The divergences of a forcing audit that asks ``oracle`` at every
+    (assignment, atom), in the audit's order and wording."""
+    names = NamePool(algebra, pool).names
+    out = []
+    for phi in formulas:
+        fvs = sorted(free_variables(phi))
+        for picks in itertools.product(names, repeat=len(fvs)):
+            env = dict(zip(fvs, picks))
+            value = truth(phi, env, algebra, names)
+            for u in ultrafilters(algebra):
+                hf_env = {v: eval_at_atom(n, u) for v, n in env.items()}
+                answer = oracle(phi, hf_env, tuple(eval_at_atom(n, u) for n in names))
+                forced = bool(value >> u.atom & 1)
+                if answer != forced:
+                    out.append(
+                        f"atom {u.atom}: boolean route says {forced}, oracle says {answer} "
+                        f"({phi!r} @ {[bvm.format_name(n) for n in picks]})"
+                    )
+    return out
+
+
+# built per test, so that no module-level list keeps the names alive
+_DIFFERENTIAL_POOLS = {
+    "B2-standard": lambda: (B2, standard_name_pool(B2, max_rank=2)[:7]),
+    "B3-random": lambda: (FiniteCBA(3), random_name_pool(FiniteCBA(3), 8, 2, random.Random(3))),
+}
+# the shipped formulas, and one whose oracle answer for the same value of u
+# differs between atoms, since it reads the pool's values there
+_DIFFERENTIAL_FORMULAS = standard_formula_pool() + (
+    Exists("x", Atomic("mem", Var("u"), Var("x"))),
+)
+
+
+@pytest.mark.parametrize("pools", _DIFFERENTIAL_POOLS)
+def test_forcing_audit_matches_a_per_case_loop_under_a_wrong_truth_value(monkeypatch, pools):
+    algebra, pool = _DIFFERENTIAL_POOLS[pools]()
+    names = NamePool(algebra, pool).names
+    target = (names[1], names[3])
+
+    def flip_atom_0(phi, env, *args, _real=bvm.truth_value):
+        return _real(phi, env, *args) ^ (tuple(env.values()) == target)
+
+    monkeypatch.setattr(bvm, "truth_value", flip_atom_0)
+    formulas = _DIFFERENTIAL_FORMULAS
+    report = forcing_audit(algebra, pool, formulas)
+    expected = _per_case_divergences(algebra, pool, formulas, flip_atom_0, reference_hf_satisfies)
+    # one divergence per formula in u and v: the target assignment at atom 0
+    assert len(expected) == sum(free_variables(phi) == {"u", "v"} for phi in formulas) == 10
+    assert all(d.startswith("atom 0:") for d in expected)
+    assert report.divergences == expected and not report.passed
+
+
+@pytest.mark.parametrize("pools", _DIFFERENTIAL_POOLS)
+def test_forcing_audit_matches_a_per_case_loop_under_a_wrong_oracle(monkeypatch, pools):
+    algebra, pool = _DIFFERENTIAL_POOLS[pools]()
+    names = NamePool(algebra, pool).names
+    target = frozenset({EMPTY})
+
+    def negating(oracle):
+        return lambda phi, env, pool_values: oracle(phi, env, pool_values) ^ (
+            target in env.values()
+        )
+
+    monkeypatch.setattr(bvm, "hf_satisfies", negating(bvm.hf_satisfies))
+    formulas = _DIFFERENTIAL_FORMULAS
+    report = forcing_audit(algebra, pool, formulas)
+    expected = _per_case_divergences(
+        algebra, pool, formulas, truth_value, negating(reference_hf_satisfies)
+    )
+    # a divergence at every case whose environment carries the target value:
+    # of the n^k assignments at an atom, all but the (n - m)^k that avoid
+    # the m names with that value there
+    n = len(names)
+    holding = [sum(eval_at_atom(x, u) == target for x in names) for u in ultrafilters(algebra)]
+    carrying = sum(
+        n ** len(free_variables(phi)) - (n - m) ** len(free_variables(phi))
+        for phi in formulas
+        for m in holding
+    )
+    assert 0 < carrying < report.cases
+    assert len(expected) == carrying
+    assert report.divergences == expected and not report.passed
 
 
 def test_name_pool_and_plain_pool_give_the_same_values():

@@ -406,8 +406,12 @@ def test_cli_reports_a_planted_divergence(monkeypatch):
     (result,) = execute(_bvm_doc(), "bvm-audit").results
     calls.clear()
     library = _library_forcing_audit(_bvm_doc())
-    (divergence,) = library.divergences
-    assert divergence.startswith("atom ")
+    # the oracle runs once per distinct tuple of values, so every case that
+    # carries the flipped tuple diverges: at atom 0, u one of the 3 pool
+    # names whose value there is {} and v one of the 2 whose value is {{}}
+    assert len(library.divergences) == 6
+    divergence = library.divergences[0]
+    assert divergence.startswith("atom 0:")
     assert result.verdict == FAIL
     assert result.witnesses == (f"truth_values_match_oracle: {divergence}",)
 
