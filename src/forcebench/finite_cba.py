@@ -137,7 +137,8 @@ class ByteRows:
         """``values[d]`` = f(d) for each of the 2^t elements d; raises
         ValueError or TypeError unless every value is an int in 0..255."""
         self.values = values
-        self.packed = int.from_bytes(bytes(values), "little")
+        self.raw = bytes(values)
+        self.packed = int.from_bytes(self.raw, "little")
         self.ones, self.masks = _byte_masks(len(values))
 
     @functools.cached_property
@@ -173,6 +174,21 @@ class ByteRows:
         top = len(self.values) - 1
         return 0 <= b <= 0xFF and self.meet_rows[x & top] == self.packed & b * self.ones
 
+    def monotone(self) -> bool:
+        """f(d) <= f(d | a) for every d and atom a: f is monotone."""
+        packed, rows = self.packed, self.join_rows
+        return all(not packed & ~rows[1 << a] for a in range(len(self.masks)))
+
+    def at_most(self, b: int) -> int:
+        """Byte 0xFF at every d with f(d) <= b, else 0 (one translate)."""
+        return int.from_bytes(self.raw.translate(_at_most_table(b & 0xFF)), "little")
+
+    def subset_joins(self, row: int) -> int:
+        """Byte d holds the join of bytes e <= d of ``row``: one shift per atom."""
+        for a, mask in enumerate(self.masks):
+            row |= row << 8 * (1 << a) & mask
+        return row
+
 
 def byte_rows(values: Sequence[int]) -> ByteRows | None:
     """``ByteRows(values)``, or None when some value does not fit in a byte."""
@@ -192,6 +208,13 @@ def _byte_masks(size: int) -> tuple[int, tuple[int, ...]]:
         for a in range(size.bit_length() - 1)
     )
     return ones, masks
+
+
+@functools.lru_cache(maxsize=256)
+def _at_most_table(b: int) -> bytes:
+    """The ``bytes.translate`` table sending each byte value u to 0xFF when
+    u <= b, else to 0."""
+    return bytes(0xFF if u & ~b == 0 else 0 for u in range(256))
 
 
 def format_element(algebra: FiniteCBA, a: int) -> str:
@@ -302,6 +325,12 @@ class Restriction:
     def to_sub(self, parent_element: int) -> int:
         """Compress a parent element (implicitly meeting with the mask)."""
         return self._to_sub(parent_element)
+
+    @functools.cached_property
+    def to_sub_table(self) -> tuple[int, ...]:
+        """``to_sub`` of every parent element (c at index c), computed on
+        first use; only sensible for small parents."""
+        return tuple(map(self.to_sub, self.parent.elements()))
 
     def from_sub(self, sub_element: int) -> int:
         return self._from_sub(sub_element)

@@ -218,7 +218,8 @@ class _Cases:
     Lists of target elements come with their projections (cs/pcs, ...);
     ``below`` and ``above`` map an element to projections below and above it.
     When both sides are enumerated, ``rows`` packs the projections for the
-    pair laws (``finite_cba.ByteRows``; None when some value is not a byte).
+    laws over pairs (``finite_cba.ByteRows``; None when some value is not a
+    byte).
     """
 
     def __init__(self, h: CompleteHom, exhaustive: bool, rng, samples: int) -> None:
@@ -341,6 +342,13 @@ def _meet_translation(k: _Cases):
 def _meet_translation_join_form(k: _Cases):
     """pi(c) ∧ b is the join of the pi(e) <= b over the e <= c (over the
     atoms of c when sampled: O(atoms) per pair)."""
+    cases = len(k.ds) * len(k.b_partners)
+    rows = k.rows  # per b: the pi(e) <= b, then their joins over every e <= c
+    if rows is not None and all(
+        rows.subset_joins(rows.packed & rows.at_most(b)) == rows.packed & b * rows.ones
+        for b in k.b_partners
+    ):
+        return True, "", cases
     for c, pc in zip(k.ds, k.pds):
         below = k.below[c]
         for b in k.b_partners:
@@ -349,8 +357,8 @@ def _meet_translation_join_form(k: _Cases):
                 if p & ~b == 0:
                     join |= p
             if join != pc & b:
-                return False, k.at(b=b, c=c), len(k.ds) * len(k.b_partners)
-    return True, "", len(k.ds) * len(k.b_partners)
+                return False, k.at(b=b, c=c), cases
+    return True, "", cases
 
 
 def _join_preserving(k: _Cases):
@@ -479,6 +487,8 @@ def _filters_to_filters(k: _Cases):
     is pi(c ∨ i(b))."""
     probes = [(c, pc) for c, pc in zip(k.probes, k.pprobes) if c]
     cases = sum(len(k.above[c]) + len(k.b_partners) for c, _ in probes)
+    if k.rows is not None and _filters_packed(k):
+        return True, "", cases
     for c, pc in probes:
         if any(p & pc != pc for p in k.above[c]):
             return False, k.at(c=c), cases
@@ -487,6 +497,22 @@ def _filters_to_filters(k: _Cases):
             if k.project(c | k.apply(b)) != b:
                 return False, k.at(b=b, c=c), cases
     return True, "", cases
+
+
+def _filters_packed(k: _Cases) -> bool:
+    """The filter law read from the rows: pi is monotone, and for each b,
+    pi(c ∨ i(b)) = b at every c > 0 with pi(c) <= b, which are the pairs
+    b ∨ pi(c) ranges over.  Only when every pi(c) lies in B and every i(b)
+    in C; else the scan decides."""
+    rows, top = k.rows, len(k.cs) - 1
+    if rows.at_most(k.h.source.one) != 0xFF * rows.ones or not rows.monotone():
+        return False
+    for b, ib in zip(k.bs, k.ibs):
+        if not 0 <= ib <= top:
+            return False
+        if (rows.join_rows[ib] ^ b * rows.ones) & rows.at_most(b) & ~0xFF:  # c = 0 is no probe
+            return False
+    return True
 
 
 def _generics_to_generics(k: _Cases):

@@ -102,6 +102,12 @@ class TwoStepAlgebra:
         """pi([c]) = the base value of "c > 0"."""
         return self.embedding.project(element)
 
+    @functools.cached_property
+    def supports(self) -> tuple[int, ...]:
+        """``support`` of every element (c at index c), computed on first
+        use; only sensible for small sums."""
+        return tuple(map(self.support, self.algebra.elements()))
+
     def tv_equals_one(self, element: int) -> int:
         """The base value of "c = 1": atoms whose fiber part is full."""
         out = 0
@@ -317,27 +323,32 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     # phi and every class map are evaluated once over the probe, and each
     # claim reads phi by subscript from phi_of: on the exhaustive probe the
     # list of its values (c sits at index c), above it a memo for this audit
-    # only, one entry per operand it asks for
+    # only, one entry per operand it asks for.  The exhaustive probe reads
+    # each class map and the support from the tables of the shared view and
+    # sum, indexed the same way.
+    one, sum_one = C.one, two.algebra.one
     if exhaustive:
         phi_of = phis = list(map(phi, probe))
+        classes = [q.view.to_sub_table for q in quotients]
+        table = two.supports
+        supports = (table[p & sum_one] for p in phis)  # support ignores bits past the sum
     else:
         phi_of = _Memo(phi)
         phis = [phi_of[c] for c in probe]
+        classes = [list(map(q.class_of, probe)) for q in quotients]
+        supports = map(two.support, phis)
 
     # phi agrees with the per-atom class maps
-    classes = [list(map(q.class_of, probe)) for q in quotients]
     expected = two.elements_from_columns(classes, len(probe))
     bad = next((c for c, p, e in zip(probe, phis, expected) if p != e), None)
     iso.record("phi_is_the_class_family", bad is None, _at(C, bad), len(probe))
 
     ok = sorted(atom_image) == [1 << k for k in range(two.algebra.atom_count)]
     iso.record("bijective_on_atoms", ok, "" if ok else "not a bijection on atoms")
-    one, sum_one = C.one, two.algebra.one
     bad = next(
         (c for c, p in zip(probe, phis) if phi_of[one & ~c] != sum_one & ~p), None
     )
     iso.record("complement_preserved", bad is None, _at(C, bad), len(probe))
-    supports = map(two.support, phis)
     bad = next((c for c, s in zip(probe, supports) if s != h.project(c)), None)
     iso.record("retraction_transported", bad is None, _at(C, bad), len(probe))
     if C.atom_count <= ISO_ALL_PAIRS_ATOMS:

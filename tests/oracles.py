@@ -26,7 +26,7 @@ from forcebench.bvm import (
     _tv_mem,
     _tv_sub,
 )
-from forcebench.finite_cba import FiniteCBA
+from forcebench.finite_cba import FiniteCBA, format_element
 from forcebench.free_algebra import (
     FreeElement,
     FreeExpr,
@@ -156,6 +156,64 @@ def packed_row(values, at) -> int:
     """``values[at(d)]`` for every element d, one byte per d (byte d): the
     packed row a ``ByteRows`` is expected to hold, built byte by byte."""
     return int.from_bytes(bytes(values[at(d)] for d in range(len(values))), "little")
+
+
+# -- per-pair reference scans of two retraction laws ---------------------------------
+#
+# Each takes a hom whose audit enumerates both sides and returns what its law
+# in ``morphisms`` must return: (holds, first witness, cases).  They evaluate
+# apply and project once per element into plain lists and then walk every
+# pair from the law's statement, so an index outside a list raises here as it
+# does in the audit's own scan.
+
+
+def _at(h, **elements) -> str:
+    return " ".join(
+        f"{name}={format_element(h.source if name == 'b' else h.target, x)}"
+        for name, x in elements.items()
+    )
+
+
+def reference_filters_to_filters(h) -> tuple[bool, str, int]:
+    """Each c > 0: every cover c | a of c projects above pi(c), then, for each
+    b of B in order, b' = b | pi(c) equals pi(c | i(b'))."""
+    B, C = h.source, h.target
+    ibs = [h.apply(b) for b in B.elements()]
+    pcs = [h.project(c) for c in C.elements()]
+    cases, witness = 0, None
+    for c in C.nonzero_elements():
+        covers = [c | a for a in C.atoms() if not c & a]
+        cases += len(covers) + B.one + 1
+        if witness is not None:
+            continue
+        pc = pcs[c]
+        if any(pcs[d] & pc != pc for d in covers):
+            witness = _at(h, c=c)
+            continue
+        for b in B.elements():
+            b |= pc
+            if pcs[c | ibs[b]] != b:
+                witness = _at(h, b=b, c=c)
+                break
+    return witness is None, witness or "", cases
+
+
+def reference_meet_translation_join_form(h) -> tuple[bool, str, int]:
+    """Each c, then each b: pi(c) ∧ b is the join of the pi(e) <= b over every
+    e <= c."""
+    B, C = h.source, h.target
+    pcs = [h.project(c) for c in C.elements()]
+    cases = (C.one + 1) * (B.one + 1)
+    for c in C.elements():
+        below = [pcs[e] for e in C.elements() if not e & ~c]
+        for b in B.elements():
+            join = 0
+            for p in below:
+                if not p & ~b:
+                    join |= p
+            if join != pcs[c] & b:
+                return False, _at(h, b=b, c=c), cases
+    return True, "", cases
 
 
 # -- reference interpreters for formulas -------------------------------------------

@@ -176,6 +176,9 @@ def test_restriction_roundtrip():
         assert view.to_sub(view.from_sub(x)) == x
     for x in b.elements():
         assert view.from_sub(view.to_sub(x)) == x & 0b10110
+    # the class table: to_sub at every parent element, computed once
+    assert view.to_sub_table == tuple(map(view.to_sub, b.elements()))
+    assert view.to_sub_table is view.to_sub_table
 
 
 def test_restriction_sub_of_atom_is_read_only():
@@ -251,9 +254,39 @@ def test_byte_row_laws_are_the_pairwise_laws(atoms):
                 assert rows.translates_meet(x, b) == meets
 
 
+@pytest.mark.parametrize("atoms", range(7))
+def test_byte_rows_select_and_join_below_as_a_walk_does(atoms):
+    rng = random.Random(200 + atoms)
+    size = 1 << atoms
+    covers = [(d, d | 1 << a) for d in range(size) for a in range(atoms)]
+    homs = [_hom_table(atoms, rng) for _ in range(10)]
+    # each hom table wrong at one element, and random tables
+    planted = [
+        t[:x] + [t[x] ^ 1 << rng.randrange(8)] + t[x + 1 :] for t in homs for x in range(size)
+    ]
+    noise = [[rng.randrange(256) for _ in range(size)] for _ in range(10)]
+    for values in homs + planted + noise:
+        rows = ByteRows(values)
+        assert rows.monotone() == all(not values[d] & ~values[e] for d, e in covers)
+        # bounds past a byte, or negative, select as their low byte does
+        low = rng.randrange(256)
+        for b in (0, 0xFF, values[-1], low, 256 | low, -256 | low):
+            below = bytes(0 if values[d] & ~b else 0xFF for d in range(size))
+            assert rows.at_most(b) == int.from_bytes(below, "little"), (values, b)
+        row = rng.getrandbits(8 * size).to_bytes(size, "little")
+        joins = [0] * size
+        for d, e in itertools.product(range(size), repeat=2):
+            if not e & ~d:
+                joins[d] |= row[e]
+        got = rows.subset_joins(int.from_bytes(row, "little"))
+        assert got == int.from_bytes(bytes(joins), "little"), (values, row)
+
+
 def test_byte_rows_only_pack_bytes():
     rows = byte_rows([0, 1, 2, 3])  # the identity on two atoms
     assert rows.preserves_joins() and rows.sub_meets() and rows.translates_meet(1, 1)
+    assert rows.monotone() and rows.subset_joins(rows.packed) == rows.packed
+    assert rows.at_most(256 | 1) == rows.at_most(1) == 0xFF_FF  # f(d) <= 1 at d = 0, 1
     for values in ([0, 1, 256, 3], [0, -1, 2, 3], [0, 1, None, 3]):
         assert byte_rows(values) is None
     # a bound outside a byte is never a pass

@@ -11,6 +11,9 @@ from forcebench.morphisms import (
     RETRACTION_LAWS,
     CompleteHom,
     _Cases,
+    _filters_packed,
+    _filters_to_filters,
+    _meet_translation_join_form,
     ElementMap,
     FreeInclusion,
     generic_preimage_equivalence,
@@ -23,7 +26,11 @@ from forcebench.morphisms import (
     stone_dual_quotient,
 )
 
-from .oracles import packed_row
+from .oracles import (
+    packed_row,
+    reference_filters_to_filters,
+    reference_meet_translation_join_form,
+)
 
 
 B2 = FiniteCBA(2)
@@ -481,3 +488,111 @@ def test_packed_rows_decide_a_project_wrong_at_each_element(s, defect):
             assert rows is None
         failed |= {name for name, out in scanned.items() if out[0] is not True}
     assert {"meet_translation", "join_preserving", "sub_meet_inequality"} <= failed
+
+
+# -- the packed filter and join-form laws return what a pair scan returns ------------
+
+
+def _outcome(law, arg):
+    try:
+        return law(arg)
+    except Exception as exc:  # compared as a value
+        return repr(exc)
+
+
+def _assert_as_the_reference_scans(h):
+    """``filters_to_filters`` and ``meet_translation_join_form`` of h's
+    exhaustive audit; each must equal its per-pair reference scan."""
+    k = _Cases(h, True, None, 200)
+    out = []
+    for law, reference in (
+        (_filters_to_filters, reference_filters_to_filters),
+        (_meet_translation_join_form, reference_meet_translation_join_form),
+    ):
+        got = _outcome(law, k)
+        assert got == _outcome(reference, h), (law.__name__, h.fiber)
+        out.append(got)
+    return k, out
+
+
+class _NonMonotoneAt(CompleteHom):
+    """pi at ``element`` drops the lowest bit of pi below its lowest atom: pi
+    is not monotone at the cover element - low < element."""
+
+    element = 0
+
+    def project(self, c):
+        p = super().project(c)
+        if c != self.element or c & c - 1 == 0:
+            return p
+        q = super().project(c & c - 1)
+        return p & ~(q & -q)
+
+
+def _defective(defect, element):
+    if defect == "flip":
+        return _project_wrong_at(element, lambda p: p ^ 1)
+    if defect == "past a byte":
+        return _project_wrong_at(element, lambda p: p | 256)
+    if defect == "past the source top":  # still a byte
+        return _project_wrong_at(element, lambda p: p | 8)
+    if defect == "non-monotone":
+        return type("NonMonotone", (_NonMonotoneAt,), {"element": element})
+
+    class ApplyPastTheTop(CompleteHom):  # i(b) gains a bit past C.one at one b
+        def apply(self, b):
+            ib = super().apply(b)
+            return ib | self.target.one + 1 if b == element else ib
+
+    return ApplyPastTheTop
+
+
+def test_packed_filter_laws_match_the_scan_on_every_narrow_law_embedding():
+    homs = list(all_regular_homs(3, 6))
+    assert len(homs) == 852
+    failed = 0
+    for n, h in enumerate(homs):
+        k, out = _assert_as_the_reference_scans(h)
+        assert all(ok for ok, _, _ in out), h.fiber
+        assert _filters_packed(k), h.fiber  # the rows decide every honest pass
+        # pi flipped at one element, a different one from embedding to embedding
+        wrong = _defective("flip", n % (h.target.one + 1))(h.source, h.target, h.fiber)
+        _, out = _assert_as_the_reference_scans(wrong)
+        failed += not all(ok for ok, _, _ in out)
+    assert failed > 800
+
+
+@pytest.mark.parametrize(
+    "defect", ["flip", "non-monotone", "apply past the top", "past the source top", "past a byte"]
+)
+@pytest.mark.parametrize("s, t", [(1, 4), (2, 4), (3, 5), (2, 6)])
+def test_packed_filter_laws_match_the_scan_under_a_planted_defect(s, t, defect):
+    source, target = FiniteCBA(s), FiniteCBA(t)
+    fiber = tuple(x % s for x in range(t))
+    size = source if defect == "apply past the top" else target
+    filters, join_form = set(), set()  # what each law reads, over the elements
+    for element in size.elements():
+        _, out = _assert_as_the_reference_scans(_defective(defect, element)(source, target, fiber))
+        (f, j) = (o if isinstance(o, str) else o[0] for o in out)
+        filters.add(f)
+        join_form.add(j)
+    if defect == "apply past the top":  # the filter scan reads past the projections
+        assert filters == {True, "IndexError('list index out of range')"}
+        assert join_form == {True}  # it never applies i
+    else:  # each law fails at some element, and no scan raises
+        assert False in filters and False in join_form
+        assert filters | join_form <= {True, False}
+
+
+def test_packed_filter_law_leaves_projections_outside_the_source_to_the_scan():
+    # pi(c) | 8 at every c > 0 stays monotone, and no c has pi(c) <= b for a b
+    # of B, so the rows would pass by selecting nothing; the scan reads i past
+    # the table of B's elements instead
+    class ProjectPastTheSourceTop(CompleteHom):
+        def project(self, c):
+            p = super().project(c)
+            return p | 8 if c else p
+
+    h = ProjectPastTheSourceTop(B2, C4, (0, 0, 1, 1))
+    _, (filters, _) = _assert_as_the_reference_scans(h)
+    assert filters == "IndexError('list index out of range')"

@@ -1,5 +1,6 @@
 """The table registry: computed tables clear in one call, interning tables
 are only counted, and clearing is safe while audits run."""
+import functools
 import gc
 import sys
 import threading
@@ -10,29 +11,39 @@ from forcebench import bvm, tables
 from forcebench.finite_cba import FiniteCBA
 from forcebench.free_algebra import generator
 from forcebench.gallery import build_fresh_tower, sup_gap_audit
+from forcebench.morphisms import hom_from_fiber_map, retraction_laws_audit
+from forcebench.two_step import two_step_iso_audit
 
 
-def _live(refs) -> int:
-    """How many of the referenced names are still the interned ones."""
-    return sum(
-        1
-        for ref in refs
+def _live(refs) -> set[int]:
+    """The positions of the referenced names that are still the interned ones."""
+    return {
+        k
+        for k, ref in enumerate(refs)
         if (n := ref()) is not None and bvm._INTERNED.get((n.algebra, n.entries)) is n
-    )
+    }
 
 
 def test_clear_releases_the_names_an_audit_kept():
     algebra = FiniteCBA(3)
+    # names are interned, so another module may keep some of these alive:
+    # those still live with every computed table empty are not the memos'
+    tables.clear()
+    refs = [weakref.ref(n) for n in bvm.standard_name_pool(algebra, 2)[:32]]
+    tables.clear()
+    gc.collect()
+    kept_elsewhere = _live(refs)
+    assert len(kept_elsewhere) < 32
     pool = bvm.standard_name_pool(algebra, 2)
     assert len(pool) == 113
     assert bvm.forcing_audit(algebra, pool[:32], bvm.standard_formula_pool()).passed
     refs = [weakref.ref(n) for n in pool[:32]]
     del pool
     gc.collect()
-    assert _live(refs) == 32  # the truth-value and evaluation memos hold them
+    assert _live(refs) == set(range(32))  # the truth-value and evaluation memos hold them
     tables.clear()
     gc.collect()
-    assert _live(refs) == 0
+    assert _live(refs) == kept_elsewhere
 
 
 def test_clear_never_empties_an_interning_table():
@@ -61,15 +72,25 @@ def test_clearing_while_audits_run_changes_no_ledger():
     def sup_gap():
         return sup_gap_audit(8, build_fresh_tower(8))
 
-    jobs = [forcing, sup_gap] * 3
+    # the enumerated audits fill the shared views and sums, and their tables
+    narrow = [
+        hom_from_fiber_map(FiniteCBA(s), FiniteCBA(t), [a % s for a in range(t)])
+        for s, t in ((2, 5), (3, 6))
+    ]
+    enumerated = [functools.partial(two_step_iso_audit, h) for h in narrow] + [
+        functools.partial(retraction_laws_audit, h, exhaustive=True) for h in narrow
+    ]
+
+    jobs = [forcing, sup_gap, *enumerated] * 3
     expected = [job() for job in jobs]
     assert all(ledger.passed for ledger in expected)
     done, clears = threading.Event(), []
 
     def clear_until_done():
         while not done.is_set():
+            views = tables.entries()["two_step._narrow_view"]  # what this clear empties
             tables.clear()
-            clears.append(tables.entries()["bvm._ATOMIC_MEMO"])
+            clears.append((tables.entries()["bvm._ATOMIC_MEMO"], views))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -85,5 +106,6 @@ def test_clearing_while_audits_run_changes_no_ledger():
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
-    assert any(clears), "no clear met a filled truth-value memo"
+    assert any(memo for memo, _ in clears), "no clear met a filled truth-value memo"
+    assert any(views for _, views in clears), "no clear emptied a shared view"
     assert generator("x0") & generator("x1") is x

@@ -13,7 +13,7 @@ from forcebench.errors import (
     NotMaximalAntichain,
     ShapeMismatch,
 )
-from forcebench.finite_cba import FiniteCBA, Ultrafilter
+from forcebench.finite_cba import FiniteCBA, Restriction, Ultrafilter
 from forcebench.morphisms import (
     CompleteHom,
     hom_from_fiber_map,
@@ -376,13 +376,37 @@ class ImagesGainTargetAtom0(CompleteHom):
         return ib | 1 if ib else ib
 
 
-def _class_of_wrong_at(monkeypatch, element):
-    honest = GenericQuotient.class_of
+@pytest.fixture
+def cleared_tables():
+    """Every computed table is empty when the test starts and when it ends,
+    so no shared view keeps a class table built before or during the test."""
+    tables.clear()
+    yield
+    tables.clear()
 
-    def class_of(self, c):
-        return honest(self, c) ^ (c == element and self.atom == 1)
 
-    monkeypatch.setattr(GenericQuotient, "class_of", class_of)
+def _class_of_wrong_at(monkeypatch, size, element, wrong):
+    """The class map of the quotient at source atom 1 gives ``wrong(class)``
+    at one element.  The exhaustive probe reads each class map from its
+    shared view's table, so there the defect goes into the layer the table is
+    built through, ``Restriction.to_sub`` (use with ``cleared_tables``)."""
+    if size == "sampled":
+        honest_class_of = GenericQuotient.class_of
+
+        def class_of(self, c):
+            cls = honest_class_of(self, c)
+            return wrong(cls) if c == element and self.atom == 1 else cls
+
+        monkeypatch.setattr(GenericQuotient, "class_of", class_of)
+        return
+    honest_to_sub = Restriction.to_sub
+    mask = _iso_hom(CompleteHom, size).apply(1 << 1)  # the view of the quotient at atom 1
+
+    def to_sub(self, c):
+        cls = honest_to_sub(self, c)
+        return wrong(cls) if c == element and self.mask == mask else cls
+
+    monkeypatch.setattr(Restriction, "to_sub", to_sub)
 
 
 def _phi_wrong_at(monkeypatch, element):
@@ -434,22 +458,17 @@ def test_iso_audit_catches_apply_adding_an_atom_everywhere(size, class_witness):
     ],
 )
 def test_iso_audit_catches_class_of_wrong_at_one_element(
-    monkeypatch, size, element, witness, cases
+    monkeypatch, cleared_tables, size, element, witness, cases
 ):
-    _class_of_wrong_at(monkeypatch, element)
+    _class_of_wrong_at(monkeypatch, size, element, lambda cls: cls ^ 1)
     iso = two_step_iso_audit(_iso_hom(CompleteHom, size))
     assert iso.failures == [f"phi_is_the_class_family: {witness}"]
     assert iso.claims["phi_is_the_class_family"].cases == cases
 
 
 @pytest.mark.parametrize("size", ["exhaustive", "sampled"])
-def test_iso_audit_keeps_the_out_of_fiber_error(monkeypatch, size):
-    honest = GenericQuotient.class_of
-    monkeypatch.setattr(
-        GenericQuotient,
-        "class_of",
-        lambda self, c: honest(self, c) | (self.atom == 1 and c == 0) << 10,
-    )
+def test_iso_audit_keeps_the_out_of_fiber_error(monkeypatch, cleared_tables, size):
+    _class_of_wrong_at(monkeypatch, size, 0, lambda cls: cls | 1 << 10)
     with pytest.raises(ValueError, match="family value at atom 1 outside the fiber"):
         two_step_iso_audit(_iso_hom(CompleteHom, size))
 
@@ -504,6 +523,9 @@ def test_cached_sum_is_the_built_sum():
             built.tops,
         )
         assert cached.embedding == built.embedding
+        # the support table the enumerated iso audit reads, once per sum
+        assert cached.supports == tuple(map(built.support, built.algebra.elements()))
+        assert cached.supports is cached.supports
 
 
 @pytest.mark.parametrize("atoms", [5, 6, 12])
