@@ -94,3 +94,4 @@ from .gallery import build_fresh_tower, sup_gap_audit, wedge_meet_audit
 from .workspace import parse_workspace
 from .report import Ledger
 from .cli import execute
+from . import tables

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -93,10 +92,6 @@ def format_name(n: BName) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def empty_name(algebra: FiniteCBA) -> BName:
-    return BName(algebra, ())
-
-
 def check_name(algebra: FiniteCBA, x: HF) -> BName:
     """The check-name of a hereditarily finite set: every label is 1."""
     return BName(algebra, tuple((check_name(algebra, m), algebra.one) for m in x))
@@ -108,24 +103,6 @@ def name_from_pairs(algebra: FiniteCBA, pairs: Iterable[tuple[BName, int]]) -> B
     for sub, label in pairs:
         acc[sub] = acc.get(sub, 0) | label
     return BName(algebra, tuple((s, p) for s, p in acc.items() if p))
-
-
-def generic_filter_name(algebra: FiniteCBA) -> BName:
-    """The canonical name for the generic filter: {(b-check, b) : b nonzero}.
-
-    Elements are encoded as von Neumann naturals so the evaluation at an atom
-    is literally the set of (encoded) elements the generic contains.  Rank
-    grows with the algebra; meant for tiny algebras.
-    """
-    from .hf import von_neumann
-
-    return BName(
-        algebra,
-        tuple(
-            (check_name(algebra, von_neumann(b)), b)
-            for b in algebra.nonzero_elements()
-        ),
-    )
 
 
 # -- formulas -------------------------------------------------------------------
@@ -748,32 +725,6 @@ def standard_pool_size(atom_count: int, max_rank: int = 3) -> int:
         if m == 3:  # so is every later layer's, which adds as many names
             return total + (max_rank - rank) * new
     return total
-
-
-def random_name_pool(
-    algebra: FiniteCBA,
-    count: int,
-    max_rank: int,
-    rng: random.Random,
-) -> tuple[BName, ...]:
-    """Seeded pool; returns fewer than ``count`` names if the space runs out."""
-    pool: list[BName] = [check_name(algebra, EMPTY)]
-    attempts = 0
-    while len(pool) < count and attempts < 200 * count:
-        attempts += 1
-        k = rng.randint(0, min(2, len(pool)))
-        doms = rng.sample(pool, k)
-        entries = []
-        for d in doms:
-            label = rng.randint(1, algebra.one)
-            entries.append((d, label))
-        try:
-            cand = BName(algebra, entries)
-        except ValueError:
-            continue
-        if cand.rank <= max_rank and cand not in pool:
-            pool.append(cand)
-    return tuple(pool)
 
 
 def standard_formula_pool() -> tuple[Formula, ...]:

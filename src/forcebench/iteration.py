@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .errors import (
     CoherenceFailure,
@@ -511,46 +511,35 @@ def quotient_system(
 
 
 def quotient_thread_representative(
-    system: IterationSystem,
-    gamma: int,
-    families: Mapping[int, Thread],
+    tails: tuple[QuotientSystemResult, ...], families: tuple[Thread, ...]
 ) -> VectorThread:
     """The unique parent thread with the given per-atom quotient classes.
 
-    ``families`` assigns to every atom of the stage-gamma algebra a thread of
-    that atom's quotient tail; stagewise the canonical-representative join
-    glues them, and coherence of the result is certified.
+    ``tails[a]`` is ``quotient_system`` at atom a of one stage gamma, one per
+    atom, and ``families[a]`` a thread of that atom's tail; stagewise the
+    canonical-representative join glues them, and coherence of the result is
+    certified.
     """
-    if not system.eager:
-        raise NotEager("representatives need materialized algebras")
-    base = system.algebra(gamma)
-    atoms = tuple(range(base.atom_count))
-    if set(families) != set(atoms):
+    system, gamma = tails[0].parent, tails[0].stage
+    atoms = range(system.algebra(gamma).atom_count)
+    if [(t.parent, t.stage, t.atom) for t in tails] != [(system, gamma, a) for a in atoms]:
+        raise ValueError("one quotient tail per atom of the quotient stage, in atom order")
+    if len(families) != len(tails):
         raise ValueError("one quotient thread per atom of the quotient stage")
-    per_atom = {
-        a: quotient_system(system, gamma, Ultrafilter(base, a)) for a in atoms
-    }
-    coords = []
-    for b in range(system.length):
-        if b <= gamma:
-            coords.append(None)  # filled from above
-            continue
-        tail_index = b - gamma - 1
-        family = []
-        for a in atoms:
-            q = per_atom[a].quotients[tail_index]
-            cls = coordinate(per_atom[a].system, families[a], tail_index)
-            family.append(q.representative(cls))
-        coords.append(
-            canonical_representative(
-                system.hom(gamma, b), tuple(1 << a for a in atoms), tuple(family)
-            )
-        )
-    anchor = gamma + 1
-    if anchor >= system.length:
+    if tails[0].system is None:
         raise ValueError("empty tail has no representatives")
+    coords = [None] * system.length  # up to gamma, filled from above
+    for b in range(gamma + 1, system.length):
+        k = b - gamma - 1
+        family = tuple(
+            t.quotients[k].representative(coordinate(t.system, f, k))
+            for t, f in zip(tails, families)
+        )
+        coords[b] = canonical_representative(
+            system.hom(gamma, b), tuple(1 << a for a in atoms), family
+        )
     for b in range(gamma, -1, -1):
-        coords[b] = system.hom(b, anchor).project(coords[anchor])
+        coords[b] = system.hom(b, gamma + 1).project(coords[gamma + 1])
     thread = VectorThread(tuple(coords))
     thread_validate(system, thread)
     return thread
@@ -574,21 +563,39 @@ def reindex_system(system: IterationSystem, indices: tuple[int, ...]) -> Iterati
     )
 
 
-def cofinal_reindex_audit(system: IterationSystem, indices: tuple[int, ...]) -> bool:
+def cofinal_reindex_audit(system: IterationSystem, indices: tuple[int, ...]) -> Ledger:
     """Thread spaces and limit verdicts agree across a cofinal re-indexing:
-    both are determined by the last algebra, and constants map to constants."""
+    both are determined by the last algebra, and constants map to constants.
+    One claim, ``cofinal_reindex_agrees``, with a case per element of the last
+    algebra (per atom above EXHAUSTIVE_MAX_ATOMS atoms); a failure names the
+    index map and the element."""
     sub = reindex_system(system, indices)
     last = system.length - 1
     alg = system.algebra(last)
+    oracle = omega_length_oracle()
+    ledger = Ledger()
     for e in alg.elements() if alg.atom_count <= EXHAUSTIVE_MAX_ATOMS else alg.atoms():
-        full = ConstantThread(last, e)
-        full_vec = VectorThread(tuple(coordinate(system, full, n) for n in system.stages()))
-        sub_vec = VectorThread(tuple(full_vec.coords[i] for i in indices))
-        thread_validate(system, full_vec)
-        thread_validate(sub, sub_vec)
-        oracle = omega_length_oracle()
-        v_full = rcs_membership(system, full_vec, oracle)
-        v_sub = rcs_membership(sub, sub_vec, oracle)
-        if v_full.member != v_sub.member:
-            return False
-    return True
+        full = VectorThread(
+            tuple(coordinate(system, ConstantThread(last, e), n) for n in system.stages())
+        )
+        restricted = VectorThread(tuple(full.coords[i] for i in indices))
+        constant = VectorThread(
+            tuple(coordinate(sub, ConstantThread(sub.length - 1, e), n) for n in sub.stages())
+        )
+        try:
+            thread_validate(system, full)
+            thread_validate(sub, restricted)
+            why = ""
+        except CoherenceFailure as failure:
+            why = "not coherent at ({},{})".format(*failure.stages)
+        if not why and restricted != constant:
+            why = f"restricted to {restricted.coords}, re-indexed to {constant.coords}"
+        if not why and (
+            rcs_membership(system, full, oracle).member
+            != rcs_membership(sub, restricted, oracle).member
+        ):
+            why = "the limit verdicts differ"
+        ledger.record(
+            "cofinal_reindex_agrees", not why, why and f"index map {indices}, element {e}: {why}"
+        )
+    return ledger

@@ -571,71 +571,3 @@ def retraction_laws_audit(
     _check(ledger, generic, _Cases(h, exhaustive, rng, samples))
     _check(ledger, RETRACTION_LAWS, _Cases(core, exhaustive, rng, samples), "coker.")
     return ledger
-
-
-# -- raw element maps: the join-completeness / genericity equivalence -----------
-
-
-@dataclass(frozen=True)
-class ElementMap:
-    """An arbitrary table map between small algebras (not assumed a hom)."""
-
-    source: FiniteCBA
-    target: FiniteCBA
-    table: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.table) != self.source.one + 1:
-            raise ArityMismatch("table must cover every source element")
-
-    def apply(self, b: int) -> int:
-        return self.table[b]
-
-
-@dataclass
-class GenericPreimageReport:
-    join_complete: bool
-    all_preimages_generic: bool
-    violating_join: tuple[int, ...] | None = None
-    violating_ultrafilter: int | None = None
-
-    @property
-    def equivalence_holds(self) -> bool:
-        return self.join_complete == self.all_preimages_generic
-
-
-def generic_preimage_equivalence(m: "ElementMap | CompleteHom") -> GenericPreimageReport:
-    """Join-completeness against genericity of ultrafilter preimages.
-
-    When a join failure exists the violating ultrafilter is constructed from
-    the difference element, never searched: it contains i(sup A) but no i(a).
-    """
-    B, C = m.source, m.target
-    subsets = list(itertools.chain.from_iterable(
-        itertools.combinations(range(B.one + 1), r) for r in range(0, min(B.one + 1, 4) + 1)
-    ))
-    failure = None
-    for A in subsets:
-        if m.apply(B.sup(A)) != C.sup(m.apply(a) for a in A):
-            failure = A
-            break
-    join_complete = failure is None
-
-    def preimage_generic(atom: int) -> bool:
-        # finite ultrafilters are exactly the principal filters at atoms
-        pulled = {b for b in B.elements() if m.apply(b) >> atom & 1}
-        return any(
-            pulled == {b for b in B.elements() if b >> k & 1}
-            for k in range(B.atom_count)
-        )
-
-    all_generic = all(preimage_generic(t) for t in range(C.atom_count))
-    report = GenericPreimageReport(join_complete, all_generic)
-    if failure is not None:
-        A = failure
-        # a hom can only overshoot, a raw table may also undershoot; either
-        # way an atom of the symmetric difference carries a violating filter
-        d = m.apply(B.sup(A)) ^ C.sup(m.apply(a) for a in A)
-        report.violating_join = tuple(A)
-        report.violating_ultrafilter = d.bit_length() - 1
-    return report

@@ -85,13 +85,6 @@ class Poset:
             return False
         return all(any(self.compatible(p, q) for q in subset) for p in self.elements)
 
-    def is_separative(self) -> bool:
-        for p, q in itertools.product(self.elements, repeat=2):
-            if not self.leq(p, q):
-                if not any(self.leq(r, p) and self.incompatible(r, q) for r in self.elements):
-                    return False
-        return True
-
     def minimal_elements(self) -> tuple[str, ...]:
         return tuple(
             p for p in self.elements

@@ -169,12 +169,3 @@ def emit_report(report: AuditReport, fmt: str) -> str:
         f"summary: {c[PASS]} pass, {c[FAIL]} fail, {c[INDETERMINATE]} indeterminate"
     )
     return "\n".join(lines) + "\n"
-
-
-def parse_machine_report(text: str) -> dict:
-    """Round-trip check hook: the machine format parses as its own schema."""
-    data = json.loads(text)
-    for key in ("schema_version", "command", "seed", "depth", "results", "summary"):
-        if key not in data:
-            raise ValueError(f"missing report key {key!r}")
-    return data

@@ -10,7 +10,7 @@ import importlib
 
 COMPUTED = (
     ("free_algebra", "_APPLY_MEMO"), ("free_algebra", "_QUANT_MEMO"),
-    ("bvm", "_ATOMIC_MEMO"), ("bvm", "_EVAL_MEMO"), ("hf", "von_neumann"), ("hf", "hf_universe"),
+    ("bvm", "_ATOMIC_MEMO"), ("bvm", "_EVAL_MEMO"),
     ("finite_cba", "_byte_masks"), ("finite_cba", "_at_most_table"),
     ("morphisms", "_predense_families"),
     ("two_step", "_narrow_view"), ("two_step", "_checked_sum"), ("report", "_fresh_draws"),

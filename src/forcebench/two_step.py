@@ -148,29 +148,6 @@ def build_two_step(presentation: AtomwisePresentation) -> TwoStepAlgebra:
     return two
 
 
-def antichain_correspondence_holds(
-    two: TwoStepAlgebra, elements: tuple[int, ...]
-) -> bool:
-    """The family is pairwise disjoint with join 1 in the sum exactly when
-    its selected values are so at every base atom (a value may be zero at
-    some atoms; that is how sum antichains look fiberwise)."""
-    idx = range(len(elements))
-    sum_side = (
-        all(elements[i] & elements[j] == 0 for i in idx for j in idx if i < j)
-        and two.algebra.sup(elements) == two.algebra.one
-    )
-    fiber_side = True
-    for a, f in enumerate(two.presentation.fibers):
-        vals = [two.family_of(e)[a] for e in elements]
-        if any(vals[i] & vals[j] for i in idx for j in idx if i < j):
-            fiber_side = False
-            break
-        if f.sup(vals) != f.one:
-            fiber_side = False
-            break
-    return sum_side == fiber_side
-
-
 # -- generic quotients ----------------------------------------------------------
 
 

@@ -30,15 +30,16 @@ from .bvm import (
     standard_pool_size,
 )
 from .errors import ForcebenchError, UnresolvedReference, ValidationError, WorkspaceSyntaxError
-from .finite_cba import FiniteCBA, parse_element
+from .finite_cba import FiniteCBA, Ultrafilter, parse_element
 from .free_algebra import FreeAlgebra
 from .gallery import build_fresh_tower, sup_gap_audit, wedge_meet_audit
 from .hf import parse_hf
 from .iteration import (
-    ConstantThread, IterationSystem, build_system, direct_limit_correspondence_audit,
-    omega_length_oracle, rcs_membership, thread_validate,
+    ConstantThread, IterationSystem, VectorThread, antichain_sup_audit, build_system,
+    cofinal_reindex_audit, coordinate, direct_limit_correspondence_audit, omega_length_oracle,
+    quotient_system, quotient_thread_representative, rcs_membership, thread_validate,
 )
-from .morphisms import CompleteHom, enumerable, retraction_laws_audit
+from .morphisms import EXHAUSTIVE_MAX_ATOMS, CompleteHom, enumerable, retraction_laws_audit
 from .poset import Poset, boolean_completion
 from .report import Ledger
 from .semigen import (
@@ -306,13 +307,55 @@ def _iterate(system, request, rng, depth):
     ledger = direct_limit_correspondence_audit(system)
     oracle = omega_length_oracle()
     last = system.length - 1
-    for e in system.algebra(last).nonzero_elements():
+    alg = system.algebra(last)
+    for e in alg.nonzero_elements():
         t = ConstantThread(last, e)
         thread_validate(system, t)
         v = rcs_membership(system, t, oracle)
         ok = v.member is True
         ledger.record("constants_in_rcs", ok, "" if ok else f"constant {e}: {v.reason}")
+    atoms = [ConstantThread(last, x) for x in alg.atoms()]
+    if atoms:
+        ledger.absorb(antichain_sup_audit(system, atoms, last, last, candidates="search"))
+    probe = alg.elements() if alg.atom_count <= EXHAUSTIVE_MAX_ATOMS else alg.atoms()
+    constants = [
+        tuple(coordinate(system, ConstantThread(last, e), n) for n in system.stages())
+        for e in probe
+    ]
+    for gamma in range(last):  # a one-stage system has no tail to quotient
+        ledger.absorb(_quotient_tails(system, gamma, constants))
+    for k in system.stages():
+        ledger.absorb(cofinal_reindex_audit(system, tuple(sorted({k, last}))))
     yield request["audit"], request["target"], ledger, {"length": system.length, **ledger.details}
+
+
+def _quotient_tails(system, gamma, constants) -> Ledger:
+    """Two claims at stage gamma: the tail's quotient at each atom is an
+    iteration system (a case per atom), and each given constant thread is
+    glued back from its per-atom quotient classes (a case per thread)."""
+    ledger = Ledger()
+    base = system.algebra(gamma)
+    tails = []
+    for a in range(base.atom_count):
+        try:
+            tails.append(quotient_system(system, gamma, Ultrafilter(base, a)))
+        except ForcebenchError as e:
+            ledger.record("quotient_tail_is_a_system", False, f"stage {gamma}, atom {a}: {e}")
+            return ledger
+        ledger.record("quotient_tail_is_a_system", True)
+    for parent in constants if tails else ():  # no atom, nothing to glue
+        tail = parent[gamma + 1 :]
+        families = tuple(
+            VectorThread(tuple(q.class_of(c) for q, c in zip(t.quotients, tail))) for t in tails
+        )
+        try:
+            glued = quotient_thread_representative(tuple(tails), families).coords
+            why = "" if glued == parent else f"glued {glued}, not {parent}"
+        except ForcebenchError as e:
+            why = str(e)
+        witness = why and f"stage {gamma}, constant {parent[-1]}: {why}"
+        ledger.record("quotient_classes_glue", not why, witness)
+    return ledger
 
 
 def _sg(trace, request, rng, depth):

@@ -18,7 +18,7 @@ OPTIMIZE_TEST = "tests/test_optimize_mode.py::test_suites_pass_under_python_O"
 OPTIMIZE_SUITES = (
     "tests/test_two_step.py", "tests/test_gallery.py", "tests/test_bvm.py",
     "tests/test_semigen.py", "tests/test_workspace_cli.py", "tests/test_free_algebra.py",
-    "tests/test_iteration.py", "tests/test_optimize_mode.py",
+    "tests/test_iteration.py", "tests/test_optimize_mode.py", "tests/test_ledgers.py",
 )
 _RUN = pytest.StashKey[subprocess.Popen]()
 

@@ -1,15 +1,22 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent brute-force oracles and input builders used by the test suite.
 
 These deliberately avoid the implementation's data paths: subset-relation
 computations run on raw down-sets, free-algebra checks run on truth
 tables, and formulas are evaluated by walking their trees, so the
 canonical-form engine and the compiled formula routes are cross-checked
-rather than trusted.
+rather than trusted.  The hereditarily finite universe, seeded name pools
+and the statements that only have content on raw tables or hand-built
+families (a table map that need not be a hom, a family of sum elements)
+live here too: no workspace kind carries their inputs.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import json
+import random
 import re
+from dataclasses import dataclass
 from typing import Mapping
 
 from forcebench.bvm import (
@@ -25,7 +32,9 @@ from forcebench.bvm import (
     _tv_eq,
     _tv_mem,
     _tv_sub,
+    check_name,
 )
+from forcebench.errors import ArityMismatch
 from forcebench.finite_cba import FiniteCBA, format_element
 from forcebench.free_algebra import (
     FreeElement,
@@ -38,7 +47,10 @@ from forcebench.free_algebra import (
     parse_free_expression,
     format_free,
 )
+from forcebench.hf import EMPTY, HF
+from forcebench.morphisms import CompleteHom
 from forcebench.poset import Poset
+from forcebench.two_step import TwoStepAlgebra
 
 
 def star_leq(poset: Poset, a: frozenset[str], b: frozenset[str]) -> bool:
@@ -342,3 +354,188 @@ def reference_truth_value(phi, env, algebra, pool=()):
 def reference_hf_satisfies(phi, env, pool_values=()):
     """Classical satisfaction of phi under env, by the reference walk."""
     return _hf_sat(phi, dict(env), tuple(pool_values))
+
+
+# -- hereditarily finite sets and test-side names ------------------------------------
+
+
+def hf(*members: HF) -> HF:
+    return frozenset(members)
+
+
+def hf_rank(x: HF) -> int:
+    return 0 if not x else 1 + max(hf_rank(m) for m in x)
+
+
+def format_hf(x: HF) -> str:
+    return "{" + ",".join(sorted(format_hf(m) for m in x)) + "}"
+
+
+@functools.lru_cache(maxsize=None)
+def von_neumann(k: int) -> HF:
+    """The k-th von Neumann natural: {0, 1, ..., k-1}."""
+    return frozenset(von_neumann(j) for j in range(k))
+
+
+@functools.lru_cache(maxsize=None)
+def hf_universe(rank: int) -> frozenset[HF]:
+    """Every set of rank <= rank; tetrational growth, keep rank <= 3."""
+    if rank == 0:
+        return frozenset({EMPTY})
+    below = hf_universe(rank - 1)
+    out = set()
+    members = sorted(below, key=format_hf)
+    for bits in range(1 << len(members)):
+        out.add(frozenset(m for k, m in enumerate(members) if bits >> k & 1))
+    return frozenset(out)
+
+
+def empty_name(algebra: FiniteCBA) -> BName:
+    return BName(algebra, ())
+
+
+def generic_filter_name(algebra: FiniteCBA) -> BName:
+    """The canonical name for the generic filter: {(b-check, b) : b nonzero}.
+
+    Elements are encoded as von Neumann naturals so the evaluation at an atom
+    is literally the set of (encoded) elements the generic contains.  Rank
+    grows with the algebra; meant for tiny algebras.
+    """
+    return BName(
+        algebra,
+        tuple((check_name(algebra, von_neumann(b)), b) for b in algebra.nonzero_elements()),
+    )
+
+
+def random_name_pool(
+    algebra: FiniteCBA,
+    count: int,
+    max_rank: int,
+    rng: random.Random,
+) -> tuple[BName, ...]:
+    """Seeded pool; returns fewer than ``count`` names if the space runs out."""
+    pool: list[BName] = [check_name(algebra, EMPTY)]
+    attempts = 0
+    while len(pool) < count and attempts < 200 * count:
+        attempts += 1
+        k = rng.randint(0, min(2, len(pool)))
+        doms = rng.sample(pool, k)
+        entries = []
+        for d in doms:
+            label = rng.randint(1, algebra.one)
+            entries.append((d, label))
+        try:
+            cand = BName(algebra, entries)
+        except ValueError:
+            continue
+        if cand.rank <= max_rank and cand not in pool:
+            pool.append(cand)
+    return tuple(pool)
+
+
+# -- statements checked on raw tables and hand-built families ------------------------
+
+
+def is_separative(poset: Poset) -> bool:
+    for p, q in itertools.product(poset.elements, repeat=2):
+        if not poset.leq(p, q):
+            if not any(poset.leq(r, p) and poset.incompatible(r, q) for r in poset.elements):
+                return False
+    return True
+
+
+def antichain_correspondence_holds(
+    two: TwoStepAlgebra, elements: tuple[int, ...]
+) -> bool:
+    """The family is pairwise disjoint with join 1 in the sum exactly when
+    its selected values are so at every base atom (a value may be zero at
+    some atoms; that is how sum antichains look fiberwise)."""
+    idx = range(len(elements))
+    sum_side = (
+        all(elements[i] & elements[j] == 0 for i in idx for j in idx if i < j)
+        and two.algebra.sup(elements) == two.algebra.one
+    )
+    fiber_side = True
+    for a, f in enumerate(two.presentation.fibers):
+        vals = [two.family_of(e)[a] for e in elements]
+        if any(vals[i] & vals[j] for i in idx for j in idx if i < j):
+            fiber_side = False
+            break
+        if f.sup(vals) != f.one:
+            fiber_side = False
+            break
+    return sum_side == fiber_side
+
+
+@dataclass(frozen=True)
+class ElementMap:
+    """An arbitrary table map between small algebras (not assumed a hom)."""
+
+    source: FiniteCBA
+    target: FiniteCBA
+    table: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.table) != self.source.one + 1:
+            raise ArityMismatch("table must cover every source element")
+
+    def apply(self, b: int) -> int:
+        return self.table[b]
+
+
+@dataclass
+class GenericPreimageReport:
+    join_complete: bool
+    all_preimages_generic: bool
+    violating_join: tuple[int, ...] | None = None
+    violating_ultrafilter: int | None = None
+
+    @property
+    def equivalence_holds(self) -> bool:
+        return self.join_complete == self.all_preimages_generic
+
+
+def generic_preimage_equivalence(m: ElementMap | CompleteHom) -> GenericPreimageReport:
+    """Join-completeness against genericity of ultrafilter preimages.
+
+    When a join failure exists the violating ultrafilter is constructed from
+    the difference element, never searched: it contains i(sup A) but no i(a).
+    """
+    B, C = m.source, m.target
+    subsets = list(itertools.chain.from_iterable(
+        itertools.combinations(range(B.one + 1), r) for r in range(0, min(B.one + 1, 4) + 1)
+    ))
+    failure = None
+    for A in subsets:
+        if m.apply(B.sup(A)) != C.sup(m.apply(a) for a in A):
+            failure = A
+            break
+    join_complete = failure is None
+
+    def preimage_generic(atom: int) -> bool:
+        # finite ultrafilters are exactly the principal filters at atoms
+        pulled = {b for b in B.elements() if m.apply(b) >> atom & 1}
+        return any(
+            pulled == {b for b in B.elements() if b >> k & 1}
+            for k in range(B.atom_count)
+        )
+
+    all_generic = all(preimage_generic(t) for t in range(C.atom_count))
+    report = GenericPreimageReport(join_complete, all_generic)
+    if failure is not None:
+        A = failure
+        # a hom can only overshoot, a raw table may also undershoot; either
+        # way an atom of the symmetric difference carries a violating filter
+        d = m.apply(B.sup(A)) ^ C.sup(m.apply(a) for a in A)
+        report.violating_join = tuple(A)
+        report.violating_ultrafilter = d.bit_length() - 1
+    return report
+
+
+def parse_machine_report(text: str) -> dict:
+    """Round-trip check hook: the machine format parses as its own schema."""
+    data = json.loads(text)
+    for key in ("schema_version", "command", "seed", "depth", "results", "summary"):
+        if key not in data:
+            raise ValueError(f"missing report key {key!r}")
+    return data

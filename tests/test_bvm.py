@@ -20,18 +20,15 @@ from forcebench.bvm import (
     Var,
     check_name,
     delta1_audit,
-    empty_name,
     eval_at_atom,
     forcing_audit,
     free_variables,
     fullness_witness,
-    generic_filter_name,
     hf_satisfies,
     lift_name,
     mix,
     name_from_pairs,
     quantifier_depth,
-    random_name_pool,
     standard_formula_pool,
     standard_name_pool,
     truth_value,
@@ -45,11 +42,21 @@ from forcebench.errors import (
     RankExceeded,
 )
 from forcebench.finite_cba import FiniteCBA, Ultrafilter, ultrafilters
-from forcebench.hf import EMPTY, hf, hf_rank, hf_universe, von_neumann
+from forcebench.hf import EMPTY
 from forcebench.morphisms import hom_from_fiber_map, identity_hom
 from forcebench.report import INDETERMINATE
 
-from .oracles import reference_hf_satisfies, reference_truth_value
+from .oracles import (
+    empty_name,
+    generic_filter_name,
+    hf,
+    hf_rank,
+    hf_universe,
+    random_name_pool,
+    reference_hf_satisfies,
+    reference_truth_value,
+    von_neumann,
+)
 
 B1 = FiniteCBA(1)
 B2 = FiniteCBA(2)

@@ -13,9 +13,9 @@ from forcebench.iteration import (
 )
 from forcebench.morphisms import FreeInclusion, hom_from_fiber_map
 from forcebench.two_step import AtomwisePresentation, build_two_step, two_step_iso_audit
-from forcebench.bvm import Atomic, Exists, Var, eval_at_atom, hf_satisfies, random_name_pool, truth_value
+from forcebench.bvm import Atomic, Exists, Var, eval_at_atom, hf_satisfies, truth_value
 
-from .oracles import truth_table
+from .oracles import random_name_pool, truth_table
 from forcebench.free_algebra import parse_free_expression, format_free
 
 

@@ -15,6 +15,7 @@ from forcebench.iteration import (
     ConstantThread,
     antichain_sup_audit,
     build_system,
+    cofinal_reindex_audit,
     direct_limit_correspondence_audit,
 )
 from forcebench.morphisms import hom_from_fiber_map, identity_hom, retraction_laws_audit
@@ -73,6 +74,7 @@ AUDITS = {
         _system(), [ConstantThread(1, 0b01), ConstantThread(1, 0b10)], stage=1, depth=2
     ),
     "direct_limit_correspondence_audit": lambda: direct_limit_correspondence_audit(_system()),
+    "cofinal_reindex_audit": lambda: cofinal_reindex_audit(_system(), (0, 1)),
     "sup_gap_audit": lambda: sup_gap_audit(3),
     "wedge_meet_audit": lambda: wedge_meet_audit(3),
     "disjointify_sg_audit": lambda: disjointify_sg_audit(_trace()),

@@ -14,9 +14,7 @@ from forcebench.morphisms import (
     _filters_packed,
     _filters_to_filters,
     _meet_translation_join_form,
-    ElementMap,
     FreeInclusion,
-    generic_preimage_equivalence,
     hom_from_fiber_map,
     identity_hom,
     ker_coker,
@@ -27,6 +25,8 @@ from forcebench.morphisms import (
 )
 
 from .oracles import (
+    ElementMap,
+    generic_preimage_equivalence,
     packed_row,
     reference_filters_to_filters,
     reference_meet_translation_join_form,

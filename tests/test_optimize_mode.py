@@ -2,13 +2,15 @@
 
 Each planted-violation case breaks one guaranteed identity and expects the
 check that guards it to raise; the subprocess test runs these cases and the
-two-step, gallery, bvm, semigenericity, workspace, free-algebra and
-iteration suites with assert statements stripped (see conftest.py), and the
+two-step, gallery, bvm, semigenericity, workspace, free-algebra, iteration
+and ledger suites with assert statements stripped (see conftest.py), and the
 AST tests keep assert statements and ``__debug__`` out of the library,
-confine ``Random(...)`` to the case source and the run, and keep every
-module-level table named in ``tables.py``.
+confine ``Random(...)`` to the case source and the run, keep every
+module-level table named in ``tables.py``, and keep code that only tests
+reach out of ``src/``.
 """
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -28,6 +30,8 @@ from forcebench.two_step import (
     canonical_representative,
     quotient_algebra,
 )
+
+from .test_bench_bindings import TARGETS as TRACER_TARGETS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -108,6 +112,49 @@ def test_every_module_level_table_is_registered():
                 found.add((path.stem, node.name))
     assert found == set(tables.COMPUTED) | set(tables.INTERNING)
     assert not set(tables.COMPUTED) & set(tables.INTERNING)
+
+
+def _definitions(tree):
+    """(qualified name, node) of every module-level function or class and of
+    every method of a public class, dunder methods aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _names(tree) -> collections.Counter:
+    """How often each name or attribute occurs in ``tree``."""
+    return collections.Counter(
+        getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)
+    )
+
+
+def test_src_holds_no_code_only_tests_reach():
+    # each definition is exported from the package (by name, or with its
+    # whole module), referenced by name elsewhere in src/, or bound by the
+    # benchmark's tracer; what only tests reach belongs under tests/
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in (ROOT / "src").rglob("*.py")
+    }
+    exported = {
+        alias.name
+        for node in trees["__init__"].body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    traced = {path.split(".")[-1] for _, path in TRACER_TARGETS}
+    everywhere = sum(map(_names, trees.values()), collections.Counter())
+    unreached = [
+        f"{module}.{qualified}"
+        for module, tree in trees.items() if module not in exported
+        for qualified, node in _definitions(tree)
+        if node.name not in exported | traced and everywhere[node.name] == _names(node)[node.name]
+    ]
+    assert not unreached, unreached
 
 
 def _presentation():

@@ -24,7 +24,6 @@ from forcebench.two_step import (
     AtomwisePresentation,
     GenericQuotient,
     Triangle,
-    antichain_correspondence_holds,
     build_two_step,
     canonical_representative,
     lift_embedding_name,
@@ -34,6 +33,7 @@ from forcebench.two_step import (
     two_step_iso_audit,
 )
 
+from .oracles import antichain_correspondence_holds
 from .test_morphisms import all_regular_homs
 
 B1 = FiniteCBA(1)

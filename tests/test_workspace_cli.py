@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from forcebench import bvm, cli, workspace
+from forcebench import bvm, cli, iteration, workspace
 from forcebench.cli import execute, main
 from forcebench.finite_cba import FiniteCBA
 from forcebench.hf import EMPTY
@@ -25,7 +25,6 @@ from forcebench.report import (
     AuditResult,
     Claim,
     emit_report,
-    parse_machine_report,
 )
 from forcebench.semigen import (
     DisjointifyReport,
@@ -34,6 +33,8 @@ from forcebench.semigen import (
     semigeneric_sup_audit,
 )
 from forcebench.workspace import parse_workspace
+
+from .oracles import parse_machine_report
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = REPO / "workspaces" / "demo.json"
@@ -588,3 +589,99 @@ def test_twostep_iso_over_the_atom_budget_checks_no_case(tmp_path, capsys):
         "note": f"not run: 4096 target atoms, over the budget {workspace.ISO_BUDGET}",
     }
     assert workspace.ISO_BUDGET < 4096
+
+
+# -- iterate: the iteration-system laws as claims ------------------------------------
+
+# the claims iterate recorded before the iteration laws, one case each
+_COMPLETION = dict.fromkeys((
+    "completion_atom_count", "completion_order_preserving",
+    "completion_incompatibility_preserving", "completion_dense_image",
+    "completion_image_in_b_plus",
+), 1)
+
+
+def _system_doc(atoms, fibers):
+    """A system over algebras of the given atom counts, step k with fiber ``fibers[k]``."""
+    objects = [{"kind": "algebra", "name": f"A{k}", "atoms": n} for k, n in enumerate(atoms)]
+    objects += [
+        {"kind": "hom", "name": f"s{k}", "source": f"A{k}", "target": f"A{k + 1}", "fiber": f}
+        for k, f in enumerate(fibers)
+    ]
+    objects.append({
+        "kind": "system", "name": "sys", "algebras": [o["name"] for o in objects[: len(atoms)]],
+        "steps": [f"s{k}" for k in range(len(fibers))],
+    })
+    return parse_workspace(json.dumps({"version": 1, "objects": objects, "audits": []}))
+
+
+def _iterate_cases(doc, target):
+    """The iterate ledger's claims in order, each with its case count."""
+    [(_, _, ledger, _)] = cli._run_task(doc, {"audit": "iterate", "target": target}, None, 8)
+    assert ledger.verdict == PASS, ledger.failures
+    return [(name, claim.cases) for name, claim in ledger.claims.items()]
+
+
+@pytest.mark.parametrize(
+    "doc, target, laws",
+    [
+        # demo chain, 1 -> 2 -> 4 atoms: 19 searched seeds, a tail at each of
+        # 3 (stage, atom) pairs, 16 constants glued at each of 2 stages, and
+        # 16 elements under each of the index maps (0, 2), (1, 2) and (2,)
+        (lambda: parse_workspace(DEMO.read_text()), "chain", (19, 3, 32, 48)),
+        (lambda: _system_doc([1, 4], [[0, 0, 0, 0]]), "sys", (16, 1, 16, 32)),
+    ],
+    ids=["demo-chain", "1-to-4-atoms"],
+)
+def test_iterate_records_the_iteration_laws(doc, target, laws):
+    names = (
+        "pointwise_sup_is_the_sup", "quotient_tail_is_a_system", "quotient_classes_glue",
+        "cofinal_reindex_agrees",
+    )
+    expected = {**_COMPLETION, "round_trip": 16, "constants_in_rcs": 15, **dict(zip(names, laws))}
+    assert _iterate_cases(doc(), target) == list(expected.items())
+
+
+@pytest.mark.parametrize(
+    "atoms, fibers, cases, details",
+    [
+        # one stage has no tail, so no quotient claim
+        ([2], [], {"round_trip": 4, "constants_in_rcs": 3, "pointwise_sup_is_the_sup": 3,
+                   "cofinal_reindex_agrees": 4}, {"length": 1, "elements": 3}),
+        # no atom: nothing to quotient at, and no antichain of atoms
+        ([0, 0], [[]], {"round_trip": 1, "cofinal_reindex_agrees": 2},
+         {"length": 2, "elements": 0}),
+    ],
+    ids=["one-stage", "no-atoms"],
+)
+def test_iterate_records_no_claim_without_cases(atoms, fibers, cases, details):
+    # the report is the one it was before the iteration laws were recorded
+    doc = _system_doc(atoms, fibers)
+    assert _iterate_cases(doc, "sys") == list({**_COMPLETION, **cases}.items())
+    (result,) = execute(doc, "iterate").results
+    assert result.as_json() == {
+        "name": "iterate", "target": "sys", "verdict": PASS, "witnesses": [],
+        "certified_depth": None, "details": details,
+    }
+
+
+@pytest.mark.parametrize(
+    "function, defect, witness",
+    [
+        # the re-indexed system loses its first stage whenever it has two
+        ("reindex_system", lambda honest: lambda s, idx: honest(s, idx[1:] or idx),
+         "cofinal_reindex_agrees: index map (0, 2), element 0: "
+         "restricted to (0, 0), re-indexed to (0,)"),
+        # every glued coordinate above the quotient stage gains atom 0
+        ("canonical_representative", lambda honest: lambda *args: honest(*args) | 1,
+         "quotient_classes_glue: stage 0, constant 0: glued (1, 1, 1), not (0, 0, 0)"),
+    ],
+    ids=["reindex-drops-a-stage", "gluing-adds-an-atom"],
+)
+def test_planted_iteration_defect_fails_iterate_alone(monkeypatch, function, defect, witness):
+    monkeypatch.setattr(iteration, function, defect(getattr(iteration, function)))
+    report = execute(parse_workspace(DEMO.read_text()), "verify-all")
+    assert [r.name for r in report.results].index("iterate") == 5
+    for r in report.results:
+        expected = (FAIL, (witness,)) if r.name == "iterate" else (PASS, ())
+        assert (r.verdict, r.witnesses) == expected, r.name
