@@ -97,19 +97,14 @@ def atom_map(images: Sequence[int]) -> Callable[[int], int]:
     """x -> the join of ``images[k]`` over the set bits k of x.
 
     Every finite homomorphism and reindexing is such a map on atoms.  It
-    reads one byte-indexed table per 8 atoms, so a call costs one lookup
-    per byte of x; bits past ``len(images)`` are ignored.
+    reads one byte-indexed table per 8 atoms, in one expression up to 8
+    tables: one lookup per byte of x.  Bits past ``len(images)`` are ignored.
     """
-    tables = []
-    for base in range(0, len(images), 8):
-        table = [0]
-        for image in images[base : base + 8]:
-            table += [x | image for x in table]
-        tables.append(table)
+    tables = [subset_join_table(images[base : base + 8]) for base in range(0, len(images), 8)]
     *full, last = tables or [[0]]
     top = len(last) - 1
-    if not full:
-        return lambda x: last[x & top]
+    if len(full) < len(_STRAIGHT_LINE):
+        return _STRAIGHT_LINE[len(full)](*full, last, top)
     shift = 8 * len(full)
 
     def mapped(x: int) -> int:
@@ -120,6 +115,25 @@ def atom_map(images: Sequence[int]) -> Callable[[int], int]:
         return out
 
     return mapped
+
+
+def subset_join_table(images: Sequence[int]) -> list[int]:
+    """At each x below 2^len(images), the join of the images[k] over the bits k of x."""
+    table = [0]
+    for image in images:
+        table += [x | image for x in table]
+    return table
+
+
+def _straight_line(count: int) -> Callable:
+    """For ``count`` byte tables, (t0, .., top) -> x -> t0[x & 255] | t1[x >> 8 & 255]
+    | .. | t_last[x >> 8 * (count - 1) & top]: every lookup of atom_map in one expression."""
+    terms = [f"t{k}[x >> {8 * k} & {255 if k < count - 1 else 'top'}]" for k in range(count)]
+    tables = ", ".join(f"t{k}" for k in range(count))
+    return eval(f"lambda {tables}, top: lambda x: {' | '.join(terms)}")
+
+
+_STRAIGHT_LINE = tuple(map(_straight_line, range(1, 9)))  # atom_map up to 8 bytes
 
 
 class ByteRows:
@@ -331,6 +345,10 @@ class Restriction:
         """``to_sub`` of every parent element (c at index c), computed on
         first use; only sensible for small parents."""
         return tuple(map(self.to_sub, self.parent.elements()))
+
+    @functools.cached_property
+    def packed_to_sub(self) -> int | None:  # to_sub_table as ByteRows.packed; None past a byte
+        return getattr(byte_rows(self.to_sub_table), "packed", None)
 
     def from_sub(self, sub_element: int) -> int:
         return self._from_sub(sub_element)

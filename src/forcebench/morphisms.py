@@ -19,6 +19,7 @@ from .finite_cba import (
     atom_map,
     byte_rows,
     format_element,
+    subset_join_table,
 )
 from .free_algebra import FreeAlgebra, FreeElement, free_project
 from .report import Ledger, bits, draws
@@ -199,6 +200,8 @@ class FreeInclusion:
 EXHAUSTIVE_MAX_ATOMS = 6
 # the cli asks for enumeration up to this many source atoms
 EXHAUSTIVE_SOURCE_ATOMS = 4
+# every predense family is a case up to this many source atoms; seeded ones above
+EXHAUSTIVE_FAMILY_ATOMS = 3
 
 
 def enumerable(h: CompleteHom) -> bool:
@@ -217,9 +220,9 @@ class _Cases:
     the first 16 of them, and the atoms where a law ranges over generators.
     Lists of target elements come with their projections (cs/pcs, ...);
     ``below`` and ``above`` map an element to projections below and above it.
-    When both sides are enumerated, ``rows`` packs the projections for the
-    laws over pairs (``finite_cba.ByteRows``; None when some value is not a
-    byte).
+    When both sides are enumerated (``enumerated``), ``rows`` packs the
+    projections for the laws over pairs (``finite_cba.ByteRows``; None when
+    some value is not a byte), and the scans build ``below`` and ``above``.
     """
 
     def __init__(self, h: CompleteHom, exhaustive: bool, rng, samples: int) -> None:
@@ -227,17 +230,11 @@ class _Cases:
         drawn = draws(_draw, rng, 0, B.atom_count, C.atom_count, exhaustive, samples)
         cs, bs, self.source_sets, self.target_sets = drawn
         self.h = h
+        self.enumerated = cs is None
         if cs is None:  # both sides enumerated
             bs, cs = list(B.elements()), list(C.elements())
             ibs, pcs = [h.apply(b) for b in bs], [h.project(c) for c in cs]
-            subs = [[0]]  # c -> every e <= c
-            for c in cs[1:]:
-                low = c & -c
-                subs.append(subs[c ^ low] + [e | low for e in subs[c ^ low]])
-            below = [{pcs[e] for e in sub} for sub in subs]
-            # monotonicity on covers c < c | a is monotonicity on all c <= d
-            atoms = C.atoms()
-            above = [[pcs[c | a] for a in atoms if not c & a] for c in cs]
+            below = above = None
             self.apply, self.project = ibs.__getitem__, pcs.__getitem__
             self.ds, self.pds, self.b_partners = cs, pcs, bs
             self.probes, self.pprobes = cs, pcs
@@ -274,7 +271,7 @@ def _draw(
     cs = bs = None
     if not (exhaustive and max(source_atoms, target_atoms) <= EXHAUSTIVE_MAX_ATOMS):
         cs, bs = bits(r, samples, target_atoms, source_atoms)
-    if exhaustive and source_atoms <= 3:
+    if exhaustive and source_atoms <= EXHAUSTIVE_FAMILY_ATOMS:
         source_sets = _predense_families(source_atoms)
     else:
         source_sets = []
@@ -350,7 +347,7 @@ def _meet_translation_join_form(k: _Cases):
     ):
         return True, "", cases
     for c, pc in zip(k.ds, k.pds):
-        below = k.below[c]
+        below = {p for e, p in zip(k.cs, k.pcs) if e & ~c == 0} if k.enumerated else k.below[c]
         for b in k.b_partners:
             join = 0
             for p in below:
@@ -390,6 +387,9 @@ def _sub_meet_inequality(k: _Cases):
 def _super_complement_inequality(k: _Cases):
     """-pi(c) <= pi(-c)."""
     B, C = k.h.source, k.h.target
+    rows = k.rows  # pi(-c) sits at byte C.one - c: the packed row read in reverse
+    if rows and not ~rows.packed & B.one * rows.ones & ~int.from_bytes(rows.raw[::-1], "little"):
+        return True, "", len(k.cs)
     cs = zip(k.cs, k.pcs)
     bad = next((c for c, pc in cs if B.neg(pc) & ~k.project(C.neg(c))), None)
     return bad is None, k.at(c=bad), len(k.cs)
@@ -430,17 +430,22 @@ def _meet_counterexample(k: _Cases):
 
 
 def _predense_forward(k: _Cases):
-    """i maps predense families to predense families."""
-    C, B = k.h.target, k.h.source
-    bad = next((D for D in k.source_sets if C.sup(map(k.apply, D)) != C.one), None)
+    """i maps predense families to predense families: on a small enumerated
+    source, every one, read from the joins of all sets of nonzero b and of i(b)."""
+    C, B, one, B_one = k.h.target, k.h.source, k.h.target.one, k.h.source.one
+    if k.enumerated and B.atom_count <= EXHAUSTIVE_FAMILY_ATOMS:
+        joins = zip(subset_join_table(range(1, B_one + 1)), subset_join_table(k.ibs[1:]))
+        if all(image == one for join, image in joins if join == B_one):
+            return True, "", len(k.source_sets)
+    bad = next((D for D in k.source_sets if C.sup(map(k.apply, D)) != one), None)
     witness = "" if bad is None else f"D={{{','.join(format_element(B, x) for x in bad)}}}"
     return bad is None, witness, len(k.source_sets)
 
 
 def _predense_backward(k: _Cases):
     """pi maps predense families to predense families."""
-    B = k.h.source
-    bad = next((E for E in k.target_sets if B.sup(map(k.project, E)) != B.one), None)
+    B, one = k.h.source, k.h.source.one
+    bad = next((E for E in k.target_sets if B.sup(map(k.project, E)) != one), None)
     return bad is None, "" if bad is None else f"|E|={len(bad)}", len(k.target_sets)
 
 
@@ -467,16 +472,10 @@ def _stone_open_image(k: _Cases):
     the atoms fiber[t] over the atoms t of c, gathered from the fiber map
     itself, are the atoms of pi(c)."""
     fiber, one = k.h.fiber, k.h.source.one
-
-    def image(c: int) -> int:
-        out = 0
-        for t, s in enumerate(fiber):
-            if c >> t & 1:
-                out |= 1 << s
-        return out
-
+    images = [1 << s for s in fiber]  # at the atoms (the sampled probes), then at every c
+    images = subset_join_table(images) if k.enumerated else images
     bad = next(
-        (c for c, pc in zip(k.probes, k.pprobes) if image(c) != pc & one), None
+        (c for c, pc, image in zip(k.probes, k.pprobes, images) if image != pc & one), None
     )
     return bad is None, k.at(c=bad), len(k.probes)
 
@@ -486,11 +485,14 @@ def _filters_to_filters(k: _Cases):
     (each cover, when exhaustive) projects above pi(c), and each b >= pi(c)
     is pi(c ∨ i(b))."""
     probes = [(c, pc) for c, pc in zip(k.probes, k.pprobes) if c]
-    cases = sum(len(k.above[c]) + len(k.b_partners) for c, _ in probes)
+    atoms = k.h.target.atoms()  # c has |atoms| - |c| covers; each sampled probe has the ds
+    covers = (len(atoms) - c.bit_count() if k.enumerated else len(k.ds) for c, _ in probes)
+    cases = sum(covers) + len(probes) * len(k.b_partners)
     if k.rows is not None and _filters_packed(k):
         return True, "", cases
-    for c, pc in probes:
-        if any(p & pc != pc for p in k.above[c]):
+    for c, pc in probes:  # monotonicity on covers c < c | a is monotonicity on all c <= d
+        above = [k.pcs[c | a] for a in atoms if not c & a] if k.enumerated else k.above[c]
+        if any(p & pc != pc for p in above):
             return False, k.at(c=c), cases
         for b in k.b_partners:
             b |= pc

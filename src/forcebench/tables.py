@@ -12,8 +12,8 @@ COMPUTED = (
     ("free_algebra", "_APPLY_MEMO"), ("free_algebra", "_QUANT_MEMO"),
     ("bvm", "_ATOMIC_MEMO"), ("bvm", "_EVAL_MEMO"),
     ("finite_cba", "_byte_masks"), ("finite_cba", "_at_most_table"),
-    ("morphisms", "_predense_families"),
-    ("two_step", "_narrow_view"), ("two_step", "_checked_sum"), ("report", "_fresh_draws"),
+    ("morphisms", "_predense_families"), ("report", "_fresh_draws"),
+    ("two_step", "_narrow_view"), ("two_step", "_checked_sum"), ("two_step", "_narrow_pairs"),
 )
 INTERNING = (("free_algebra", "_UNIQUE"), ("free_algebra", "_KEYS"), ("free_algebra", "_NAMES"),
              ("bvm", "_INTERNED"))

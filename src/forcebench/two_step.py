@@ -21,7 +21,7 @@ from .errors import (
     NotMaximalAntichain,
     ShapeMismatch,
 )
-from .finite_cba import FiniteCBA, Restriction, Ultrafilter, atom_map, format_element
+from .finite_cba import FiniteCBA, Restriction, Ultrafilter, atom_map, byte_rows, format_element
 from .morphisms import EXHAUSTIVE_MAX_ATOMS, CompleteHom, require_regular
 from .report import Ledger, bits, draws
 
@@ -107,6 +107,10 @@ class TwoStepAlgebra:
         """``support`` of every element (c at index c), computed on first
         use; only sensible for small sums."""
         return tuple(map(self.support, self.algebra.elements()))
+
+    @functools.cached_property
+    def indicators(self) -> bytes:  # ``indicator`` at every base element; at most 8 atoms
+        return bytes(map(self.indicator, self.presentation.base.elements()))
 
     def tv_equals_one(self, element: int) -> int:
         """The base value of "c = 1": atoms whose fiber part is full."""
@@ -203,8 +207,9 @@ def quotient_algebra(h: CompleteHom, u: Ultrafilter) -> GenericQuotient:
 def _audit_sup_commutation(q: GenericQuotient) -> None:
     """Joins pass through the class map; exhaustive when the quotient is small."""
     C = q.hom.target
-    if q.algebra.atom_count <= 4 and C.atom_count <= 8:
-        pool = list(C.elements()) if C.atom_count <= 4 else [q.representative(x) for x in q.algebra.elements()]
+    if q.algebra.atom_count <= SUP_ENUMERATED_ATOMS and C.atom_count <= QUOTIENT_ENUMERATED_ATOMS:
+        small = C.atom_count <= SUP_ENUMERATED_ATOMS
+        pool = list(C.elements() if small else map(q.representative, q.algebra.elements()))
         subsets = itertools.chain.from_iterable(
             itertools.combinations(pool, r) for r in (0, 1, 2, 3)
         )
@@ -261,6 +266,10 @@ class TwoStepIso(Ledger):
 # the iso audit enumerates its probe up to EXHAUSTIVE_MAX_ATOMS target atoms,
 # and every pair of probe elements up to this many
 ISO_ALL_PAIRS_ATOMS = 4
+# more audits check every element (pair) up to so many atoms, seeded ones above:
+QUOTIENT_ENUMERATED_ATOMS = 8  # targets of quotient_hom and of quotient_algebra's join check
+SUP_ENUMERATED_ATOMS = 4  # quotients of the join check; its pool is all of C up to it
+ASSOC_ENUMERATED_ATOMS = 10  # the top sum of three_step_assoc_audit
 
 
 def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoStepIso:
@@ -302,7 +311,8 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     # list of its values (c sits at index c), above it a memo for this audit
     # only, one entry per operand it asks for.  The exhaustive probe reads
     # each class map and the support from the tables of the shared view and
-    # sum, indexed the same way.
+    # sum, indexed the same way.  Packed one byte per element in ``rows`` (a
+    # sum of at most 8 atoms), phi may decide that a claim holds; else it scans.
     one, sum_one = C.one, two.algebra.one
     if exhaustive:
         phi_of = phis = list(map(phi, probe))
@@ -314,33 +324,60 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
         phis = [phi_of[c] for c in probe]
         classes = [list(map(q.class_of, probe)) for q in quotients]
         supports = map(two.support, phis)
+    rows = byte_rows(phis) if exhaustive and sum_one <= 0xFF else None
+    phi_at = rows and rows.raw.ljust(256, b"\0")  # phi as a bytes.translate table
 
-    # phi agrees with the per-atom class maps
-    expected = two.elements_from_columns(classes, len(probe))
-    bad = next((c for c, p, e in zip(probe, phis, expected) if p != e), None)
+    # phi agrees with the per-atom class maps (packed: phi's bits on each fiber)
+    bad = None
+    if not rows or rows.packed & ~(sum_one * rows.ones) or not all(
+        q.view.packed_to_sub == rows.packed >> offset & top * rows.ones
+        for q, offset, top in zip(quotients, two.offsets, two.tops)
+    ):
+        expected = two.elements_from_columns(classes, len(probe))
+        bad = next((c for c, p, e in zip(probe, phis, expected) if p != e), None)
     iso.record("phi_is_the_class_family", bad is None, _at(C, bad), len(probe))
 
     ok = sorted(atom_image) == [1 << k for k in range(two.algebra.atom_count)]
     iso.record("bijective_on_atoms", ok, "" if ok else "not a bijection on atoms")
-    bad = next(
+    reverse = rows and int.from_bytes(rows.raw[::-1], "little")  # phi(-c) at byte c
+    bad = None if rows and reverse == ~rows.packed & sum_one * rows.ones else next(
         (c for c, p in zip(probe, phis) if phi_of[one & ~c] != sum_one & ~p), None
     )
     iso.record("complement_preserved", bad is None, _at(C, bad), len(probe))
-    bad = next((c for c, s in zip(probe, supports) if s != h.project(c)), None)
+    projected = rows and byte_rows(list(map(h.project, probe)))
+    support_at = rows and bytes(two.supports) * (256 // (sum_one + 1))  # at every byte
+    packed = projected and projected.raw == rows.raw.translate(support_at)
+    bad = None if packed else next((c for c, s in zip(probe, supports) if s != h.project(c)), None)
     iso.record("retraction_transported", bad is None, _at(C, bad), len(probe))
-    if C.atom_count <= ISO_ALL_PAIRS_ATOMS:
-        pairs = list(itertools.product(probe, repeat=2))
+    if exhaustive:
+        pairs, *indices = _narrow_pairs(C.atom_count, random_pairs)
     else:
         atom_masks = [1 << t for t in range(C.atom_count)]
         pairs = list(itertools.product(atom_masks, repeat=2)) + list(random_pairs)
-    bad = next(((c, d) for c, d in pairs if phi_of[c | d] != phi_of[c] | phi_of[d]), None)
+    if rows:  # phi at each c, d and c | d, packed in the order of the pairs
+        cs, ds, joins = (int.from_bytes(x.translate(phi_at), "little") for x in indices)
+    bad = None if rows and joins == cs | ds else next(
+        ((c, d) for c, d in pairs if phi_of[c | d] != phi_of[c] | phi_of[d]), None
+    )
     witness = "" if bad is None else f"{_at(C, bad[0])} {_at(C, bad[1], 'd')}"
     iso.record("join_preserved", bad is None, witness, len(pairs))
     i_sum = two.embedding.apply
     # phi ignores bits past C's atoms, so masking keeps a stray bit readable
-    bad = next((b for b in B.elements() if phi_of[h.apply(b) & one] != i_sum(b)), None)
+    phi_applied = rows and bytes(h.apply(b) & one for b in B.elements()).translate(phi_at)
+    bad = None if phi_applied and phi_applied == two.indicators else next(
+        (b for b in B.elements() if phi_of[h.apply(b) & one] != i_sum(b)), None
+    )
     iso.record("embedding_transported", bad is None, _at(B, bad, "b"), B.one + 1)
     return iso
+
+
+@functools.lru_cache(maxsize=16)
+def _narrow_pairs(atoms: int, random_pairs: tuple) -> tuple[tuple, bytes, bytes, bytes]:
+    """The iso audit's pairs on an enumerated probe, and their c, d and c | d as bytes."""
+    pairs = tuple(itertools.product(range(1 << atoms), repeat=2))
+    if atoms > ISO_ALL_PAIRS_ATOMS:
+        pairs = tuple(itertools.product([1 << t for t in range(atoms)], repeat=2)) + random_pairs
+    return pairs, *map(bytes, zip(*pairs)), bytes(c | d for c, d in pairs)
 
 
 class _Memo(dict):
@@ -412,8 +449,8 @@ class QuotientHomResult(Ledger):
 
 def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
     """j/G between the quotients at a base atom, with the law audit: every
-    element (pair) when both targets have at most 8 atoms, 64 seeded ones
-    above."""
+    element (pair) when both targets have at most QUOTIENT_ENUMERATED_ATOMS
+    atoms, 64 seeded ones above."""
     for leg in (t.i0, t.i1, t.j):
         require_regular(leg)
     if u.algebra != t.i0.source:
@@ -425,7 +462,7 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
     result = QuotientHomResult(hom, q0, q1)
 
     C0, C1, j = t.j.source, t.j.target, t.j
-    if C1.atom_count <= 8 and C0.atom_count <= 8:
+    if max(C0.atom_count, C1.atom_count) <= QUOTIENT_ENUMERATED_ATOMS:
         c0s, c1s = list(C0.elements()), list(C1.elements())
         pairs = [(c, d) for c in c0s for d in c0s if q0.same_class(c, d)]
     else:  # 64 seeded elements of C0 and of C1, then 64 offsets in C0
@@ -522,7 +559,7 @@ def three_step_assoc_audit(
 ) -> Ledger:
     """Quotienting twice along an atom pair equals quotienting once at the
     composed atom, via [[c]_G]_K -> [c]_H on every element (64 seeded ones
-    above 10 atoms); one case per atom pair."""
+    above ASSOC_ENUMERATED_ATOMS atoms); one case per atom pair."""
     if mid.base != base:
         raise ShapeMismatch("mid presentation must sit on the base")
     two1 = build_two_step(mid)
@@ -538,7 +575,7 @@ def three_step_assoc_audit(
         outer = GenericQuotient(i12, u)
         elements = (
             list(top_algebra.elements())
-            if top_algebra.atom_count <= 10
+            if top_algebra.atom_count <= ASSOC_ENUMERATED_ATOMS
             else draws(bits, None, u, 64, top_algebra.atom_count)[0]
         )
         for d in range(mid.fibers[u].atom_count):

@@ -260,6 +260,8 @@ _BUILDERS = {
 POOL_BUDGET = 50_000
 # the most target atoms a twostep-iso presents (about 3 s; each doubling costs ~12x)
 ISO_BUDGET = 512
+# the most last-stage atoms an iterate audits (about 1 s; each atom costs ~7x)
+ITERATE_BUDGET = 7
 
 
 @dataclass(frozen=True)
@@ -390,7 +392,8 @@ AUDITS = {
     "twostep-iso": AuditSpec(
         "hom", _twostep_iso, (), lambda h, r: h.target.atom_count, "target atoms", ISO_BUDGET
     ),
-    "iterate": AuditSpec("system", _iterate),
+    "iterate": AuditSpec("system", _iterate, (), lambda s, r: s.algebra(s.length - 1).atom_count,
+                         "last-stage atoms", ITERATE_BUDGET),
     "sg-audit": AuditSpec("trace", _sg),
     "gallery": AuditSpec(None, _gallery, ("depth",)),
 }

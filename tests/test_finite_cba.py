@@ -190,11 +190,13 @@ def test_restriction_sub_of_atom_is_read_only():
     assert view.sub_of_atom == {1: 0, 2: 1, 4: 2}
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 64])
+# every straight-line closure (1 to 8 byte tables) and the loop above 8 bytes
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 24, 32, 40, 48, 56, 63, 64, 65, 72])
 def test_atom_map_matches_bit_loop(width):
     rng = random.Random(width)
     images = [rng.getrandbits(70) for _ in range(width)]
     mapped = atom_map(images)
+    assert (mapped.__name__ == "mapped") == (width > 64)  # one expression up to 8 bytes
 
     def by_bits(x):
         out = 0

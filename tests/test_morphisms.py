@@ -596,3 +596,82 @@ def test_packed_filter_law_leaves_projections_outside_the_source_to_the_scan():
     h = ProjectPastTheSourceTop(B2, C4, (0, 0, 1, 1))
     _, (filters, _) = _assert_as_the_reference_scans(h)
     assert filters == "IndexError('list index out of range')"
+
+
+# -- the laws the packed tables decide: a planted defect reads the scan's witness ----
+
+B3C6 = (FiniteCBA(3), FiniteCBA(6), tuple(t % 3 for t in range(6)))
+
+
+def _apply_wrong_at(element, wrong):
+    class ApplyWrongAt(CompleteHom):
+        def apply(self, b):
+            ib = super().apply(b)
+            return wrong(ib) if b == element else ib
+
+    return ApplyWrongAt
+
+
+def _the_scan_ran(*_):
+    raise RuntimeError("a scan ran")
+
+
+class _ScanOnly:
+    """Stands in for a case list that only a scan reads: any use raises."""
+
+    __call__ = __iter__ = __getitem__ = _the_scan_ran
+
+
+# the witness and case count of each, as the per-element scans give them
+@pytest.mark.parametrize(
+    "defect, law, witness, cases",
+    [
+        (
+            _project_wrong_at(0b100100, lambda p: 0),
+            "super_complement_inequality", "c={0,1,3,4}", 64,
+        ),
+        (_project_wrong_at(0b010110, lambda p: p ^ 1), "stone_open_image", "c={1,2,4}", 64),
+        (_project_wrong_at(0b110100, lambda p: p & p - 1), "stone_open_image", "c={2,4,5}", 64),
+        (_apply_wrong_at(0b011, lambda ib: ib & ib - 1), "predense_forward", "D={{0,1},{2}}", 109),
+        (_apply_wrong_at(0b110, lambda ib: ib & ib - 1), "predense_forward", "D={{0},{1,2}}", 109),
+        (
+            _project_wrong_at(0b010110, lambda p: p ^ 1),
+            "meet_translation_join_form", "b={0} c={1,2,4}", 512,
+        ),
+        (_project_wrong_at(0b010110, lambda p: p ^ 1), "filters_to_filters", "c={1,2,4}", 690),
+        (_project_wrong_at(0b110100, lambda p: p & p - 1), "filters_to_filters", "c={2,4}", 690),
+    ],
+    ids=[
+        "super-complement", "stone-flip", "stone-drop", "predense-01", "predense-12",
+        "join-form", "filters-flip", "filters-drop",
+    ],
+)
+def test_planted_defect_fails_a_packed_law_with_the_scans_witness(defect, law, witness, cases):
+    h = defect(*B3C6)
+    k = _Cases(h, True, None, 200)
+    assert k.enumerated and k.rows is not None
+    assert k.below is None and k.above is None  # only the scans build them
+    claim = retraction_laws_audit(h).claims[law]
+    assert (claim.passed, claim.witness, claim.cases) == (False, witness, cases)
+    honest = retraction_laws_audit(CompleteHom(*B3C6)).claims[law]
+    assert (honest.passed, honest.witness, honest.cases) == (True, "", cases)
+
+
+@pytest.mark.parametrize(
+    "law, scanned",
+    [
+        ("super_complement_inequality", ("project",)),
+        ("predense_forward", ("apply",)),
+        ("filters_to_filters", ("project", "apply")),
+        ("meet_translation_join_form", ("pds",)),
+    ],
+)
+@pytest.mark.parametrize("s, t", [(1, 1), (2, 4), (3, 6), (3, 5)])
+def test_packed_tables_decide_every_honest_pass(law, scanned, s, t):
+    # what only the law's scan reads raises: the pass comes from the tables
+    h = CompleteHom(FiniteCBA(s), FiniteCBA(t), tuple(x % s for x in range(t)))
+    k = _Cases(h, True, None, 200)
+    expected = dict(RETRACTION_LAWS)[law](k)
+    for name in scanned:
+        setattr(k, name, _ScanOnly())
+    assert dict(RETRACTION_LAWS)[law](k) == expected and expected[0]

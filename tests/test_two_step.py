@@ -409,10 +409,10 @@ def _class_of_wrong_at(monkeypatch, size, element, wrong):
     monkeypatch.setattr(Restriction, "to_sub", to_sub)
 
 
-def _phi_wrong_at(monkeypatch, element):
+def _phi_wrong_at(monkeypatch, element, flip=1):
     def atom_map(images):
         honest = finite_cba.atom_map(images)
-        return lambda c: honest(c) ^ (c == element)
+        return lambda c: honest(c) ^ flip * (c == element)
 
     monkeypatch.setattr(two_step, "atom_map", atom_map)
 
@@ -486,6 +486,93 @@ def test_iso_audit_catches_phi_wrong_at_one_element(monkeypatch, size, element, 
     _phi_wrong_at(monkeypatch, element)
     iso = two_step_iso_audit(_iso_hom(CompleteHom, size))
     assert iso.claims[claim].witness == witness and not iso.claims[claim].passed
+
+
+class _WrongAt(CompleteHom):
+    """``method`` (project or apply) gives ``wrong(value)`` at ``element``."""
+
+    method, element, wrong = "project", 0, None
+
+    def project(self, c):
+        p = super().project(c)
+        return self.wrong(p) if self.method == "project" and c == self.element else p
+
+    def apply(self, b):
+        ib = super().apply(b)
+        return self.wrong(ib) if self.method == "apply" and b == self.element else ib
+
+
+def _wrong_at(method, element, wrong):
+    attributes = {"method": method, "element": element, "wrong": staticmethod(wrong)}
+    return type("WrongAt", (_WrongAt,), attributes)
+
+
+def _planted(monkeypatch, defect):
+    """The exhaustive iso hom (3 -> 6 atoms) with one defect planted."""
+    if defect == "class map":
+        _class_of_wrong_at(monkeypatch, "exhaustive", 0b101101, lambda cls: cls ^ 1)
+    elif defect == "phi":
+        _phi_wrong_at(monkeypatch, 0b010110)
+    elif defect == "phi past the sum":  # a bit no fiber holds, still in the byte
+        _phi_wrong_at(monkeypatch, 0b010110, 0x80)
+    elif defect == "project":
+        return _iso_hom(_wrong_at("project", 0b011010, lambda p: p ^ 1), "exhaustive")
+    elif defect == "apply":
+        return _iso_hom(_wrong_at("apply", 0b101, lambda ib: ib & ib - 1), "exhaustive")
+    return _iso_hom(CompleteHom, "exhaustive")
+
+
+# the witness and case count of each, as the per-element scans give them
+@pytest.mark.parametrize(
+    "defect, claim, witness, cases",
+    [
+        ("class map", "phi_is_the_class_family", "c={0,2,3,5}", 64),
+        ("phi", "phi_is_the_class_family", "c={1,2,4}", 64),
+        ("phi", "complement_preserved", "c={1,2,4}", 64),
+        ("phi", "join_preserved", "c={1,2,3,4} d={1,2,4}", 6 * 6 + 128),
+        ("phi past the sum", "phi_is_the_class_family", "c={1,2,4}", 64),
+        ("phi past the sum", "complement_preserved", "c={0,3,5}", 64),
+        ("project", "retraction_transported", "c={1,3,4}", 64),
+        ("apply", "embedding_transported", "b={0,2}", 8),
+    ],
+)
+def test_planted_defect_fails_a_packed_iso_claim_with_the_scans_witness(
+    monkeypatch, cleared_tables, defect, claim, witness, cases
+):
+    iso = two_step_iso_audit(_planted(monkeypatch, defect))
+    got = iso.claims[claim]
+    assert (got.passed, got.witness, got.cases) == (False, witness, cases)
+    assert iso.verdict == "FAIL"
+    if defect in ("class map", "project", "apply"):  # the one claim it reaches
+        assert iso.failures == [f"{claim}: {witness}"]
+
+
+def test_packed_phi_decides_an_honest_enumerated_pass(monkeypatch, cleared_tables):
+    # no scan runs (each takes its first failure with next), and there is one
+    # project per probe element and one apply per quotient and per source
+    # element, as the scans would make them
+    calls = []
+
+    class Counting(CompleteHom):
+        def project(self, c):
+            calls.append("project")
+            return super().project(c)
+
+        def apply(self, b):
+            calls.append("apply")
+            return super().apply(b)
+
+    def the_scan_ran(*_):
+        raise RuntimeError("a scan ran")
+
+    monkeypatch.setattr(two_step.TwoStepAlgebra, "elements_from_columns", the_scan_ran)
+    monkeypatch.setattr(two_step, "next", the_scan_ran, raising=False)
+    for s in (1, 2, 3):
+        calls.clear()
+        h = Counting(FiniteCBA(s), FiniteCBA(6), tuple(x % s for x in range(6)))
+        iso = two_step_iso_audit(h)
+        assert iso.passed
+        assert sorted(calls) == ["apply"] * (s + (1 << s)) + ["project"] * 64
 
 
 def test_iso_audit_counts_atoms_of_the_sum_not_of_the_target():

@@ -642,6 +642,24 @@ def test_iterate_records_the_iteration_laws(doc, target, laws):
     assert _iterate_cases(doc(), target) == list(expected.items())
 
 
+def test_iterate_over_the_atom_budget_checks_no_case():
+    # 1 -> 10 atoms: the completion of the 1,023 constant threads does not end
+    # within a minute; the last stage's atoms are counted, not completed
+    doc = _system_doc([1, 10], [[0] * 10])
+    started = time.perf_counter()
+    (result,) = execute(doc, "iterate").results
+    assert time.perf_counter() - started < 5
+    note = f"not run: 10 last-stage atoms, over the budget {workspace.ITERATE_BUDGET}"
+    assert result.as_json() == {
+        "name": "iterate", "target": "sys", "verdict": INDETERMINATE, "witnesses": [],
+        "certified_depth": None, "details": {"cases": 0, "note": note},
+    }
+    # 1 -> 7 atoms (about a second) is the largest system that runs
+    spec = workspace.AUDITS["iterate"]
+    seven = _system_doc([1, 7], [[0] * 7]).resolve("sys")
+    assert spec.size(seven, {}) == workspace.ITERATE_BUDGET == 7
+
+
 @pytest.mark.parametrize(
     "atoms, fibers, cases, details",
     [
