@@ -1,84 +1,110 @@
 """Finite posets, separative quotients, and boolean completions.
 
-The completion of a finite poset is the powerset of the minimal classes of
-its separative quotient; the dense embedding sends p to the set of minimal
-classes below the class of p.  The equivalence-of-subsets route (density of
-intersections of downward closures) is kept in the test suite as the
-independent oracle for this construction.
+Every order question reads each element's down- and up-set, one mask over
+the element indices.  p <=* q (the separative order, Jech ch. 14) when every
+r <= p is compatible with q, so p and q share a separative class exactly when
+they are compatible with the same elements.  The completion is the powerset
+of the minimal classes; the equivalence-of-subsets route (density of
+intersections of downward closures) is kept in the tests as its oracle.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
-from .finite_cba import FiniteCBA
+from .finite_cba import FiniteCBA, atom_map
+
+
+def _order_masks(elements, pairs) -> tuple[dict[str, int], list[int], list[int]]:
+    """Each element's index, and the down- and up-set that ``pairs`` gives it."""
+    index = {p: k for k, p in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("duplicate poset elements")
+    downs, ups = [0] * len(index), [0] * len(index)
+    for p, q in pairs:
+        if p not in index or q not in index:
+            raise ValueError(f"relation pair ({p!r}, {q!r}) outside the element set")
+        downs[index[q]] |= 1 << index[p]
+        ups[index[p]] |= 1 << index[q]
+    return index, downs, ups
 
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite poset; ``relation`` holds every pair (p, q) with p <= q."""
+    """A finite poset; ``relation`` holds every pair (p, q) with p <= q, and
+    ``downs[k]``/``ups[k]`` the down-/up-set of ``elements[k]`` in ``masks``."""
 
     elements: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    downs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ups: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: FiniteCBA = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
-            raise ValueError("duplicate poset elements")
-        for p, q in self.relation:
-            if p not in elems or q not in elems:
-                raise ValueError(f"relation pair ({p!r}, {q!r}) outside the element set")
-        for p in self.elements:
-            if (p, p) not in self.relation:
+        index, downs, ups = _order_masks(self.elements, self.relation)
+        names, masks = self.elements, FiniteCBA(len(self.elements))
+        for k, p in enumerate(names):
+            if not downs[k] >> k & 1:
                 raise ValueError(f"order not reflexive at {p!r}")
-        for p, q in self.relation:
-            if (q, p) in self.relation and p != q:
+        for k, q in enumerate(names):
+            if both := downs[k] & ups[k] & ~(1 << k):
+                p = names[masks.atom_indices(both)[0]]
                 raise ValueError(f"order not antisymmetric on {p!r}, {q!r}")
-        rel = self.relation
-        for (p, q), (q2, r) in itertools.product(rel, rel):
-            if q == q2 and (p, r) not in rel:
-                raise ValueError(f"order not transitive: {p!r} <= {q!r} <= {r!r}")
+        for k, r in enumerate(names):
+            for j in masks.atom_indices(downs[k]):
+                if beyond := downs[j] & ~downs[k]:
+                    p, q = names[masks.atom_indices(beyond)[0]], names[j]
+                    raise ValueError(f"order not transitive: {p!r} <= {q!r} <= {r!r}")
+        self.__dict__.update(index=index, downs=tuple(downs), ups=tuple(ups), masks=masks)
 
     @classmethod
     def from_pairs(cls, elements: list[str] | tuple[str, ...], pairs: list[tuple[str, str]]) -> "Poset":
-        """Build from covering pairs, closing reflexively and transitively."""
+        """Build from covering pairs, closed by Warshall's algorithm on the down-sets."""
         elems = tuple(elements)
-        rel = {(p, p) for p in elems} | set(pairs)
-        changed = True
-        while changed:
-            changed = False
-            for (p, q), (q2, r) in itertools.product(tuple(rel), tuple(rel)):
-                if q == q2 and (p, r) not in rel:
-                    rel.add((p, r))
-                    changed = True
-        return cls(elems, frozenset(rel))
+        _, downs, _ = _order_masks(elems, pairs)
+        downs = [d | 1 << k for k, d in enumerate(downs)]
+        for k in range(len(downs)):
+            for i, d in enumerate(downs):
+                if d >> k & 1:
+                    downs[i] = d | downs[k]
+        bits = FiniteCBA(len(elems)).atom_indices
+        return cls(elems, frozenset((elems[p], q) for q, d in zip(elems, downs) for p in bits(d)))
+
+    @functools.cached_property
+    def compat(self) -> tuple[int, ...]:
+        """``compat[k]``, what is compatible with ``elements[k]``: its down-set's up-sets joined."""
+        return tuple(map(atom_map(self.ups), self.downs))
+
+    def _named(self, mask: int) -> frozenset[str]:
+        return frozenset(self.elements[k] for k in self.masks.atom_indices(mask))
 
     def leq(self, p: str, q: str) -> bool:
-        return (p, q) in self.relation
+        return bool(self.downs[self.index[q]] >> self.index[p] & 1)
 
     def below(self, p: str) -> frozenset[str]:
-        return frozenset(r for r in self.elements if self.leq(r, p))
+        return self._named(self.downs[self.index[p]])
 
     def down(self, subset: frozenset[str] | set[str]) -> frozenset[str]:
-        return frozenset(r for r in self.elements if any(self.leq(r, q) for q in subset))
+        return self._named(self.masks.sup(self.downs[self.index[q]] for q in subset))
 
     def up(self, subset: frozenset[str] | set[str]) -> frozenset[str]:
-        return frozenset(r for r in self.elements if any(self.leq(q, r) for q in subset))
+        return self._named(self.masks.sup(self.ups[self.index[q]] for q in subset))
 
     def compatible(self, p: str, q: str) -> bool:
-        return any(self.leq(r, p) and self.leq(r, q) for r in self.elements)
+        return not self.incompatible(p, q)
 
     def incompatible(self, p: str, q: str) -> bool:
-        return not self.compatible(p, q)
+        return self.downs[self.index[p]] & self.downs[self.index[q]] == 0
 
     def is_dense(self, subset: frozenset[str] | set[str]) -> bool:
-        return self.up(subset) == frozenset(self.elements)
+        return len(self.up(subset)) == len(self.elements)
 
     def is_predense(self, subset: frozenset[str] | set[str]) -> bool:
         return self.is_dense(self.down(subset))
 
     def is_antichain(self, subset: frozenset[str] | set[str]) -> bool:
-        return all(self.incompatible(p, q) for p, q in itertools.combinations(subset, 2))
+        return self.masks.is_antichain(self.downs[self.index[q]] for q in subset)
 
     def is_maximal_antichain(self, subset: frozenset[str] | set[str]) -> bool:
         if not self.is_antichain(subset):
@@ -86,19 +112,7 @@ class Poset:
         return all(any(self.compatible(p, q) for q in subset) for p in self.elements)
 
     def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(
-            p for p in self.elements
-            if all(not self.leq(q, p) or q == p for q in self.elements)
-        )
-
-
-def _separative_leq(poset: Poset, p: str, q: str) -> bool:
-    """p <=* q: every r <= p has something below it below both p and q."""
-    for r in poset.elements:
-        if poset.leq(r, p):
-            if not any(poset.leq(s, r) and poset.leq(s, q) for s in poset.elements):
-                return False
-    return True
+        return tuple(p for k, p in enumerate(self.elements) if self.downs[k] == 1 << k)
 
 
 @dataclass(frozen=True)
@@ -108,29 +122,17 @@ class SeparativeQuotient:
 
 
 def separative_quotient(poset: Poset) -> SeparativeQuotient:
-    """The separative quotient with its canonical projection."""
-    classes: list[list[str]] = []
-    for p in poset.elements:
-        for cls in classes:
-            rep = cls[0]
-            if _separative_leq(poset, p, rep) and _separative_leq(poset, rep, p):
-                cls.append(p)
-                break
-        else:
-            classes.append([p])
-    names = {}
-    for cls in classes:
-        label = "|".join(sorted(cls))
-        for p in cls:
-            names[p] = label
-    labels = tuple(sorted({names[p] for p in poset.elements}))
-    rel = set()
-    for a, b in itertools.product(labels, repeat=2):
-        pa = next(p for p in poset.elements if names[p] == a)
-        pb = next(p for p in poset.elements if names[p] == b)
-        if _separative_leq(poset, pa, pb):
-            rel.add((a, b))
-    return SeparativeQuotient(Poset(labels, frozenset(rel)), names)
+    """The separative quotient and its projection: a class per compatibility
+    mask, and p <=* q when the down-set of p is compatible with q throughout."""
+    classes: dict[int, list[str]] = {}
+    for p, compat in zip(poset.elements, poset.compat):
+        classes.setdefault(compat, []).append(p)
+    names = {p: "|".join(sorted(cls)) for cls in classes.values() for p in cls}
+    rep = {names[cls[0]]: poset.index[cls[0]] for cls in classes.values()}
+    labels = tuple(sorted(rep))
+    below = [(a, poset.downs[rep[a]]) for a in labels]
+    rel = frozenset((a, b) for b in labels for a, d in below if d & ~poset.compat[rep[b]] == 0)
+    return SeparativeQuotient(Poset(labels, rel), names)
 
 
 @dataclass(frozen=True)
@@ -144,43 +146,30 @@ class Completion:
     atom_classes: tuple[str, ...] = ()
 
     def audit(self) -> dict[str, bool]:
-        """The three dense-embedding conditions, checked directly."""
+        """The three dense-embedding conditions: each image bounds the images below it
+        and misses those of the elements outside its compatible set (``join`` reads no
+        bit past the elements); every nonzero element bounds a nonzero image."""
         p = self.poset
-        emb = self.embedding
-        order_ok = all(
-            not p.leq(a, b) or (emb[a] & ~emb[b] == 0)
-            for a, b in itertools.product(p.elements, repeat=2)
-        )
-        incompat_ok = all(
-            not p.incompatible(a, b) or (emb[a] & emb[b] == 0)
-            for a, b in itertools.product(p.elements, repeat=2)
-        )
-        image = set(emb.values())
-        dense_ok = all(
-            any(e & ~c == 0 for e in image if e != 0)
-            for c in self.algebra.nonzero_elements()
-        )
-        nonzero_ok = all(emb[a] != 0 for a in p.elements)
+        images = [self.embedding[e] for e in p.elements]
+        join = atom_map(images)
+        nonzero = sorted(set(images) - {0}, key=int.bit_count)  # atoms first
         return {
-            "order_preserving": order_ok,
-            "incompatibility_preserving": incompat_ok,
-            "dense_image": dense_ok,
-            "image_in_b_plus": nonzero_ok,
+            "order_preserving": all(join(d) & ~e == 0 for d, e in zip(p.downs, images)),
+            "incompatibility_preserving": all(join(~c) & e == 0 for c, e in zip(p.compat, images)),
+            "dense_image": all(
+                any(e & ~c == 0 for e in nonzero) for c in self.algebra.nonzero_elements()
+            ),
+            "image_in_b_plus": all(images),
         }
 
 
 def boolean_completion(poset: Poset) -> Completion:
-    """RO(P): the powerset of the minimal separative classes."""
+    """RO(P): the powerset of the minimal separative classes; p goes to the
+    join of the minimal classes below its class."""
     sq = separative_quotient(poset)
-    minimal = tuple(sorted(sq.quotient.minimal_elements()))
-    index = {m: k for k, m in enumerate(minimal)}
-    algebra = FiniteCBA(len(minimal))
-    embedding = {}
-    for p in poset.elements:
-        cls = sq.projection[p]
-        mask = 0
-        for m in minimal:
-            if sq.quotient.leq(m, cls):
-                mask |= 1 << index[m]
-        embedding[p] = mask
-    return Completion(poset, algebra, embedding, sq, minimal)
+    q = sq.quotient
+    minimal = tuple(sorted(q.minimal_elements()))
+    atoms = dict(zip(minimal, FiniteCBA(len(minimal)).atoms()))
+    below = atom_map([atoms.get(c, 0) for c in q.elements])
+    embedding = {p: below(q.downs[q.index[sq.projection[p]]]) for p in poset.elements}
+    return Completion(poset, FiniteCBA(len(minimal)), embedding, sq, minimal)

@@ -29,7 +29,9 @@ from .bvm import (
     BName, check_name, forcing_audit, name_from_pairs, standard_formula_pool, standard_name_pool,
     standard_pool_size,
 )
-from .errors import ForcebenchError, UnresolvedReference, ValidationError, WorkspaceSyntaxError
+from .errors import (
+    CoherenceFailure, ForcebenchError, UnresolvedReference, ValidationError, WorkspaceSyntaxError,
+)
 from .finite_cba import FiniteCBA, Ultrafilter, parse_element
 from .free_algebra import FreeAlgebra
 from .gallery import build_fresh_tower, sup_gap_audit, wedge_meet_audit
@@ -260,8 +262,10 @@ _BUILDERS = {
 POOL_BUDGET = 50_000
 # the most target atoms a twostep-iso presents (about 3 s; each doubling costs ~12x)
 ISO_BUDGET = 512
-# the most last-stage atoms an iterate audits (about 1 s; each atom costs ~7x)
-ITERATE_BUDGET = 7
+# the most last-stage atoms an iterate audits (1-2 s; each atom costs ~5x)
+ITERATE_BUDGET = 10
+# the most completion atoms a complete audits (about 1 s; each atom doubles it)
+COMPLETE_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -312,10 +316,14 @@ def _iterate(system, request, rng, depth):
     alg = system.algebra(last)
     for e in alg.nonzero_elements():
         t = ConstantThread(last, e)
-        thread_validate(system, t)
-        v = rcs_membership(system, t, oracle)
-        ok = v.member is True
-        ledger.record("constants_in_rcs", ok, "" if ok else f"constant {e}: {v.reason}")
+        try:
+            thread_validate(system, t)
+        except CoherenceFailure as err:
+            ok, why = False, "not coherent at ({},{})".format(*err.stages)
+        else:
+            v = rcs_membership(system, t, oracle)
+            ok, why = v.member is True, v.reason
+        ledger.record("constants_in_rcs", ok, "" if ok else f"constant {e}: {why}")
     atoms = [ConstantThread(last, x) for x in alg.atoms()]
     if atoms:
         ledger.absorb(antichain_sup_audit(system, atoms, last, last, candidates="search"))
@@ -382,7 +390,8 @@ def _gallery(_, request, rng, depth):
 
 # in the order verify-all runs the defaults of a document with no audit list
 AUDITS = {
-    "complete": AuditSpec("poset", _complete),
+    "complete": AuditSpec("poset", _complete, (), lambda p, r: len(p.minimal_elements()),
+                          "completion atoms", COMPLETE_BUDGET),
     "retraction-laws": AuditSpec("hom", _retraction_laws),
     "bvm-audit": AuditSpec(
         "algebra", _bvm, ("max_rank", "pool_cap"),

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from forcebench.finite_cba import FiniteCBA
 from forcebench.poset import Poset, boolean_completion, separative_quotient
 
 from .oracles import is_separative, star_equiv_classes_of_singletons, star_leq
@@ -25,6 +27,77 @@ def test_poset_validation():
         Poset(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}))
     with pytest.raises(ValueError):
         Poset(("a",), frozenset())  # not reflexive
+
+
+def _order(*pairs):
+    return frozenset(pairs)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Poset(("a", "a"), _order(("a", "a"))), "duplicate poset elements"),
+        (lambda: Poset.from_pairs(["a", "b", "a"], []), "duplicate poset elements"),
+        (lambda: Poset(("a",), _order(("a", "a"), ("a", "b"))),
+         "relation pair ('a', 'b') outside the element set"),
+        (lambda: Poset.from_pairs(["a"], [("z", "a")]),
+         "relation pair ('z', 'a') outside the element set"),
+        (lambda: Poset(("a", "b"), _order(("a", "a"))), "order not reflexive at 'b'"),
+        (lambda: Poset(("a", "b"), _order(("a", "a"), ("b", "b"), ("a", "b"), ("b", "a"))),
+         "order not antisymmetric on 'b', 'a'"),
+        (lambda: Poset.from_pairs(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]),
+         "order not antisymmetric on 'b', 'a'"),
+        (lambda: Poset(("a", "b", "c"), _order(*[(x, x) for x in "abc"], ("a", "b"), ("b", "c"))),
+         "order not transitive: 'a' <= 'b' <= 'c'"),
+    ],
+    ids=[
+        "duplicate", "duplicate-from-pairs", "outside", "outside-from-pairs", "not-reflexive",
+        "not-antisymmetric", "cycle-from-pairs", "not-transitive",
+    ],
+)
+def test_poset_validation_names_the_defect(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def _planted(completion, **images):
+    return dataclasses.replace(completion, embedding={**completion.embedding, **images})
+
+
+@pytest.mark.parametrize(
+    "defect, failing",
+    [
+        # the root and a leaf swap images: two leaves now sit outside the
+        # root's image, and the leaf that took the root's image meets the other
+        (lambda: _planted(boolean_completion(reversed_tree_height2()), r=0b01, l0=0b11),
+         {"order_preserving", "incompatibility_preserving"}),
+        # a above x and b above y: a's image merged with b's meets it
+        (lambda: _planted(boolean_completion(Poset.from_pairs(
+            ["x", "y", "a", "b"], [("x", "a"), ("y", "b")])), a=0b11),
+         {"incompatibility_preserving"}),
+        # the same past 64 elements: x, y, z and 67 elements above x, the
+        # last of which meets z's image
+        (lambda: _planted(boolean_completion(Poset.from_pairs(
+            ["x", "y", "z"] + [f"u{k}" for k in range(67)], [("x", f"u{k}") for k in range(67)]
+        )), u66=0b101), {"incompatibility_preserving"}),
+        # the bottom of a two-chain sent to zero
+        (lambda: _planted(boolean_completion(two_chain()), a=0), {"image_in_b_plus"}),
+        # a third atom that no image lies below
+        (lambda: dataclasses.replace(boolean_completion(antichain(2)), algebra=FiniteCBA(3)),
+         {"dense_image"}),
+    ],
+    ids=[
+        "swapped-images", "merged-incompatible-pair", "merged-pair-past-64-elements", "zero-image",
+        "image-missing-an-atom",
+    ],
+)
+def test_planted_completion_defect_fails_its_condition(defect, failing):
+    checks = defect().audit()
+    assert list(checks) == [
+        "order_preserving", "incompatibility_preserving", "dense_image", "image_in_b_plus",
+    ]
+    assert {name for name, ok in checks.items() if not ok} == failing
 
 
 def test_dense_contains_maximal_antichain_and_predense():
@@ -56,6 +129,39 @@ def test_dense_contains_maximal_antichain_and_predense():
             for a in subsets:
                 if p.is_maximal_antichain(a):
                     assert p.is_predense(a)
+
+
+def test_order_questions_match_their_definitions_on_small_posets():
+    # every poset on 4 elements embedded in a linear extension: each answer
+    # read from the masks against its definition over the relation pairs
+    labels = ["p0", "p1", "p2", "p3"]
+    idx_pairs = [(i, j) for i in range(4) for j in range(4) if i < j]
+    subsets = [frozenset(c) for r in range(5) for c in itertools.combinations(labels, r)]
+    for bits in range(1 << len(idx_pairs)):
+        pairs = [(labels[i], labels[j]) for k, (i, j) in enumerate(idx_pairs) if bits >> k & 1]
+        p = Poset.from_pairs(labels, pairs)
+        rel = p.relation
+
+        def compatible(a, b):
+            return any((r, a) in rel and (r, b) in rel for r in labels)
+
+        for a, b in itertools.product(labels, repeat=2):
+            assert p.leq(a, b) == ((a, b) in rel)
+            assert p.compatible(a, b) == compatible(a, b) != p.incompatible(a, b)
+        assert p.minimal_elements() == tuple(
+            a for a in labels if all((b, a) not in rel or b == a for b in labels)
+        )
+        for sub in subsets:
+            down = frozenset(r for r in labels if any((r, q) in rel for q in sub))
+            up = frozenset(r for r in labels if any((q, r) in rel for q in sub))
+            assert (p.down(sub), p.up(sub)) == (down, up)
+            assert p.is_dense(sub) == (up == frozenset(labels))
+            antichain = not any(compatible(a, b) for a, b in itertools.combinations(sub, 2))
+            assert p.is_antichain(sub) == antichain
+            assert p.is_maximal_antichain(sub) == (
+                antichain and all(any(compatible(a, q) for q in sub) for a in labels)
+            )
+        assert p.below("p3") == frozenset(r for r in labels if (r, "p3") in rel)
 
 
 def test_separative_quotient_antichain_identity():
@@ -140,6 +246,8 @@ def test_completion_audit_on_every_small_poset():
             continue
         c = boolean_completion(p)
         assert all(c.audit().values())
+        # complete's size estimate: one completion atom per minimal element
+        assert c.algebra.atom_count == len(p.minimal_elements())
 
 
 def test_completion_density_matches_star_oracle_on_tree():

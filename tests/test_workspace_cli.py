@@ -643,21 +643,76 @@ def test_iterate_records_the_iteration_laws(doc, target, laws):
 
 
 def test_iterate_over_the_atom_budget_checks_no_case():
-    # 1 -> 10 atoms: the completion of the 1,023 constant threads does not end
-    # within a minute; the last stage's atoms are counted, not completed
-    doc = _system_doc([1, 10], [[0] * 10])
+    # 1 -> 11 atoms: the audit of the 2,047 constant threads takes about 7 s;
+    # the last stage's atoms are counted, not completed
+    doc = _system_doc([1, 11], [[0] * 11])
     started = time.perf_counter()
     (result,) = execute(doc, "iterate").results
     assert time.perf_counter() - started < 5
-    note = f"not run: 10 last-stage atoms, over the budget {workspace.ITERATE_BUDGET}"
+    note = f"not run: 11 last-stage atoms, over the budget {workspace.ITERATE_BUDGET}"
     assert result.as_json() == {
         "name": "iterate", "target": "sys", "verdict": INDETERMINATE, "witnesses": [],
         "certified_depth": None, "details": {"cases": 0, "note": note},
     }
-    # 1 -> 7 atoms (about a second) is the largest system that runs
+    # 1 -> 10 atoms (1-2 s) is the largest system that runs
     spec = workspace.AUDITS["iterate"]
-    seven = _system_doc([1, 7], [[0] * 7]).resolve("sys")
-    assert spec.size(seven, {}) == workspace.ITERATE_BUDGET == 7
+    ten = _system_doc([1, 10], [[0] * 10]).resolve("sys")
+    assert spec.size(ten, {}) == workspace.ITERATE_BUDGET == 10
+
+
+def test_iterate_at_the_atom_budget_passes():
+    # 1 -> 10 atoms: every claim runs, on the 1,023 constant threads
+    doc = _system_doc([1, 10], [[0] * 10])
+    (result,) = execute(doc, "iterate").results
+    assert (result.verdict, result.witnesses) == (PASS, ())
+    assert result.details["elements"] == 1023
+
+
+def test_incoherent_constant_is_a_witness_not_an_error():
+    # the built chain 1 -> 2 -> 4 atoms gets a wrong projection from stage 1
+    # to stage 0: every constant thread of the last stage is incoherent at
+    # (0, 1), which constants_in_rcs records case by case instead of the
+    # whole audit reading "error: ..."
+    doc = _system_doc([1, 2, 4], [[0, 0], [0, 0, 1, 1]])
+    object.__setattr__(doc.resolve("sys").hom(0, 1), "_project", lambda c: 0)
+    [(_, _, ledger, _)] = cli._run_task(doc, {"audit": "iterate", "target": "sys"}, None, 8)
+    claim = ledger.claims["constants_in_rcs"]
+    assert (claim.passed, claim.cases) == (False, 15)
+    (result,) = execute(doc, "iterate").results
+    assert result.verdict == FAIL
+    assert result.witnesses == (
+        "constants_in_rcs: constant 1: not coherent at (0,1)",
+        "pointwise_sup_is_the_sup: refinement not coherent at (0,1)",
+        "quotient_classes_glue: stage 0, constant 1: "
+        "projection of coordinate 2 does not match coordinate 0",
+        "cofinal_reindex_agrees: index map (0, 2), element 1: not coherent at (0,1)",
+    )
+
+
+def test_complete_over_the_atom_budget_checks_no_case():
+    # a 24-element antichain: its completion has 2^24 elements, and the
+    # dense-image check visits each; the minimal elements are counted instead
+    elements = json.dumps([f"a{k}" for k in range(24)])
+    doc = parse_workspace(minimal_doc(
+        ', {"kind": "poset", "name": "P", "elements": ' + elements + "}",
+        '[{"audit": "complete", "target": "P"}]',
+    ))
+    started = time.perf_counter()
+    (result,) = execute(doc, "complete").results
+    assert time.perf_counter() - started < 5
+    note = f"not run: 24 completion atoms, over the budget {workspace.COMPLETE_BUDGET}"
+    assert result.as_json() == {
+        "name": "complete", "target": "P", "verdict": INDETERMINATE, "witnesses": [],
+        "certified_depth": None, "details": {"cases": 0, "note": note},
+    }
+    # one completion atom per minimal element: the demo tree has two leaves
+    tree = parse_workspace(DEMO.read_text())
+    assert workspace.AUDITS["complete"].size(tree.resolve("tree"), {}) == 2
+    (result,) = execute(tree, "complete").results
+    assert result.as_json() == {
+        "name": "complete", "target": "tree", "verdict": PASS, "witnesses": [],
+        "certified_depth": None, "details": {"atoms": 2},
+    }
 
 
 @pytest.mark.parametrize(
