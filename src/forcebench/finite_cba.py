@@ -140,62 +140,62 @@ class ByteRows:
     """A map f on the 2^t elements of a small algebra, packed one byte per
     element: byte d of ``packed`` holds f(d).
 
-    Row c of ``join_rows`` holds f(c | d) in byte d, and row c of
-    ``meet_rows`` holds f(c & d).  Each row is an earlier row under one
-    byte mask and one shift, so it only moves bytes of the table and never
-    calls f again.  A law over every pair (c, d) then checks all d of one c
-    in a few big-int operations: bit-slicing (Biham 1997) applied to bytes.
+    ``join_row(x)`` holds f(x | d) in byte d and ``meet_row(x)`` f(x & d),
+    each computed on demand from ``packed`` with one byte mask and one shift
+    per atom inside (outside) x, so f is never called again.  A law over
+    every pair (c, d) then checks all d of one c in a few big-int operations:
+    bit-slicing (Biham 1997) applied to bytes.  Two pair laws need no row:
+    f(c | d) = f(c) | f(d) at every pair iff each f(c) is f(0) joined with f
+    at the atoms of c (induct on c; conversely both sides are that join over
+    c | d), and f(c & d) <= f(c) & f(d) at every pair iff f is monotone (take
+    c <= d; conversely c & d lies below both).
     """
 
     def __init__(self, values: Sequence[int]) -> None:
         """``values[d]`` = f(d) for each of the 2^t elements d; raises
         ValueError or TypeError unless every value is an int in 0..255."""
-        self.values = values
         self.raw = bytes(values)
         self.packed = int.from_bytes(self.raw, "little")
         self.ones, self.masks = _byte_masks(len(values))
 
-    @functools.cached_property
-    def join_rows(self) -> list[int]:
-        rows = [self.packed]
-        for c in range(1, len(self.values)):
-            low = c & -c  # an atom of c: f(c | d) = f((c - low) | (d | low))
-            row = rows[c ^ low] & self.masks[low.bit_length() - 1]
-            rows.append(row | row >> 8 * low)
-        return rows
+    def join_row(self, x: int) -> int:
+        """Byte d holds f(x | d): per atom a of x, f(d | a) moves down to each d."""
+        row = self.packed
+        for a, mask in enumerate(self.masks):
+            if x >> a & 1:
+                row = row & mask | (row & mask) >> (8 << a)
+        return row
 
-    @functools.cached_property
-    def meet_rows(self) -> list[int]:
-        rows = [self.packed] * len(self.values)
-        for c in range(len(self.values) - 2, -1, -1):
-            low = ~c & c + 1  # an atom outside c: f(c & d) = f((c | low) & (d - low))
-            row = rows[c | low] & ~self.masks[low.bit_length() - 1]
-            rows[c] = row | row << 8 * low
-        return rows
+    def meet_row(self, x: int) -> int:
+        """Byte d holds f(x & d): per atom a outside x, f(d - a) moves up to each d."""
+        row = self.packed
+        for a, mask in enumerate(self.masks):
+            if not x >> a & 1:
+                row = row & ~mask | (row & ~mask) << (8 << a)
+        return row
 
     def preserves_joins(self) -> bool:
-        """f(c | d) = f(c) | f(d) for every pair."""
-        packed, ones = self.packed, self.ones
-        return all(row == f * ones | packed for row, f in zip(self.join_rows, self.values))
+        """f(c | d) = f(c) | f(d) at every pair: f at 0 and the atoms, joined below c, is f(c)."""
+        low = 0xFF | sum(0xFF << (8 << a) for a in range(len(self.masks)))
+        return self.subset_joins(self.packed & low) == self.packed
 
-    def sub_meets(self) -> bool:
-        """f(c & d) <= f(c) & f(d) for every pair."""
-        packed, ones = self.packed, self.ones
-        return all(not row & ~(f * ones & packed) for row, f in zip(self.meet_rows, self.values))
+    def monotone(self) -> bool:
+        """f(d) <= f(d | a) at every d and atom a, so f(c & d) <= f(c) & f(d) at every pair."""
+        packed = self.packed
+        return all(not packed & ~self.join_row(1 << a) for a in range(len(self.masks)))
 
     def translates_meet(self, x: int, b: int) -> bool:
         """f(d & x) = f(d) & b for every d."""
-        top = len(self.values) - 1
-        return 0 <= b <= 0xFF and self.meet_rows[x & top] == self.packed & b * self.ones
-
-    def monotone(self) -> bool:
-        """f(d) <= f(d | a) for every d and atom a: f is monotone."""
-        packed, rows = self.packed, self.join_rows
-        return all(not packed & ~rows[1 << a] for a in range(len(self.masks)))
+        return 0 <= b <= 0xFF and self.meet_row(x) == self.packed & b * self.ones
 
     def at_most(self, b: int) -> int:
         """Byte 0xFF at every d with f(d) <= b, else 0 (one translate)."""
         return int.from_bytes(self.raw.translate(_at_most_table(b & 0xFF)), "little")
+
+    def join_at_most(self, b: int) -> int:
+        """The join of the d with f(d) <= b: atom a is in it when some d containing a is."""
+        below = self.at_most(b)
+        return sum(1 << a for a, mask in enumerate(self.masks) if below & mask)
 
     def subset_joins(self, row: int) -> int:
         """Byte d holds the join of bytes e <= d of ``row``: one shift per atom."""

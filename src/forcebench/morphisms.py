@@ -33,6 +33,7 @@ class CompleteHom:
     target: FiniteCBA
     fiber: tuple[int, ...]
     _atom_image: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    regular: bool = field(default=False, init=False, repr=False, compare=False)  # injective
     _apply: Callable[[int], int] = field(init=False, repr=False, compare=False)
     _project: Callable[[int], int] = field(init=False, repr=False, compare=False)
 
@@ -47,14 +48,12 @@ class CompleteHom:
         table = [0] * self.source.atom_count
         for t, s in enumerate(self.fiber):
             table[s] |= 1 << t
-        object.__setattr__(self, "_atom_image", tuple(table))
-        object.__setattr__(self, "_apply", atom_map(table))
-        object.__setattr__(self, "_project", atom_map([1 << s for s in self.fiber]))
-
-    @property
-    def regular(self) -> bool:
-        """Injective (the fiber map is surjective)."""
-        return all(m != 0 for m in self._atom_image)
+        self.__dict__.update(
+            _atom_image=tuple(table),
+            regular=all(table),
+            _apply=atom_map(table),
+            _project=atom_map([1 << s for s in self.fiber]),
+        )
 
     def apply(self, b: int) -> int:
         """i(b): preimage of b under the fiber map."""
@@ -375,7 +374,7 @@ def _sub_meet_inequality(k: _Cases):
     """pi(c ∧ d) <= pi(c) ∧ pi(d)."""
     project, ds, pds = k.project, k.ds, k.pds
     cases = len(k.cs) * len(ds)
-    if k.rows is not None and k.rows.sub_meets():
+    if k.rows is not None and k.rows.monotone():
         return True, "", cases
     for c, pc in zip(k.cs, k.pcs):
         for d, pd in zip(ds, pds):
@@ -403,6 +402,9 @@ def _join_preserving_empty(k: _Cases):
 
 def _embedding_from_retraction(k: _Cases):
     """i(b) is the join of the elements (atoms suffice) projecting inside b."""
+    rows = k.rows  # the probes are every c, so the join is of the c with pi(c) <= b
+    if rows is not None and list(map(rows.join_at_most, k.bs)) == k.ibs:
+        return True, "", len(k.bs)
     probes = list(zip(k.probes, k.pprobes))
     for b, ib in zip(k.bs, k.ibs):
         glued = 0
@@ -512,7 +514,7 @@ def _filters_packed(k: _Cases) -> bool:
     for b, ib in zip(k.bs, k.ibs):
         if not 0 <= ib <= top:
             return False
-        if (rows.join_rows[ib] ^ b * rows.ones) & rows.at_most(b) & ~0xFF:  # c = 0 is no probe
+        if (rows.join_row(ib) ^ b * rows.ones) & rows.at_most(b) & ~0xFF:  # c = 0 is no probe
             return False
     return True
 

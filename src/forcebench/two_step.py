@@ -464,18 +464,18 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
     C0, C1, j = t.j.source, t.j.target, t.j
     if max(C0.atom_count, C1.atom_count) <= QUOTIENT_ENUMERATED_ATOMS:
         c0s, c1s = list(C0.elements()), list(C1.elements())
-        pairs = [(c, d) for c in c0s for d in c0s if q0.same_class(c, d)]
+        pairs = _class_pairs(c0s, q0.view.mask)
+        apply = list(map(j.apply, c0s)).__getitem__  # j at c sits at index c
     else:  # 64 seeded elements of C0 and of C1, then 64 offsets in C0
         c0s, c1s, offsets = draws(bits, None, 1, 64, C0.atom_count, C1.atom_count, C0.atom_count)
         # pairs in one class: d differs from c only off the class mask
         pairs = [(c, c ^ (x & ~q0.view.mask)) for c, x in zip(c0s, offsets)]
+        apply = j.apply
     same = q1.same_class
-    bad = next(((c, d) for c, d in pairs if not same(j.apply(c), j.apply(d))), None)
+    bad = next(((c, d) for c, d in pairs if not same(apply(c), apply(d))), None)
     witness = "" if bad is None else f"{_at(C0, bad[0])} {_at(C0, bad[1], 'd')}"
     result.record("well_defined_on_classes", bad is None, witness, len(pairs))
-    bad = next(
-        (c for c in c0s if hom.apply(q0.class_of(c)) != q1.class_of(j.apply(c))), None
-    )
+    bad = next((c for c in c0s if hom.apply(q0.class_of(c)) != q1.class_of(apply(c))), None)
     result.record("intertwines_class_maps", bad is None, _at(C0, bad), len(c0s))
     result.record("regular", hom.regular, "" if hom.regular else "not regular")
     # retraction law: pi_{j/G}([c]) = [pi_j(c)]
@@ -489,6 +489,12 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
     )
     result.record("retraction_law", bad is None, _at(C1, bad), len(c1s))
     return result
+
+
+def _class_pairs(elements: list[int], mask: int) -> list[tuple[int, int]]:
+    """The pairs (c, d) of ``elements`` (all of an algebra) that agree on ``mask``, in order."""
+    off = [y for y in elements if not y & mask]
+    return [(c, c & mask | y) for c in elements for y in off]
 
 
 # -- lifting atomwise families of embeddings ----------------------------------------

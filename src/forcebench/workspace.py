@@ -264,7 +264,7 @@ POOL_BUDGET = 50_000
 ISO_BUDGET = 512
 # the most last-stage atoms an iterate audits (1-2 s; each atom costs ~5x)
 ITERATE_BUDGET = 10
-# the most completion atoms a complete audits (about 1 s; each atom doubles it)
+# the most completion atoms a complete audits (24 take under 1 ms: to be raised by measurement)
 COMPLETE_BUDGET = 20
 
 

@@ -436,6 +436,15 @@ def random_name_pool(
 # -- statements checked on raw tables and hand-built families ------------------------
 
 
+def dense_image_by_scan(completion) -> bool:
+    """Every nonzero element of the completion bounds a nonzero image, each
+    of its 2^k elements visited."""
+    nonzero = set(completion.embedding.values()) - {0}
+    return all(
+        any(e & ~c == 0 for e in nonzero) for c in completion.algebra.nonzero_elements()
+    )
+
+
 def is_separative(poset: Poset) -> bool:
     for p, q in itertools.product(poset.elements, repeat=2):
         if not poset.leq(p, q):

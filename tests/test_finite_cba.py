@@ -1,4 +1,7 @@
+import collections
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -229,8 +232,8 @@ def test_byte_rows_hold_the_table_at_every_join_and_meet(atoms):
         rows = ByteRows(values)
         assert rows.packed == packed_row(values, lambda d: d)
         for c in range(size):
-            assert rows.join_rows[c] == packed_row(values, lambda d: c | d), (values, c)
-            assert rows.meet_rows[c] == packed_row(values, lambda d: c & d), (values, c)
+            assert rows.join_row(c) == packed_row(values, lambda d: c | d), (values, c)
+            assert rows.meet_row(c) == packed_row(values, lambda d: c & d), (values, c)
 
 
 @pytest.mark.parametrize("atoms", range(7))
@@ -249,11 +252,52 @@ def test_byte_row_laws_are_the_pairwise_laws(atoms):
         joins = all(values[c | d] == values[c] | values[d] for c, d in pairs)
         sub_meets = all(not values[c & d] & ~(values[c] & values[d]) for c, d in pairs)
         assert rows.preserves_joins() == joins
-        assert rows.sub_meets() == sub_meets
+        assert rows.monotone() == sub_meets
         for x in (0, size - 1, rng.randrange(size), -1, size | 1):
             for b in (0, 0xFF, values[size - 1], rng.randrange(256)):
                 meets = all(values[d & x] == values[d] & b for d in range(size))
                 assert rows.translates_meet(x, b) == meets
+
+
+def _law_tables(atoms, rng):
+    """Hom tables; each with f(0) = 0x40 (joins still hold); those with the
+    0x40 dropped at one c > 0 (not monotone); each hom with a join broken at
+    the top (still monotone); and noise."""
+    size = 1 << atoms
+    homs = [_hom_table(atoms, rng) for _ in range(10)]
+    raised = [[v | 0x40 for v in t] for t in homs]  # f(0) = 0x40: every f(c) >= f(0)
+    some = [rng.sample(range(1, size), min(size - 1, 3)) for _ in raised]  # up to 3 c > 0
+    lowered = [t[:x] + [t[x] & ~0x40] + t[x + 1 :] for t, xs in zip(raised, some) for x in xs]
+    broken = [t[:-1] + [t[-1] | 0x80] for t in homs]  # no image holds 0x80
+    noise = [[rng.randrange(256) for _ in range(size)] for _ in range(10)]
+    return homs + raised + lowered + broken + noise
+
+
+@pytest.mark.parametrize("atoms", range(7))
+def test_byte_row_laws_agree_with_pair_scans(atoms):
+    rng = random.Random(300 + atoms)
+    size = 1 << atoms
+    pairs = list(itertools.product(range(size), repeat=2))
+    verdicts = collections.Counter()
+    for values in _law_tables(atoms, rng):
+        rows = ByteRows(values)
+        joins = all(values[c | d] == values[c] | values[d] for c, d in pairs)
+        sub_meets = all(not values[c & d] & ~(values[c] & values[d]) for c, d in pairs)
+        monotone = all(not values[c] & ~values[d] for c, d in pairs if not c & ~d)
+        assert rows.preserves_joins() == joins, values
+        assert rows.monotone() == sub_meets == monotone, values
+        verdicts[joins, monotone] += 1
+        for x in (0, size - 1, rng.randrange(size)):
+            for b in (0, values[x], values[-1], rng.randrange(256)):
+                meets = all(values[d & x] == values[d] & b for d in range(size))
+                assert rows.translates_meet(x, b) == meets, (values, x, b)
+                verdicts["meets", meets] += 1
+    assert verdicts[True, True] >= 20  # the hom tables, raised or not
+    if atoms:  # f(0) = 0x40 lowered at one c > 0
+        assert verdicts[False, False] >= 10
+    if atoms > 1:  # a monotone table with one join broken: c, d of the top
+        assert verdicts[False, True] >= 10
+    assert verdicts["meets", True] and verdicts["meets", False]
 
 
 @pytest.mark.parametrize("atoms", range(7))
@@ -275,6 +319,8 @@ def test_byte_rows_select_and_join_below_as_a_walk_does(atoms):
         for b in (0, 0xFF, values[-1], low, 256 | low, -256 | low):
             below = bytes(0 if values[d] & ~b else 0xFF for d in range(size))
             assert rows.at_most(b) == int.from_bytes(below, "little"), (values, b)
+            glued = functools.reduce(operator.or_, (d for d in range(size) if below[d]), 0)
+            assert rows.join_at_most(b) == glued, (values, b)
         row = rng.getrandbits(8 * size).to_bytes(size, "little")
         joins = [0] * size
         for d, e in itertools.product(range(size), repeat=2):
@@ -286,7 +332,7 @@ def test_byte_rows_select_and_join_below_as_a_walk_does(atoms):
 
 def test_byte_rows_only_pack_bytes():
     rows = byte_rows([0, 1, 2, 3])  # the identity on two atoms
-    assert rows.preserves_joins() and rows.sub_meets() and rows.translates_meet(1, 1)
+    assert rows.preserves_joins() and rows.translates_meet(1, 1)
     assert rows.monotone() and rows.subset_joins(rows.packed) == rows.packed
     assert rows.at_most(256 | 1) == rows.at_most(1) == 0xFF_FF  # f(d) <= 1 at d = 0, 1
     for values in ([0, 1, 256, 3], [0, -1, 2, 3], [0, 1, None, 3]):

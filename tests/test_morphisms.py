@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -436,13 +438,15 @@ def _assert_rows_decide_as_the_scan(k, rows, scanned):
     # the scan: a kernel that fails on a passing hom would hide behind it
     pcs = k.pcs
     for c in k.cs:
-        assert rows.join_rows[c] == packed_row(pcs, lambda d: c | d)
-        assert rows.meet_rows[c] == packed_row(pcs, lambda d: c & d)
+        assert rows.join_row(c) == packed_row(pcs, lambda d: c | d)
+        assert rows.meet_row(c) == packed_row(pcs, lambda d: c & d)
     assert rows.preserves_joins() == scanned["join_preserving"][0]
-    assert rows.sub_meets() == scanned["sub_meet_inequality"][0]
+    assert rows.monotone() == scanned["sub_meet_inequality"][0]
     for b, ib in zip(k.bs, k.ibs):
         row_holds = all(pcs[c & ib] == p & b for c, p in zip(k.cs, pcs))
         assert rows.translates_meet(ib, b) == row_holds, (b, ib)
+        glued = functools.reduce(operator.or_, (c for c, p in zip(k.cs, pcs) if not p & ~b), 0)
+        assert rows.join_at_most(b) == glued, (b, ib)
 
 
 def test_packed_rows_decide_every_narrow_law_embedding():
@@ -452,8 +456,9 @@ def test_packed_rows_decide_every_narrow_law_embedding():
         k, rows, packed, scanned = _laws_both_ways(h)
         assert packed == scanned, h.fiber
         assert all(ok for ok, _, _ in scanned.values()), h.fiber
-        assert rows.preserves_joins() and rows.sub_meets()
+        assert rows.preserves_joins() and rows.monotone()
         assert all(rows.translates_meet(ib, b) for b, ib in zip(k.bs, k.ibs))
+        assert list(map(rows.join_at_most, k.bs)) == k.ibs
     # the rows themselves, on one embedding per target width
     for t in range(2, 7):
         h = CompleteHom(FiniteCBA(2), FiniteCBA(t), tuple(x % 2 for x in range(t)))

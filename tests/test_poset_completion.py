@@ -1,12 +1,18 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
 from forcebench.finite_cba import FiniteCBA
 from forcebench.poset import Poset, boolean_completion, separative_quotient
 
-from .oracles import is_separative, star_equiv_classes_of_singletons, star_leq
+from .oracles import (
+    dense_image_by_scan,
+    is_separative,
+    star_equiv_classes_of_singletons,
+    star_leq,
+)
 
 
 def two_chain():
@@ -248,6 +254,44 @@ def test_completion_audit_on_every_small_poset():
         assert all(c.audit().values())
         # complete's size estimate: one completion atom per minimal element
         assert c.algebra.atom_count == len(p.minimal_elements())
+
+
+def _small_posets():
+    """Every poset on 1 to 4 elements that a linear extension p0 < p1 < .. allows."""
+    labels = ["p0", "p1", "p2", "p3"]
+    for n in range(1, 5):
+        idx_pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
+        for bits in range(1 << len(idx_pairs)):
+            pairs = [(labels[i], labels[j]) for k, (i, j) in enumerate(idx_pairs) if bits >> k & 1]
+            try:
+                yield Poset.from_pairs(labels[:n], pairs)
+            except ValueError:
+                continue
+
+
+def test_dense_image_by_atoms_matches_the_scan():
+    planted = 0
+    for p in _small_posets():
+        c = boolean_completion(p)
+        assert c.audit()["dense_image"] and dense_image_by_scan(c)
+        k = c.algebra.atom_count
+        for a in range(k):  # atom a is no image: it grows into a's neighbour, or to 0
+            grown = (1 << a | 1 << (a + 1) % k) if k > 1 else 0
+            images = {e: grown if x == 1 << a else x for e, x in c.embedding.items()}
+            missed = dataclasses.replace(c, embedding=images)
+            assert missed.audit()["dense_image"] is dense_image_by_scan(missed) is False
+            planted += 1
+    assert planted > 100
+    # random images, some past the algebra, on antichains of 1 to 4 elements
+    rng, verdicts = random.Random(6), set()
+    for _ in range(2000):
+        n, k = rng.randint(1, 4), rng.randint(0, 4)
+        c = boolean_completion(antichain(n))
+        images = {e: rng.getrandbits(k + 1) & rng.getrandbits(k + 1) for e in c.embedding}
+        c = dataclasses.replace(c, algebra=FiniteCBA(k), embedding=images)
+        verdicts.add(dense := c.audit()["dense_image"])
+        assert dense is dense_image_by_scan(c), (k, images)
+    assert verdicts == {True, False}
 
 
 def test_completion_density_matches_star_oracle_on_tree():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -260,6 +261,97 @@ def test_quotient_hom_regular_for_every_atom():
         for atom in range(b.atom_count):
             q = quotient_hom(tri, Ultrafilter(b, atom))
             assert q.passed and q.hom.regular
+
+
+def _seeded_triangle(rng, base, c0, c1):
+    """A triangle B -> C0 -> C1 of seeded regular embeddings with these atom counts."""
+    legs = []
+    for source, target in ((base, c0), (c0, c1)):
+        fiber = list(range(source)) + [rng.randrange(source) for _ in range(target - source)]
+        rng.shuffle(fiber)
+        legs.append(CompleteHom(FiniteCBA(source), FiniteCBA(target), tuple(fiber)))
+    i0, j = legs
+    return Triangle(i0, i0.then(j), j)
+
+
+def test_enumerated_class_pairs_are_the_same_class_filter():
+    rng = random.Random(25)
+    shapes = [(1, 1, 1), (1, 6, 8), (2, 6, 8), (3, 6, 8)]
+    shapes += [(b, c0, rng.randint(c0, 8)) for b in (1, 2, 3) for c0 in range(b, 7)]
+    for base, c0, c1 in shapes:
+        tri = _seeded_triangle(rng, base, c0, c1)
+        c0s = list(tri.j.source.elements())
+        for atom in range(base):
+            q0 = GenericQuotient(tri.i0, atom)
+            filtered = [(c, d) for c in c0s for d in c0s if q0.same_class(c, d)]
+            assert two_step._class_pairs(c0s, q0.view.mask) == filtered, (tri, atom)
+            q = quotient_hom(tri, Ultrafilter(tri.i0.source, atom))
+            assert q.passed and q.claims["well_defined_on_classes"].cases == len(filtered)
+
+
+def _j_wrong_at(element, wrong):
+    """The 4 -> 8-atom doubling leg j of a triangle over the 2 -> 4 doubling,
+    its ``apply`` given ``wrong(value)`` at ``element``."""
+    j = _wrong_at("apply", element, wrong)(FiniteCBA(4), FiniteCBA(8), (0, 0, 1, 1, 2, 2, 3, 3))
+    return Triangle(doubling_hom(), doubling_hom().then(j), j)
+
+
+def _class_claims_by_scan(tri, atom):
+    """(passed, witness, cases) of the two class claims, from every pair of
+    C0 put through ``same_class`` and one ``j.apply`` per use."""
+    j, fmt = tri.j, functools.partial(finite_cba.format_element, tri.j.source)
+    q0, q1 = GenericQuotient(tri.i0, atom), GenericQuotient(tri.i1, atom)
+    hom = quotient_hom(tri, Ultrafilter(tri.i0.source, atom)).hom
+    c0s = list(j.source.elements())
+    pairs = [(c, d) for c in c0s for d in c0s if q0.same_class(c, d)]
+    bad = next(((c, d) for c, d in pairs if not q1.same_class(j.apply(c), j.apply(d))), None)
+    well = (bad is None, "" if bad is None else f"c={fmt(bad[0])} d={fmt(bad[1])}", len(pairs))
+    bad = next((c for c in c0s if hom.apply(q0.class_of(c)) != q1.class_of(j.apply(c))), None)
+    return well, (bad is None, "" if bad is None else f"c={fmt(bad)}", len(c0s))
+
+
+@pytest.mark.parametrize("wrong", [lambda ib: ib ^ 1, lambda ib: ib & ib - 1], ids=["flip", "drop"])
+@pytest.mark.parametrize("element", range(16))
+def test_planted_j_apply_defect_fails_the_class_claims_with_the_scans_witness(element, wrong):
+    tri = _j_wrong_at(element, wrong)
+    verdicts = set()
+    for atom in (0, 1):
+        q = quotient_hom(tri, Ultrafilter(B2, atom))
+        claims = [q.claims[name] for name in ("well_defined_on_classes", "intertwines_class_maps")]
+        got = tuple((c.passed, c.witness, c.cases) for c in claims)
+        assert got == _class_claims_by_scan(tri, atom), (element, atom)
+        verdicts.add(tuple(c.passed for c in claims))
+    # a changed j(c) fails both claims at the atom whose class mask holds the change
+    honest = CompleteHom.apply(tri.j, element)
+    assert verdicts == ({(True, True), (False, False)} if wrong(honest) != honest else {(True, True)})
+
+
+@pytest.mark.parametrize(
+    "element, pair, single",
+    [(0, "c={} d={2}", "c={}"), (5, "c={0} d={0,2}", "c={0,2}"), (13, "c={0} d={0,2,3}", "c={0,2,3}")],
+)
+def test_planted_j_apply_flip_witnesses(element, pair, single):
+    q = quotient_hom(_j_wrong_at(element, lambda ib: ib ^ 1), Ultrafilter(B2, 0))
+    assert q.failures == [f"well_defined_on_classes: {pair}", f"intertwines_class_maps: {single}"]
+    assert q.claims["well_defined_on_classes"].cases == 64
+
+
+@pytest.mark.parametrize("base, c0, c1", [(2, 4, 8), (3, 6, 8)])
+def test_enumerated_quotient_hom_applies_j_once_per_element(base, c0, c1):
+    calls = []
+
+    class Counting(CompleteHom):
+        def apply(self, b):
+            calls.append(b)
+            return super().apply(b)
+
+    tri = _seeded_triangle(random.Random(c0), base, c0, c1)
+    j = Counting(tri.j.source, tri.j.target, tri.j.fiber)
+    tri = Triangle(tri.i0, tri.i1, j)
+    for atom in range(base):
+        calls.clear()
+        assert quotient_hom(tri, Ultrafilter(tri.i0.source, atom)).passed
+        assert calls == list(range(1 << c0))  # |C0| calls, one per element
 
 
 def test_lift_embedding_identity_family():
