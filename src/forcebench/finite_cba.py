@@ -66,7 +66,13 @@ class FiniteCBA:
         return [1 << k for k in range(self.atom_count)]
 
     def atom_indices(self, a: int) -> list[int]:
-        return [k for k in range(self.atom_count) if a >> k & 1]
+        """The set bits of ``a`` below ``atom_count``, lowest first."""
+        out, a = [], a & (1 << self.atom_count) - 1
+        while a:
+            low = a & -a
+            out.append(low.bit_length() - 1)
+            a ^= low
+        return out
 
     def elements(self) -> Iterator[int]:
         """All elements; only sensible for small algebras."""

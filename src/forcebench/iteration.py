@@ -335,20 +335,12 @@ def direct_limit_correspondence_audit(
     """
     if system.eager:
         report = CorrespondenceReport()
-        last = system.length - 1
-        alg = system.algebra(last)
-        names = {}
-        elements = [e for e in alg.nonzero_elements()]
-        for e in elements:
-            names[e] = f"t{e}"
+        alg = system.algebra(system.length - 1)
+        elements = list(alg.nonzero_elements())
+        names = [f"t{e}" for e in elements]
+        named = list(zip(elements, names))
         poset = Poset(
-            tuple(names[e] for e in elements),
-            frozenset(
-                (names[a], names[b])
-                for a in elements
-                for b in elements
-                if alg.leq(a, b)
-            ),
+            tuple(names), frozenset((a, b) for d, a in named for e, b in named if d & ~e == 0)
         )
         completion = boolean_completion(poset)
         ok = completion.algebra.atom_count == alg.atom_count
@@ -359,13 +351,10 @@ def direct_limit_correspondence_audit(
         for check, ok in completion.audit().items():
             report.record(f"completion_{check}", ok)
         # k(U) = join of the constants in U; its inverse collects constants below
+        images = [(e, completion.embedding[a]) for e, a in named]
         for m in completion.algebra.elements():
-            k_m = alg.sup(
-                e for e in elements if completion.algebra.leq(completion.embedding[names[e]], m)
-            )
-            back = completion.algebra.sup(
-                completion.embedding[names[e]] for e in elements if alg.leq(e, k_m)
-            )
+            k_m = alg.sup(e for e, i in images if i & ~m == 0)
+            back = completion.algebra.sup(i for e, i in images if e & ~k_m == 0)
             ok = back == m
             report.record("round_trip", ok, "" if ok else f"moved {m} to {back}")
         report.details["elements"] = len(elements)

@@ -3,9 +3,10 @@
 Every order question reads each element's down- and up-set, one mask over
 the element indices.  p <=* q (the separative order, Jech ch. 14) when every
 r <= p is compatible with q, so p and q share a separative class exactly when
-they are compatible with the same elements.  The completion is the powerset
-of the minimal classes; the equivalence-of-subsets route (density of
-intersections of downward closures) is kept in the tests as its oracle.
+they are compatible with the same elements.  The completion of a finite
+poset is the powerset of its minimal elements; the tests keep the separative
+quotient as its oracle, and the equivalence-of-subsets route (density of
+intersections of downward closures) as the quotient's.
 """
 from __future__ import annotations
 
@@ -142,8 +143,6 @@ class Completion:
     poset: Poset
     algebra: FiniteCBA
     embedding: dict[str, int] = field(hash=False)
-    quotient: SeparativeQuotient = field(hash=False)
-    atom_classes: tuple[str, ...] = ()
 
     def audit(self) -> dict[str, bool]:
         """The three dense-embedding conditions: each image bounds the images below it
@@ -162,12 +161,12 @@ class Completion:
 
 
 def boolean_completion(poset: Poset) -> Completion:
-    """RO(P): the powerset of the minimal separative classes; p goes to the
-    join of the minimal classes below its class."""
-    sq = separative_quotient(poset)
-    q = sq.quotient
-    minimal = tuple(sorted(q.minimal_elements()))
+    """RO(P): the powerset of the minimal elements.  Any two are
+    incompatible, so each is a separative class of its own, and every class
+    lies above one, so no other class is minimal; p goes to the minimal
+    elements below it, since a minimal r lies below p separatively iff r <= p."""
+    minimal = poset.minimal_elements()
     atoms = dict(zip(minimal, FiniteCBA(len(minimal)).atoms()))
-    below = atom_map([atoms.get(c, 0) for c in q.elements])
-    embedding = {p: below(q.downs[q.index[sq.projection[p]]]) for p in poset.elements}
-    return Completion(poset, FiniteCBA(len(minimal)), embedding, sq, minimal)
+    below = atom_map([atoms.get(p, 0) for p in poset.elements])
+    embedding = {p: below(d) for p, d in zip(poset.elements, poset.downs)}
+    return Completion(poset, FiniteCBA(len(minimal)), embedding)

@@ -19,7 +19,7 @@ OPTIMIZE_SUITES = (
     "tests/test_two_step.py", "tests/test_gallery.py", "tests/test_bvm.py",
     "tests/test_semigen.py", "tests/test_workspace_cli.py", "tests/test_free_algebra.py",
     "tests/test_iteration.py", "tests/test_optimize_mode.py", "tests/test_ledgers.py",
-    "tests/test_finite_cba.py", "tests/test_morphisms.py",
+    "tests/test_finite_cba.py", "tests/test_morphisms.py", "tests/test_poset_completion.py",
 )
 _RUN = pytest.StashKey[subprocess.Popen]()
 

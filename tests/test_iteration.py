@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import random
 
 import pytest
@@ -202,6 +203,40 @@ def test_correspondence_finite_every_small_chain():
         system = build_system(algebras, steps)
         report = direct_limit_correspondence_audit(system)
         assert report.passed, report.failures
+
+
+def _plant_in_completion(monkeypatch, plant):
+    """The eager correspondence audit gets ``plant`` of the completion it builds."""
+    complete = iteration.boolean_completion
+    monkeypatch.setattr(iteration, "boolean_completion", lambda poset: plant(complete(poset)))
+
+
+def test_correspondence_round_trip_fails_on_swapped_constant_images(monkeypatch):
+    # on 1 -> 2 atoms the constants 1 and 3 trade images: {1} now holds the
+    # image of 3, so the round trip sends it to the join of every constant
+    def swap(c):
+        e = c.embedding
+        return dataclasses.replace(c, embedding={**e, "t1": e["t3"], "t3": e["t1"]})
+
+    _plant_in_completion(monkeypatch, swap)
+    report = direct_limit_correspondence_audit(_two_stage_system())
+    assert report.verdict == FAIL
+    claim = report.claims["round_trip"]
+    assert (claim.passed, claim.cases, claim.witness) == (False, 4, "moved 1 to 3")
+
+
+def test_correspondence_fails_on_a_dropped_completion_atom(monkeypatch):
+    # the completion loses its last atom, from the algebra and every image
+    def drop(c):
+        top = c.algebra.atom_count - 1
+        images = {p: x & ~(1 << top) for p, x in c.embedding.items()}
+        return dataclasses.replace(c, algebra=FiniteCBA(top), embedding=images)
+
+    _plant_in_completion(monkeypatch, drop)
+    report = direct_limit_correspondence_audit(doubling_chain())
+    assert report.verdict == FAIL
+    assert list(report.claims) == ["completion_atom_count"]
+    assert report.claims["completion_atom_count"].witness == "completion has the wrong atom count"
 
 
 def test_correspondence_lazy_constant_reaches():

@@ -256,10 +256,10 @@ def test_completion_audit_on_every_small_poset():
         assert c.algebra.atom_count == len(p.minimal_elements())
 
 
-def _small_posets():
-    """Every poset on 1 to 4 elements that a linear extension p0 < p1 < .. allows."""
-    labels = ["p0", "p1", "p2", "p3"]
-    for n in range(1, 5):
+def _small_posets(largest=4):
+    """Every poset on 1 to ``largest`` elements that a linear extension p0 < p1 < .. allows."""
+    labels = [f"p{k}" for k in range(largest)]
+    for n in range(1, largest + 1):
         idx_pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
         for bits in range(1 << len(idx_pairs)):
             pairs = [(labels[i], labels[j]) for k, (i, j) in enumerate(idx_pairs) if bits >> k & 1]
@@ -267,6 +267,30 @@ def _small_posets():
                 yield Poset.from_pairs(labels[:n], pairs)
             except ValueError:
                 continue
+
+
+def _atom_columns(p, atom_count, holds):
+    """For each atom, the elements whose image holds it; two embeddings agree
+    up to an atom permutation exactly when these lists agree once sorted."""
+    return sorted(sorted(e for e in p.elements if holds(e, a)) for a in range(atom_count))
+
+
+def test_completion_is_the_completion_of_the_separative_quotient():
+    # every order on 1 to 5 elements: the completion read off the separative
+    # quotient has an atom per minimal class, and sends p to the minimal
+    # classes below its class
+    orders = 0
+    for p in _small_posets(5):
+        sq = separative_quotient(p)
+        q = sq.quotient
+        minimal = q.minimal_elements()
+        c = boolean_completion(p)
+        assert c.algebra.atom_count == len(minimal)
+        assert _atom_columns(p, len(minimal), lambda e, a: c.embedding[e] >> a & 1) == (
+            _atom_columns(p, len(minimal), lambda e, a: q.leq(minimal[a], sq.projection[e]))
+        )
+        orders += 1
+    assert orders == 1099
 
 
 def test_dense_image_by_atoms_matches_the_scan():

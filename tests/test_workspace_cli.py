@@ -11,6 +11,7 @@ from forcebench import bvm, cli, iteration, workspace
 from forcebench.cli import execute, main
 from forcebench.finite_cba import FiniteCBA
 from forcebench.hf import EMPTY
+from forcebench.poset import Poset
 from forcebench.errors import (
     UnknownCommand,
     UnresolvedReference,
@@ -643,29 +644,29 @@ def test_iterate_records_the_iteration_laws(doc, target, laws):
 
 
 def test_iterate_over_the_atom_budget_checks_no_case():
-    # 1 -> 11 atoms: the audit of the 2,047 constant threads takes about 7 s;
+    # 1 -> 12 atoms: the audit of the 4,095 constant threads takes 4.1-5.3 s;
     # the last stage's atoms are counted, not completed
-    doc = _system_doc([1, 11], [[0] * 11])
+    doc = _system_doc([1, 12], [[0] * 12])
     started = time.perf_counter()
     (result,) = execute(doc, "iterate").results
     assert time.perf_counter() - started < 5
-    note = f"not run: 11 last-stage atoms, over the budget {workspace.ITERATE_BUDGET}"
+    note = f"not run: 12 last-stage atoms, over the budget {workspace.ITERATE_BUDGET}"
     assert result.as_json() == {
         "name": "iterate", "target": "sys", "verdict": INDETERMINATE, "witnesses": [],
         "certified_depth": None, "details": {"cases": 0, "note": note},
     }
-    # 1 -> 10 atoms (1-2 s) is the largest system that runs
+    # 1 -> 11 atoms (1.0-1.3 s) is the largest system that runs
     spec = workspace.AUDITS["iterate"]
-    ten = _system_doc([1, 10], [[0] * 10]).resolve("sys")
-    assert spec.size(ten, {}) == workspace.ITERATE_BUDGET == 10
+    eleven = _system_doc([1, 11], [[0] * 11]).resolve("sys")
+    assert spec.size(eleven, {}) == workspace.ITERATE_BUDGET == 11
 
 
 def test_iterate_at_the_atom_budget_passes():
-    # 1 -> 10 atoms: every claim runs, on the 1,023 constant threads
-    doc = _system_doc([1, 10], [[0] * 10])
+    # 1 -> 11 atoms: every claim runs, on the 2,047 constant threads
+    doc = _system_doc([1, 11], [[0] * 11])
     (result,) = execute(doc, "iterate").results
     assert (result.verdict, result.witnesses) == (PASS, ())
-    assert result.details["elements"] == 1023
+    assert result.details["elements"] == 2047
 
 
 def test_incoherent_constant_is_a_witness_not_an_error():
@@ -689,25 +690,29 @@ def test_incoherent_constant_is_a_witness_not_an_error():
     )
 
 
-def test_complete_over_the_atom_budget_checks_no_case():
-    # a 24-element antichain: its completion has 2^24 elements, and the
-    # dense-image check visits each; the minimal elements are counted instead
-    elements = json.dumps([f"a{k}" for k in range(24)])
+def test_complete_over_the_element_budget_checks_no_case():
+    # a 6,001-element antichain: the completion's three passes over its
+    # elements take 2.5-4 s at the budget and grow with its square; the
+    # elements are counted instead.  The poset is built from its reflexive
+    # pairs, since parsing closes the order by Warshall's algorithm, itself
+    # quadratic in the elements.
     doc = parse_workspace(minimal_doc(
-        ', {"kind": "poset", "name": "P", "elements": ' + elements + "}",
+        ', {"kind": "poset", "name": "P", "elements": ["a"]}',
         '[{"audit": "complete", "target": "P"}]',
     ))
+    elements = [f"a{k}" for k in range(6001)]
+    doc.objects["P"] = Poset(tuple(elements), frozenset((a, a) for a in elements))
     started = time.perf_counter()
     (result,) = execute(doc, "complete").results
     assert time.perf_counter() - started < 5
-    note = f"not run: 24 completion atoms, over the budget {workspace.COMPLETE_BUDGET}"
+    note = f"not run: 6001 poset elements, over the budget {workspace.COMPLETE_BUDGET}"
     assert result.as_json() == {
         "name": "complete", "target": "P", "verdict": INDETERMINATE, "witnesses": [],
         "certified_depth": None, "details": {"cases": 0, "note": note},
     }
-    # one completion atom per minimal element: the demo tree has two leaves
+    # the demo tree has three elements, and its completion the two leaves as atoms
     tree = parse_workspace(DEMO.read_text())
-    assert workspace.AUDITS["complete"].size(tree.resolve("tree"), {}) == 2
+    assert workspace.AUDITS["complete"].size(tree.resolve("tree"), {}) == 3
     (result,) = execute(tree, "complete").results
     assert result.as_json() == {
         "name": "complete", "target": "tree", "verdict": PASS, "witnesses": [],
