@@ -198,11 +198,6 @@ class ByteRows:
         """Byte 0xFF at every d with f(d) <= b, else 0 (one translate)."""
         return int.from_bytes(self.raw.translate(_at_most_table(b & 0xFF)), "little")
 
-    def join_at_most(self, b: int) -> int:
-        """The join of the d with f(d) <= b: atom a is in it when some d containing a is."""
-        below = self.at_most(b)
-        return sum(1 << a for a, mask in enumerate(self.masks) if below & mask)
-
     def subset_joins(self, row: int) -> int:
         """Byte d holds the join of bytes e <= d of ``row``: one shift per atom."""
         for a, mask in enumerate(self.masks):

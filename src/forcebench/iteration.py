@@ -121,10 +121,6 @@ def _audit_commutation(system: IterationSystem, depth: int) -> None:
 class VectorThread:
     coords: tuple
 
-    @property
-    def constant_from(self) -> int | None:
-        return len(self.coords) - 1  # any finite-length thread is eventually constant
-
 
 @dataclass(frozen=True, eq=False)
 class RuleThread:

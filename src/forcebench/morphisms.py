@@ -401,16 +401,17 @@ def _join_preserving_empty(k: _Cases):
 
 
 def _embedding_from_retraction(k: _Cases):
-    """i(b) is the join of the elements (atoms suffice) projecting inside b."""
-    rows = k.rows  # the probes are every c, so the join is of the c with pi(c) <= b
-    if rows is not None and list(map(rows.join_at_most, k.bs)) == k.ibs:
-        return True, "", len(k.bs)
-    probes = list(zip(k.probes, k.pprobes))
+    """i(b) is the join of the elements (atoms suffice) projecting inside b:
+    the probes are joined by projection once, and each b glues the groups
+    whose projection lies inside it."""
+    groups: dict[int, int] = {}
+    for e, pe in zip(k.probes, k.pprobes):
+        groups[pe] = groups.get(pe, 0) | e
     for b, ib in zip(k.bs, k.ibs):
         glued = 0
-        for e, pe in probes:
+        for pe, joined in groups.items():
             if pe & ~b == 0:
-                glued |= e
+                glued |= joined
         if glued != ib:
             return False, k.at(b=b), len(k.bs)
     return True, "", len(k.bs)

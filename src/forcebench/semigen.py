@@ -76,23 +76,20 @@ class ModelTrace:
                 raise LabelOutOfRange("ordinal-name label above kappa")
 
 
+def _degree(alg: FiniteCBA, carrier: frozenset[int], families) -> int:
+    """The meet over ``families`` of the join of each one's carrier part; 1 when none."""
+    return alg.inf(alg.sup(x for x in f if x in carrier) for f in families)
+
+
 def sg_value(trace: ModelTrace) -> int:
     """Degree of semigenericity: meet over designated predense sets of the
     join of their carrier part.  Empty designation yields 1."""
-    alg = trace.algebra
-    return alg.inf(
-        alg.sup(x for x in d if x in trace.carrier)
-        for d in trace.designated_predense
-    )
+    return _degree(trace.algebra, trace.carrier, trace.designated_predense)
 
 
 def gen_value(trace: ModelTrace) -> int:
     """Degree of genericity: the same meet over designated maximal antichains."""
-    alg = trace.algebra
-    return alg.inf(
-        alg.sup(x for x in a if x in trace.carrier)
-        for a in trace.designated_antichains
-    )
+    return _degree(trace.algebra, trace.carrier, trace.designated_antichains)
 
 
 def disjointify(algebra: FiniteCBA, ordered: tuple[int, ...]) -> tuple[int, ...]:
@@ -145,16 +142,8 @@ def disjointify_sg_audit(trace: ModelTrace) -> DisjointifyReport:
             report.gaps.append(f"predense set {k} leaves the carrier")
         if not set(a_d) <= trace.carrier:
             report.gaps.append(f"disjointification of set {k} leaves the carrier")
-    derived = ModelTrace(
-        alg,
-        trace.carrier,
-        designated_predense=(),
-        designated_antichains=tuple(antichains),
-        kappa=trace.kappa,
-        delta=trace.delta,
-    )
     report.sg_from_predense = sg_value(trace)
-    report.sg_from_antichains = gen_value(derived)
+    report.sg_from_antichains = _degree(alg, trace.carrier, antichains)
     cases = len(trace.designated_predense)  # one per disjointified set
     if report.closure_ok:
         ok = report.sg_from_predense == report.sg_from_antichains

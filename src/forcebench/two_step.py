@@ -311,8 +311,8 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     # list of its values (c sits at index c), above it a memo for this audit
     # only, one entry per operand it asks for.  The exhaustive probe reads
     # each class map and the support from the tables of the shared view and
-    # sum, indexed the same way.  Packed one byte per element in ``rows`` (a
-    # sum of at most 8 atoms), phi may decide that a claim holds; else it scans.
+    # sum, indexed the same way.  Packed one byte per element in ``rows`` (the
+    # sum has C's atoms, at most 6), phi may decide that a claim holds; else it scans.
     one, sum_one = C.one, two.algebra.one
     if exhaustive:
         phi_of = phis = list(map(phi, probe))
@@ -324,7 +324,7 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
         phis = [phi_of[c] for c in probe]
         classes = [list(map(q.class_of, probe)) for q in quotients]
         supports = map(two.support, phis)
-    rows = byte_rows(phis) if exhaustive and sum_one <= 0xFF else None
+    rows = byte_rows(phis) if exhaustive else None
     phi_at = rows and rows.raw.ljust(256, b"\0")  # phi as a bytes.translate table
 
     # phi agrees with the per-atom class maps (packed: phi's bits on each fiber)
@@ -434,7 +434,7 @@ class Triangle:
             raise ShapeMismatch("the two legs must share the base")
         if self.j.source != self.i0.target or self.j.target != self.i1.target:
             raise ShapeMismatch("j must map between the two targets")
-        if self.i0.then(self.j) != self.i1:
+        if not self.i0.composes_to(self.j, self.i1):
             raise NonCommuting("j ∘ i0 differs from i1")
 
 

@@ -170,13 +170,14 @@ def packed_row(values, at) -> int:
     return int.from_bytes(bytes(values[at(d)] for d in range(len(values))), "little")
 
 
-# -- per-pair reference scans of two retraction laws ---------------------------------
+# -- per-pair reference scans of three retraction laws -------------------------------
 #
-# Each takes a hom whose audit enumerates both sides and returns what its law
-# in ``morphisms`` must return: (holds, first witness, cases).  They evaluate
-# apply and project once per element into plain lists and then walk every
-# pair from the law's statement, so an index outside a list raises here as it
-# does in the audit's own scan.
+# Each returns what its law in ``morphisms`` must return: (holds, first
+# witness, cases).  The first two take a hom whose audit enumerates both
+# sides; they evaluate apply and project once per element into plain lists
+# and then walk every pair from the law's statement, so an index outside a
+# list raises here as it does in the audit's own scan.  The third walks the
+# (b, probe) pairs of an audit's shared case lists, enumerated or sampled.
 
 
 def _at(h, **elements) -> str:
@@ -226,6 +227,20 @@ def reference_meet_translation_join_form(h) -> tuple[bool, str, int]:
             if join != pcs[c] & b:
                 return False, _at(h, b=b, c=c), cases
     return True, "", cases
+
+
+def reference_embedding_from_retraction(k) -> tuple[bool, str, int]:
+    """Each b in order: i(b) is the join of the probes e with pi(e) <= b,
+    gathered one (b, probe) pair at a time."""
+    probes = list(zip(k.probes, k.pprobes))
+    for b, ib in zip(k.bs, k.ibs):
+        glued = 0
+        for e, pe in probes:
+            if pe & ~b == 0:
+                glued |= e
+        if glued != ib:
+            return False, k.at(b=b), len(k.bs)
+    return True, "", len(k.bs)
 
 
 # -- reference interpreters for formulas -------------------------------------------

@@ -1,6 +1,4 @@
-import functools
 import itertools
-import operator
 import random
 
 import pytest
@@ -13,6 +11,7 @@ from forcebench.morphisms import (
     RETRACTION_LAWS,
     CompleteHom,
     _Cases,
+    _embedding_from_retraction,
     _filters_packed,
     _filters_to_filters,
     _meet_translation_join_form,
@@ -30,6 +29,7 @@ from .oracles import (
     ElementMap,
     generic_preimage_equivalence,
     packed_row,
+    reference_embedding_from_retraction,
     reference_filters_to_filters,
     reference_meet_translation_join_form,
 )
@@ -445,8 +445,6 @@ def _assert_rows_decide_as_the_scan(k, rows, scanned):
     for b, ib in zip(k.bs, k.ibs):
         row_holds = all(pcs[c & ib] == p & b for c, p in zip(k.cs, pcs))
         assert rows.translates_meet(ib, b) == row_holds, (b, ib)
-        glued = functools.reduce(operator.or_, (c for c, p in zip(k.cs, pcs) if not p & ~b), 0)
-        assert rows.join_at_most(b) == glued, (b, ib)
 
 
 def test_packed_rows_decide_every_narrow_law_embedding():
@@ -458,7 +456,6 @@ def test_packed_rows_decide_every_narrow_law_embedding():
         assert all(ok for ok, _, _ in scanned.values()), h.fiber
         assert rows.preserves_joins() and rows.monotone()
         assert all(rows.translates_meet(ib, b) for b, ib in zip(k.bs, k.ibs))
-        assert list(map(rows.join_at_most, k.bs)) == k.ibs
     # the rows themselves, on one embedding per target width
     for t in range(2, 7):
         h = CompleteHom(FiniteCBA(2), FiniteCBA(t), tuple(x % 2 for x in range(t)))
@@ -506,16 +503,18 @@ def _outcome(law, arg):
 
 
 def _assert_as_the_reference_scans(h):
-    """``filters_to_filters`` and ``meet_translation_join_form`` of h's
-    exhaustive audit; each must equal its per-pair reference scan."""
+    """``filters_to_filters``, ``meet_translation_join_form`` and
+    ``embedding_from_retraction`` of h's exhaustive audit; each must equal
+    its per-pair reference scan."""
     k = _Cases(h, True, None, 200)
     out = []
-    for law, reference in (
-        (_filters_to_filters, reference_filters_to_filters),
-        (_meet_translation_join_form, reference_meet_translation_join_form),
+    for law, reference, arg in (
+        (_filters_to_filters, reference_filters_to_filters, h),
+        (_meet_translation_join_form, reference_meet_translation_join_form, h),
+        (_embedding_from_retraction, reference_embedding_from_retraction, k),
     ):
         got = _outcome(law, k)
-        assert got == _outcome(reference, h), (law.__name__, h.fiber)
+        assert got == _outcome(reference, arg), (law.__name__, h.fiber)
         out.append(got)
     return k, out
 
@@ -567,6 +566,23 @@ def test_packed_filter_laws_match_the_scan_on_every_narrow_law_embedding():
     assert failed > 800
 
 
+@pytest.mark.parametrize("s, t", [(5, 17), (8, 40), (8, 64)])
+def test_sampled_embedding_from_retraction_glues_as_the_pair_scan(s, t):
+    # the probes are the target atoms; pi flipped at one of them fails the law
+    rng = random.Random(s * t)
+    for n in range(4):
+        fiber = [x % s for x in range(t)]
+        rng.shuffle(fiber)
+        honest = CompleteHom(FiniteCBA(s), FiniteCBA(t), tuple(fiber))
+        wrong = _project_wrong_at(1 << rng.randrange(t), lambda p: p ^ 1)
+        for h in (honest, wrong(honest.source, honest.target, honest.fiber)):
+            k = _Cases(h, True, random.Random(n), 200)
+            assert not k.enumerated
+            got = _embedding_from_retraction(k)
+            assert got == reference_embedding_from_retraction(k), h.fiber
+            assert got[0] == (h is honest), h.fiber
+
+
 @pytest.mark.parametrize(
     "defect", ["flip", "non-monotone", "apply past the top", "past the source top", "past a byte"]
 )
@@ -575,18 +591,24 @@ def test_packed_filter_laws_match_the_scan_under_a_planted_defect(s, t, defect):
     source, target = FiniteCBA(s), FiniteCBA(t)
     fiber = tuple(x % s for x in range(t))
     size = source if defect == "apply past the top" else target
-    filters, join_form = set(), set()  # what each law reads, over the elements
+    filters, join_form, glued = set(), set(), set()  # what each law reads, over the elements
     for element in size.elements():
         _, out = _assert_as_the_reference_scans(_defective(defect, element)(source, target, fiber))
-        (f, j) = (o if isinstance(o, str) else o[0] for o in out)
+        (f, j, g) = (o if isinstance(o, str) else o[0] for o in out)
         filters.add(f)
         join_form.add(j)
+        glued.add(g)
     if defect == "apply past the top":  # the filter scan reads past the projections
         assert filters == {True, "IndexError('list index out of range')"}
         assert join_form == {True}  # it never applies i
+        assert glued == {False}  # no probe glues the bit past C's top
     else:  # each law fails at some element, and no scan raises
         assert False in filters and False in join_form
-        assert filters | join_form <= {True, False}
+        assert filters | join_form | glued <= {True, False}
+    # a projection off every b only drops its probe from the joins, which the
+    # other probes below it may still cover
+    if defect in ("flip", "non-monotone"):
+        assert False in glued
 
 
 def test_packed_filter_law_leaves_projections_outside_the_source_to_the_scan():
@@ -599,7 +621,7 @@ def test_packed_filter_law_leaves_projections_outside_the_source_to_the_scan():
             return p | 8 if c else p
 
     h = ProjectPastTheSourceTop(B2, C4, (0, 0, 1, 1))
-    _, (filters, _) = _assert_as_the_reference_scans(h)
+    _, (filters, _, _) = _assert_as_the_reference_scans(h)
     assert filters == "IndexError('list index out of range')"
 
 

@@ -187,6 +187,8 @@ def test_disjointify_sg_audit_reports_gap():
     assert not report.closure_ok
     assert report.gaps
     assert B4.leq(report.sg_from_antichains, report.sg_from_predense)
+    # the disjointification (0011, 1100) meets the carrier only in 0011
+    assert (report.sg_from_predense, report.sg_from_antichains) == (0b1111, 0b0011)
 
 
 def test_trace_validation():
