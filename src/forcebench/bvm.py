@@ -251,12 +251,14 @@ class NamePool:
     """A name pool validated once: one algebra, every rank within a bound.
 
     ``names`` are in ``BName.sort_key`` order; unbounded quantifiers range
-    over them.  Handed to ``truth_value`` in place of a plain tuple, it spares
-    each call the pass over the whole pool: only the environment and the
-    formula's constants (``Formula.constants``) are checked then.
+    over them, and ``members`` holds them as a set.  Handed to
+    ``truth_value`` in place of a plain tuple, it spares each call the pass
+    over the whole pool: an environment drawn from the pool is admitted by
+    one set test, and only the formula's constants (``Formula.constants``)
+    and any environment value outside the pool are checked one by one.
     """
 
-    __slots__ = ("algebra", "names", "max_rank")
+    __slots__ = ("algebra", "names", "members", "max_rank", "one")
 
     def __init__(
         self,
@@ -268,7 +270,9 @@ class NamePool:
         _admit(names, algebra, rank_bound, "pool name")
         self.algebra = algebra
         self.names = tuple(sorted(names, key=BName.sort_key))
+        self.members = frozenset(names)
         self.max_rank = max((n.rank for n in names), default=-1)
+        self.one = algebra.one
 
 
 def _admit(names: tuple[BName, ...], algebra: FiniteCBA, rank_bound: int, what: str) -> None:
@@ -294,10 +298,10 @@ def truth_value(
     """
     if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
-    params = (*env.values(), *phi.constants)
+    values, constants = env.values(), phi.constants
     if not isinstance(pool, NamePool):
         if algebra is None:
-            algebra = next((n.algebra for n in (*params, *pool)), None)
+            algebra = next((n.algebra for n in (*values, *constants, *pool)), None)
             if algebra is None:
                 raise MixedAlgebras("cannot infer the algebra: no parameters given")
         pool = NamePool(algebra, pool, rank_bound)
@@ -305,7 +309,16 @@ def truth_value(
         raise MixedAlgebras("pool over a different algebra")
     elif pool.max_rank > rank_bound:
         raise RankExceeded(f"pool name of rank {pool.max_rank} exceeds bound {rank_bound}")
-    _admit(params, pool.algebra, rank_bound, "formula parameter")
+    # a pool name is over the pool's algebra and of rank at most max_rank, so
+    # it passes _admit; dropping it leaves the same first failure
+    try:
+        pooled = pool.members.issuperset(values)
+    except TypeError:  # an unhashable value is no name; _admit refuses it
+        pooled = False
+    if not pooled:
+        _admit((*values, *constants), pool.algebra, rank_bound, "formula parameter")
+    elif constants:
+        _admit(constants, pool.algebra, rank_bound, "formula parameter")
     try:
         return phi.boolean_route(env, None, pool)
     except KeyError as e:  # the route reads nothing else that can miss
@@ -323,6 +336,12 @@ def truth_value(
 # from env, which neither route writes to.  The routes share only this
 # lookup, since the forcing audit compares them.  A bad term or subformula
 # fails compilation.
+#
+# The boolean route's connectives and binders are int operations under the
+# pool's ``one``: every value is a bitmask within it, so complement is
+# ``one & ~x``, a meet starts from ``one`` and a join from 0.  Its atoms go
+# through the memo kernels ``_tv_eq``/``_tv_mem``/``_tv_sub``, which keep
+# the algebra's ``sup``/``inf``/``neg``.
 
 
 def _relation(rel, left, right, scope: dict[str, int], literal):
@@ -357,42 +376,60 @@ def _name_term(term):
 
 
 def _boolean(phi, scope: dict[str, int], depth: int):
-    """phi's boolean value."""
+    """phi's boolean value, by int operations under ``pool.one``."""
     if isinstance(phi, Atomic):
         rel = {"eq": _tv_eq, "mem": _tv_mem, "sub": _tv_sub}[phi.op]
         return _relation(rel, phi.left, phi.right, scope, _name_term)
     if isinstance(phi, Not):
         body = _boolean(phi.body, scope, depth)
-        return lambda env, bound, pool: pool.algebra.neg(body(env, bound, pool))
+        return lambda env, bound, pool: pool.one & ~body(env, bound, pool)
     if isinstance(phi, (And, Or)):
         parts = tuple(_boolean(p, scope, depth) for p in phi.parts)
-        if isinstance(phi, And):
-            return lambda env, bound, pool: pool.algebra.inf(p(env, bound, pool) for p in parts)
-        return lambda env, bound, pool: pool.algebra.sup(p(env, bound, pool) for p in parts)
+
+        def meet(env, bound, pool):
+            total = pool.one
+            for p in parts:
+                total &= p(env, bound, pool)
+            return total
+
+        def join(env, bound, pool):
+            total = 0
+            for p in parts:
+                total |= p(env, bound, pool)
+            return total
+
+        return meet if isinstance(phi, And) else join
     if not isinstance(phi, (BoundedExists, BoundedForall, Exists)):
         raise TypeError(f"not a formula: {phi!r}")
     size, body = quantifier_depth(phi), _boolean(phi.body, {**scope, phi.var: depth}, depth + 1)
-    if isinstance(phi, Exists):  # joins as over a name holding every pool name at 1
-        entries = lambda env, bound, pool: zip(pool.names, itertools.repeat(pool.algebra.one))
-    else:
-        of = _term(phi.bound, scope, _name_term)
-        entries = lambda env, bound, pool: of(env, bound).entries
+
+    if isinstance(phi, Exists):  # as over a name holding every pool name at 1
+
+        def exists_in_pool(env, bound, pool):
+            bound = [None] * size if bound is None else bound
+            total = 0
+            for sub in pool.names:
+                bound[depth] = sub
+                total |= body(env, bound, pool)
+            return total
+
+        return exists_in_pool
+    of = _term(phi.bound, scope, _name_term)
 
     def exists(env, bound, pool):
         bound = [None] * size if bound is None else bound
         total = 0
-        for sub, p in entries(env, bound, pool):
+        for sub, p in of(env, bound).entries:
             bound[depth] = sub
             total |= p & body(env, bound, pool)
         return total
 
     def forall(env, bound, pool):
         bound = [None] * size if bound is None else bound
-        alg = pool.algebra
-        total = alg.one
-        for sub, p in entries(env, bound, pool):
+        total = pool.one  # so ~p needs no mask
+        for sub, p in of(env, bound).entries:
             bound[depth] = sub
-            total &= alg.neg(p) | body(env, bound, pool)
+            total &= ~p | body(env, bound, pool)
         return total
 
     return forall if isinstance(phi, BoundedForall) else exists

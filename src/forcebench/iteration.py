@@ -425,13 +425,20 @@ def rcs_membership(
 ) -> RcsVerdict:
     """Membership in the revised-countable-support limit.
 
-    Constants are members outright; otherwise some audited coordinate must
-    force countable cofinality of the length.  Unknown oracle answers are
-    surfaced, never treated as membership.
+    Constants are members outright, and so is a coherent vector, being of
+    finite length; an incoherent vector is no thread, so no member.
+    Otherwise some audited coordinate must force countable cofinality of the
+    length.  Unknown oracle answers are surfaced, never treated as
+    membership.
     """
     if isinstance(thread, ConstantThread):
         return RcsVerdict(True, "constant thread", stage=thread.stage)
     if isinstance(thread, VectorThread):
+        try:
+            thread_validate(system, thread, depth)
+        except CoherenceFailure as failure:
+            a, b = failure.stages
+            return RcsVerdict(False, f"not a thread: not coherent at ({a},{b})", stage=b)
         return RcsVerdict(True, "finite-length threads are eventually constant")
     if isinstance(thread, RuleThread) and thread.constant_from is not None:
         stages = list(system.stages(depth))

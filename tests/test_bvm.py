@@ -299,8 +299,16 @@ def test_forcing_audit_calls_truth_value_per_assignment_and_oracle_per_distinct_
         monkeypatch.setattr(bvm, name, counted)
     pool = standard_name_pool(B2, max_rank=2)[:7]
     formulas = standard_formula_pool()
+    bvm._ATOMIC_MEMO.clear()
     report = forcing_audit(B2, pool, formulas)
     assignments = sum(len(pool) ** len(free_variables(phi)) for phi in formulas)
+    # cold, the audit memoizes each atomic relation once per ordered pair of
+    # pool names, and nothing else: the pool is closed under subnames
+    n = len(pool)
+    assert len(bvm._ATOMIC_MEMO) == 3 * n * n
+    assert set(bvm._ATOMIC_MEMO) == {
+        (op, a, b) for op in ("eq", "mem", "sub") for a in pool for b in pool
+    }
     # the oracle runs once per formula, atom and tuple of values at the atom
     distinct = [len({eval_at_atom(n, u) for n in pool}) for u in ultrafilters(B2)]
     oracle_calls = sum(d ** len(free_variables(phi)) for phi in formulas for d in distinct)
@@ -435,6 +443,67 @@ def test_name_pool_path_keeps_every_check():
         fullness_witness(Atomic("eq", u, u), "u", {}, ())
     with pytest.raises(NotRegular):
         delta1_audit(hom_from_fiber_map(B2, B2, [0, 0]), pool, standard_formula_pool())
+
+
+def _value_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as e:  # the outcome compared is the error itself
+        return type(e), str(e)
+
+
+def test_name_pool_admits_what_the_plain_pool_admits():
+    # a NamePool admits an environment drawn from it by one set test; every
+    # other input must meet the same checks, with the same error, as the
+    # plain tuple pool that is validated on each call
+    pool = standard_name_pool(B2, max_rank=2)[:10]
+    names = NamePool(B2, pool)
+    u, v = Var("u"), Var("v")
+    twin = FiniteCBA(2)  # equal to B2, another object
+    outside = name_from_pairs(B2, [(check_name(B2, von_neumann(3)), 0b01), (pool[2], 0b11)])
+    on_twin = BName(twin, ((check_name(twin, von_neumann(3)), 0b10), (pool[1], 0b01)))
+    deep = check_name(B2, von_neumann(5))
+    assert outside not in names.members and on_twin not in names.members
+    assert on_twin.algebra is twin and twin is not B2
+    phis = (
+        Atomic("mem", u, v),
+        BoundedForall("z", u, Atomic("sub", Var("z"), v)),
+        Exists("z", Atomic("mem", Var("z"), u)),
+        Atomic("eq", pool[4], u),
+        Atomic("sub", outside, u),
+        Atomic("mem", u, deep),
+        Atomic("eq", check_name(B1, EMPTY), u),
+    )
+    envs = (
+        {"u": pool[3], "v": pool[7]},
+        {"u": outside, "v": pool[5]},
+        {"u": pool[6], "v": outside},
+        {"u": on_twin, "v": pool[2]},
+        {"u": pool[8], "v": on_twin},
+        {"u": deep, "v": pool[1]},
+        {"u": check_name(B1, EMPTY), "v": pool[1]},
+        {"u": [pool[3]], "v": pool[1]},  # unhashable
+        {"u": {pool[3]: 1}, "v": pool[1]},  # unhashable
+        {"u": "c0", "v": pool[1]},  # hashable, but no name
+    )
+    for phi in phis:
+        for env in envs:
+            for algebra in (B2, twin):
+                for rank_bound in (1, 2, 3, 4, 6):
+                    plain = _value_or_error(truth_value, phi, env, algebra, pool, rank_bound)
+                    pooled = _value_or_error(truth_value, phi, env, algebra, names, rank_bound)
+                    assert pooled == plain, (phi, env, algebra, rank_bound)
+    # the cases above reach values and each kind of refusal
+    outcomes = {
+        _value_or_error(truth_value, phi, env, B2, names, 4)
+        for phi in phis for env in envs
+    }
+    kinds = {o[0] if isinstance(o, tuple) else int for o in outcomes}
+    assert kinds == {int, MixedAlgebras, RankExceeded, AttributeError}
+    # a bound below the pool's own maximal rank names that rank
+    assert _value_or_error(truth_value, phis[0], envs[0], B2, names, 1) == (
+        RankExceeded, "pool name of rank 2 exceeds bound 1"
+    )
 
 
 def test_mix_trivial_antichain():
@@ -813,3 +882,29 @@ def test_compiled_routes_match_the_reference_walks(seed):
             # with name constants left in, phi is refused by the oracle
             if phi.constants:
                 assert _outcome(hf_satisfies, phi, hf_env, hf_pool) is TypeError, witness
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 4])
+def test_compiled_connectives_and_binders_match_the_reference_walk(atoms):
+    algebra = FiniteCBA(atoms)
+    pool = standard_name_pool(algebra, max_rank=2)
+    names = NamePool(algebra, pool)
+    u, v, z = Var("u"), Var("v"), Var("z")
+    # the empty meet and join need no environment
+    for phi, value in ((And(()), algebra.one), (Or(()), 0)):
+        assert truth_value(phi, {}, algebra, names) == value
+        assert reference_truth_value(phi, {}, algebra, pool) == value
+    # a binder over names labeled below one reads the labels' complements
+    assert atoms == 1 or any(p != algebra.one for n in pool for _, p in n.entries)
+    formulas = (
+        Not(Not(Atomic("mem", u, v))),
+        BoundedForall("z", u, Atomic("mem", z, v)),
+        BoundedForall("z", u, Not(Atomic("sub", v, z))),
+        And((Atomic("sub", u, v), Atomic("mem", v, u), Not(Atomic("eq", u, v)))),
+        Or((Atomic("mem", u, v), Atomic("eq", u, v), Not(Atomic("sub", v, u)))),
+    )
+    for phi in formulas:
+        for a, b in itertools.product(pool, repeat=2):
+            env = {"u": a, "v": b}
+            value = truth_value(phi, env, algebra, names)
+            assert value == reference_truth_value(phi, env, algebra, pool), (phi, env)

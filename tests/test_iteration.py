@@ -325,6 +325,25 @@ def test_rcs_declared_constancy_audited():
     assert v2.member is None
 
 
+@pytest.mark.parametrize(
+    "oracle",
+    [omega_length_oracle(), CofinalityOracle(lambda stage, elem: "refutes")],
+    ids=["omega", "refuting"],
+)
+def test_rcs_membership_refuses_an_incoherent_vector(oracle):
+    a1, a2 = FiniteCBA(1), FiniteCBA(2)
+    system = build_system([a1, a2], [CompleteHom(a1, a2, (0, 0))])
+    bad = VectorThread((0, 0b01))
+    with pytest.raises(CoherenceFailure):
+        thread_validate(system, bad)
+    v = rcs_membership(system, bad, oracle)
+    assert v.member is False and "(0,1)" in v.reason
+    # a coherent vector on the same system stays a member
+    good = VectorThread((0, 0))
+    thread_validate(system, good)
+    assert rcs_membership(system, good, oracle).member is True
+
+
 def test_rcs_sandwich_for_validated_threads():
     # C(F) ⊆ RCS(F) ⊆ T(F) as verdicts
     system = doubling_chain()
