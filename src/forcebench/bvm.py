@@ -280,8 +280,9 @@ def _admit(names: tuple[BName, ...], algebra: FiniteCBA, rank_bound: int, what: 
         if n.algebra is not algebra and n.algebra != algebra:
             raise MixedAlgebras(f"{what} over a different algebra")
     for n in names:
-        if n.rank > rank_bound:
-            raise RankExceeded(f"{what} of rank {n.rank} exceeds bound {rank_bound}")
+        if n.rank > rank_bound:  # named by the largest rank, as NamePool.max_rank
+            rank = max(m.rank for m in names)
+            raise RankExceeded(f"{what} of rank {rank} exceeds bound {rank_bound}")
 
 
 def truth_value(
@@ -301,7 +302,7 @@ def truth_value(
     values, constants = env.values(), phi.constants
     if not isinstance(pool, NamePool):
         if algebra is None:
-            algebra = next((n.algebra for n in (*values, *constants, *pool)), None)
+            algebra = next((n.algebra for n in (*pool, *values, *constants)), None)
             if algebra is None:
                 raise MixedAlgebras("cannot infer the algebra: no parameters given")
         pool = NamePool(algebra, pool, rank_bound)

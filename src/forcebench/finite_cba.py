@@ -105,21 +105,24 @@ def atom_map(images: Sequence[int]) -> Callable[[int], int]:
     Every finite homomorphism and reindexing is such a map on atoms.  It
     reads one byte-indexed table per 8 atoms, in one expression up to 8
     tables: one lookup per byte of x.  Bits past ``len(images)`` are ignored.
+    The map keeps its tables, lowest byte first, as ``tables``.
     """
     tables = [subset_join_table(images[base : base + 8]) for base in range(0, len(images), 8)]
-    *full, last = tables or [[0]]
+    *full, last = tables = tables or [[0]]
     top = len(last) - 1
     if len(full) < len(_STRAIGHT_LINE):
-        return _STRAIGHT_LINE[len(full)](*full, last, top)
-    shift = 8 * len(full)
+        mapped = _STRAIGHT_LINE[len(full)](*full, last, top)
+    else:
+        shift = 8 * len(full)
 
-    def mapped(x: int) -> int:
-        out = last[x >> shift & top]
-        for table in full:
-            out |= table[x & 0xFF]
-            x >>= 8
-        return out
+        def mapped(x: int) -> int:
+            out = last[x >> shift & top]
+            for table in full:
+                out |= table[x & 0xFF]
+                x >>= 8
+            return out
 
+    mapped.tables = tables
     return mapped
 
 

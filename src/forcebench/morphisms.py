@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -62,6 +63,16 @@ class CompleteHom:
     def project(self, c: int) -> int:
         """pi(c): direct image of c under the fiber map."""
         return self._project(c)
+
+    @functools.cached_property
+    def byte_columns(self) -> tuple[bytes, ...] | None:
+        """pi's own ``atom_map`` tables, one per byte of a target element, as
+        256-entry ``bytes.translate`` tables (the last read through its top);
+        None past 8 source atoms, where pi's values are no bytes."""
+        if self.source.atom_count > 8:
+            return None
+        *full, last = self._project.tables
+        return (*map(bytes, full), bytes(last[u & len(last) - 1] for u in range(256)))
 
     def then(self, other: "CompleteHom") -> "CompleteHom":
         """Composite source -> other.target (self first, then other)."""
@@ -222,6 +233,9 @@ class _Cases:
     When both sides are enumerated (``enumerated``), ``rows`` packs the
     projections for the laws over pairs (``finite_cba.ByteRows``; None when
     some value is not a byte), and the scans build ``below`` and ``above``.
+    When sampled and ``packs()``, ``images`` reads pi on a whole case list
+    at once from pi's byte tables: the cases side by side, one big-int op,
+    one translate per byte column.  ``above`` is built so, one batch per d.
     """
 
     def __init__(self, h: CompleteHom, exhaustive: bool, rng, samples: int) -> None:
@@ -246,10 +260,39 @@ class _Cases:
             self.pprobes = list(map(h.project, self.probes))
             atoms = list(zip(self.probes, self.pprobes))
             below = {c: [p for a, p in atoms if a & c] for c in self.ds}
-            above = {a: [h.project(a | d) for d in self.ds] for a in self.probes}
+            if self.packs():  # per d, pi(a | d) at every atom a, one byte each
+                probes, n = _side_by_side(self.probes, len(h.byte_columns)), len(self.probes)
+                per_d = [self.images(operator.or_, d, probes).to_bytes(n, "little") for d in self.ds]
+                above = dict(zip(self.probes, map(list, zip(*per_d))))
+            else:
+                above = {a: [h.project(a | d) for d in self.ds] for a in self.probes}
             self.rows = None
         self.bs, self.ibs, self.cs, self.pcs = bs, ibs, cs, pcs
         self.below, self.above = below, above  # keyed by ds and probes
+
+    def packs(self) -> bool:
+        """Whether pi's values are bytes and pi is CompleteHom's own at this
+        call: an override of ``project`` is audited call by call."""
+        h = self.h
+        return type(h).project is CompleteHom.project and h.byte_columns is not None
+
+    @functools.cached_property
+    def packed(self) -> tuple[tuple[int, int, int], int, int]:
+        """``cs`` side by side; ``pcs`` one byte each; 1 in each of those bytes."""
+        ones = int.from_bytes(b"\x01" * len(self.cs), "little")
+        pcs = int.from_bytes(bytes(self.pcs), "little")
+        return _side_by_side(self.cs, len(self.h.byte_columns)), pcs, ones
+
+    def images(self, op, x: int, xs: tuple[int, int, int] | None = None) -> int:
+        """pi(op(c, x)) at every c of ``cs`` (or of ``xs``, packed as
+        ``_side_by_side`` packs), one byte each as one int; only where ``packs()``."""
+        columns = self.h.byte_columns
+        w, (packed, ones, n) = len(columns), xs or self.packed[0]
+        blob = op(packed, x * ones).to_bytes(n * w, "little")
+        out = 0
+        for k, column in enumerate(columns):
+            out |= int.from_bytes(blob[k::w].translate(column), "little")
+        return out
 
     def at(self, **elements: int | None) -> str:
         """``b={..} c={..}`` (b in B, c and d in C); "" when all are None."""
@@ -258,6 +301,13 @@ class _Cases:
             for name, x in elements.items()
             if x is not None
         )
+
+
+def _side_by_side(xs: list[int], w: int) -> tuple[int, int, int]:
+    """The xs as one int, w bytes each, the first lowest; the int with 1 at
+    the foot of each slot, so x * ones holds x in every slot; len(xs)."""
+    packed = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in xs), "little")
+    return packed, int.from_bytes(b"\x01".ljust(w, b"\0") * len(xs), "little"), len(xs)
 
 
 def _draw(
@@ -296,8 +346,8 @@ def _predense_families(atoms: int) -> tuple[tuple[int, ...], ...]:
 
 
 # Each law maps the shared case lists to (holds, witness, cases in its
-# source); a failing law stops at its first witness.  The packed rows only
-# decide a pass: when they do not, the scan finds the first witness.
+# source); a failing law stops at its first witness.  The packed rows and
+# (sampled) images only decide a pass: else the scan finds the first witness.
 
 
 def _retract_section(k: _Cases):
@@ -322,12 +372,14 @@ def _meet_translation(k: _Cases):
     """pi(c ∧ i(b)) = pi(c) ∧ b."""
     project, cs, pcs = k.project, k.cs, k.pcs
     cases = len(k.bs) * len(cs)
-    walked = set()
+    walked, packs = set(), k.packs()
     for b, ib in zip(k.bs, k.ibs):
         if b in walked:
             continue  # a b drawn again asks for the identical row
         walked.add(b)
         if k.rows is not None and k.rows.translates_meet(ib, b):
+            continue
+        if packs and k.images(operator.and_, ib) == k.packed[1] & b * k.packed[2]:
             continue
         if list(map(project, [c & ib for c in cs])) != [p & b for p in pcs]:
             c = next(c for c, p in zip(cs, pcs) if project(c & ib) != p & b)
@@ -363,6 +415,10 @@ def _join_preserving(k: _Cases):
     cases = len(k.cs) * len(ds)
     if k.rows is not None and k.rows.preserves_joins():
         return True, "", cases
+    if k.packs():
+        _, pcs_row, ones = k.packed
+        if all(k.images(operator.or_, d) == pcs_row | pd * ones for d, pd in zip(ds, pds)):
+            return True, "", cases
     for c, pc in zip(k.cs, k.pcs):
         for d, pd in zip(ds, pds):
             if project(c | d) != pc | pd:
@@ -376,6 +432,10 @@ def _sub_meet_inequality(k: _Cases):
     cases = len(k.cs) * len(ds)
     if k.rows is not None and k.rows.monotone():
         return True, "", cases
+    if k.packs():
+        _, pcs_row, ones = k.packed
+        if not any(k.images(operator.and_, d) & ~(pcs_row & pd * ones) for d, pd in zip(ds, pds)):
+            return True, "", cases
     for c, pc in zip(k.cs, k.pcs):
         for d, pd in zip(ds, pds):
             if project(c & d) & ~(pc & pd):

@@ -466,11 +466,13 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
         c0s, c1s = list(C0.elements()), list(C1.elements())
         pairs = _class_pairs(c0s, q0.view.mask)
         apply = list(map(j.apply, c0s)).__getitem__  # j at c sits at index c
+        project = list(map(j.project, c1s)).__getitem__
+        class0, class1 = q0.view.to_sub_table.__getitem__, q1.view.to_sub_table.__getitem__
     else:  # 64 seeded elements of C0 and of C1, then 64 offsets in C0
         c0s, c1s, offsets = draws(bits, None, 1, 64, C0.atom_count, C1.atom_count, C0.atom_count)
         # pairs in one class: d differs from c only off the class mask
         pairs = [(c, c ^ (x & ~q0.view.mask)) for c, x in zip(c0s, offsets)]
-        apply = j.apply
+        apply, project, class0, class1 = j.apply, j.project, q0.class_of, q1.class_of
     same = q1.same_class
     bad = next(((c, d) for c, d in pairs if not same(apply(c), apply(d))), None)
     witness = "" if bad is None else f"{_at(C0, bad[0])} {_at(C0, bad[1], 'd')}"
@@ -479,14 +481,8 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
     result.record("intertwines_class_maps", bad is None, _at(C0, bad), len(c0s))
     result.record("regular", hom.regular, "" if hom.regular else "not regular")
     # retraction law: pi_{j/G}([c]) = [pi_j(c)]
-    bad = next(
-        (
-            c
-            for c in c1s
-            if hom.project(q1.class_of(c)) != q0.class_of(j.project(c & q1.view.mask))
-        ),
-        None,
-    )
+    mask = q1.view.mask
+    bad = next((c for c in c1s if hom.project(class1(c)) != class0(project(c & mask))), None)
     result.record("retraction_law", bad is None, _at(C1, bad), len(c1s))
     return result
 

@@ -132,3 +132,63 @@ def test_every_fresh_tower_hot_target_records_calls(monkeypatch):
     assert gallery.wedge_meet_audit(4, tower).passed
     assert {"FreeElement.__and__", "FreeElement.leq", "free_project", "generator"} <= set(calls)
     assert all(calls.values()), calls
+
+
+def _traced_project(monkeypatch):
+    """The tracer's own class-level rebinding of ``CompleteHom.project``,
+    split into narrow and wide keys, undone after the test; returns the
+    tracer, whose stats count the calls."""
+    from forcebench.morphisms import CompleteHom
+
+    namespace, original = _tracer_namespace(), CompleteHom.__dict__["project"]
+    monkeypatch.setattr(CompleteHom, "project", original)
+    # install() with no other table rebinds CompleteHom.project alone
+    monkeypatch.setitem(namespace, "KERNELS", {})
+    monkeypatch.setitem(namespace, "ENTRY_POINTS", {})
+    tracer = namespace["Tracer"]()
+    tracer.install()
+    assert CompleteHom.__dict__["project"] is not original  # the split wrapper
+    return tracer
+
+
+def test_traced_project_keeps_the_packed_route_for_plain_homs_only(monkeypatch):
+    # the sampled laws read pi from its byte tables only when pi is
+    # CompleteHom's own; under the tracer's rebinding that still holds, so a
+    # traced run takes the route an untraced one takes, and an override of
+    # project is still audited call by call
+    import random
+
+    from forcebench.finite_cba import FiniteCBA
+    from forcebench.morphisms import CompleteHom, _Cases, _join_preserving
+
+    tracer = _traced_project(monkeypatch)
+
+    class CallByCall(CompleteHom):
+        def project(self, c):
+            return super().project(c)
+
+    fiber = tuple(x % 3 for x in range(40))
+    wide = tracer.stats["morphisms.project_wide"]
+    for cls, packs in ((CompleteHom, True), (CallByCall, False)):
+        k = _Cases(cls(FiniteCBA(3), FiniteCBA(40), fiber), False, random.Random(1), 200)
+        assert k.packs() == packs
+        before = wide[0]
+        assert _join_preserving(k)[0]
+        assert (wide[0] == before) == packs  # the scan asks pi once per pair
+
+
+def test_finite_wide_project_key_records_calls(monkeypatch):
+    # a traced finite-wide run fails on a hot key that recorded no call; the
+    # packed route must leave morphisms.project_wide some calls to record
+    import random
+
+    from forcebench.finite_cba import FiniteCBA
+    from forcebench.morphisms import CompleteHom, retraction_laws_audit
+
+    tracer = _traced_project(monkeypatch)
+    assert "morphisms.project_wide" in _tracer_namespace()["HOT"]["finite-wide"]
+    for t in (17, 40, 64):
+        h = CompleteHom(FiniteCBA(8), FiniteCBA(t), tuple(x % 8 for x in range(t)))
+        assert retraction_laws_audit(h, exhaustive=False, rng=random.Random(t)).passed
+    assert tracer.stats["morphisms.project_wide"][0] > 0
+    assert tracer.stats["morphisms.project_narrow"][0] == 0

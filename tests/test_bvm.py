@@ -488,8 +488,8 @@ def test_name_pool_admits_what_the_plain_pool_admits():
     )
     for phi in phis:
         for env in envs:
-            for algebra in (B2, twin):
-                for rank_bound in (1, 2, 3, 4, 6):
+            for algebra in (B2, twin, None):  # None: inferred, the pool's algebra first
+                for rank_bound in (0, 1, 2, 3, 4, 6):
                     plain = _value_or_error(truth_value, phi, env, algebra, pool, rank_bound)
                     pooled = _value_or_error(truth_value, phi, env, algebra, names, rank_bound)
                     assert pooled == plain, (phi, env, algebra, rank_bound)

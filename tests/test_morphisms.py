@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from forcebench.morphisms import (
     _filters_packed,
     _filters_to_filters,
     _meet_translation_join_form,
+    _side_by_side,
     FreeInclusion,
     hom_from_fiber_map,
     identity_hom,
@@ -702,3 +704,73 @@ def test_packed_tables_decide_every_honest_pass(law, scanned, s, t):
     for name in scanned:
         setattr(k, name, _ScanOnly())
     assert dict(RETRACTION_LAWS)[law](k) == expected and expected[0]
+
+
+# -- sampled laws read pi on a whole case list from its byte tables ------------------
+
+# target widths around every byte boundary: exact multiples of 8 and partial last bytes
+PACKED_WIDTHS = [9, 15, 16, 17, 23, 24, 31, 40, 41, 63, 64, 65, 72]
+
+
+@pytest.mark.parametrize("t", PACKED_WIDTHS)
+def test_packed_images_equal_project_byte_for_byte(t):
+    rng = random.Random(t)
+    for s in range(1, 9):
+        fiber = tuple(rng.randrange(s) for _ in range(t))  # not always onto
+        h = CompleteHom(FiniteCBA(s), FiniteCBA(t), fiber)
+        k = _Cases(h, False, rng, 40)
+        assert k.packs() and len(h.byte_columns) == (t + 7) // 8
+        assert all(len(column) == 256 for column in h.byte_columns)
+        probes = [0, h.target.one, *k.probes, *(rng.getrandbits(t) for _ in range(20))]
+        packed = _side_by_side(probes, len(h.byte_columns))
+        for x in (0, h.target.one, 1 << t - 1, *(rng.getrandbits(t) for _ in range(8))):
+            for op in (operator.and_, operator.or_):
+                got = k.images(op, x).to_bytes(len(k.cs), "little")
+                assert got == bytes(h.project(op(c, x)) for c in k.cs), (s, fiber, x)
+                got = k.images(op, x, packed).to_bytes(len(probes), "little")
+                assert got == bytes(h.project(op(c, x)) for c in probes), (s, fiber, x)
+        assert k.above == {a: [h.project(a | d) for d in k.ds] for a in k.probes}
+
+
+def test_wider_sources_and_overrides_are_audited_call_by_call():
+    fiber = tuple(x % 9 for x in range(20))
+    assert CompleteHom(FiniteCBA(9), FiniteCBA(20), fiber).byte_columns is None
+    assert not _Cases(CompleteHom(FiniteCBA(9), FiniteCBA(20), fiber), False, None, 40).packs()
+
+    class CallByCall(CompleteHom):
+        def project(self, c):
+            return super().project(c)
+
+    h = CallByCall(FiniteCBA(3), FiniteCBA(20), tuple(x % 3 for x in range(20)))
+    assert not _Cases(h, False, None, 40).packs()
+    assert "byte_columns" not in vars(h)  # not built for a hom that never packs
+
+
+PACKED_LAWS = ("meet_translation", "join_preserving", "sub_meet_inequality")
+
+
+@pytest.mark.parametrize("s, t", [(3, 20), (5, 24), (8, 41), (2, 64)])
+def test_a_defect_in_a_shared_byte_table_fails_alike_with_and_without_packing(s, t):
+    # one entry of one of pi's atom_map tables is wrong: h.project and the
+    # packed images read the same table, so every law fails as the scan does
+    class CallByCall(CompleteHom):
+        def project(self, c):
+            return super().project(c)
+
+    rng = random.Random(s * t)
+    fiber = [1 + x % (s - 1) for x in range(t)]
+    rng.shuffle(fiber)
+    byte = rng.randrange(t // 8)
+    fiber[8 * byte] = 0  # no other byte of c adds source atom 0 to pi(c)
+    honest = CompleteHom(FiniteCBA(s), FiniteCBA(t), tuple(fiber))
+    entry = _Cases(honest, False, random.Random(7), 200).cs[0] >> 8 * byte & 0xFF
+    ledgers = []
+    for cls in (CompleteHom, CallByCall):
+        h = cls(FiniteCBA(s), FiniteCBA(t), tuple(fiber))
+        h._project.tables[byte][entry] ^= 1  # pi at the first drawn c is off at atom 0
+        assert _Cases(h, False, None, 200).packs() == (cls is CompleteHom)
+        report = retraction_laws_audit(h, exhaustive=False, rng=random.Random(7))
+        ledgers.append({n: (c.passed, c.witness, c.cases) for n, c in report.claims.items()})
+    packed, scanned = ledgers
+    assert packed == scanned
+    assert not any(packed[law][0] for law in PACKED_LAWS), packed
