@@ -22,7 +22,7 @@ from .hf import HF, EMPTY
 from .morphisms import CompleteHom
 from .report import Ledger
 
-DEFAULT_RANK_BOUND = 4
+RANK_BOUND = 4  # the largest rank of any name truth_value reads
 
 
 # (algebra, entries) -> the one live name; a miss is built under the lock
@@ -248,7 +248,7 @@ def _tv_eq(n0: BName, n1: BName) -> int:
 
 
 class NamePool:
-    """A name pool validated once: one algebra, every rank within a bound.
+    """A name pool validated once: one algebra, every rank within ``RANK_BOUND``.
 
     ``names`` are in ``BName.sort_key`` order; unbounded quantifiers range
     over them, and ``members`` holds them as a set.  Handed to
@@ -258,31 +258,25 @@ class NamePool:
     and any environment value outside the pool are checked one by one.
     """
 
-    __slots__ = ("algebra", "names", "members", "max_rank", "one")
+    __slots__ = ("algebra", "names", "members", "one")
 
-    def __init__(
-        self,
-        algebra: FiniteCBA,
-        names: Iterable[BName],
-        rank_bound: int = DEFAULT_RANK_BOUND,
-    ):
+    def __init__(self, algebra: FiniteCBA, names: Iterable[BName]):
         names = tuple(names)
-        _admit(names, algebra, rank_bound, "pool name")
+        _admit(names, algebra, "pool name")
         self.algebra = algebra
         self.names = tuple(sorted(names, key=BName.sort_key))
         self.members = frozenset(names)
-        self.max_rank = max((n.rank for n in names), default=-1)
         self.one = algebra.one
 
 
-def _admit(names: tuple[BName, ...], algebra: FiniteCBA, rank_bound: int, what: str) -> None:
+def _admit(names: tuple[BName, ...], algebra: FiniteCBA, what: str) -> None:
     for n in names:
         if n.algebra is not algebra and n.algebra != algebra:
             raise MixedAlgebras(f"{what} over a different algebra")
     for n in names:
-        if n.rank > rank_bound:  # named by the largest rank, as NamePool.max_rank
+        if n.rank > RANK_BOUND:  # named by the largest rank
             rank = max(m.rank for m in names)
-            raise RankExceeded(f"{what} of rank {rank} exceeds bound {rank_bound}")
+            raise RankExceeded(f"{what} of rank {rank} exceeds bound {RANK_BOUND}")
 
 
 def truth_value(
@@ -290,12 +284,14 @@ def truth_value(
     env: Mapping[str, BName],
     algebra: FiniteCBA | None = None,
     pool: NamePool | tuple[BName, ...] = (),
-    rank_bound: int = DEFAULT_RANK_BOUND,
 ) -> int:
     """The boolean value of phi under env; unbounded ∃ joins over ``pool``.
 
-    A plain tuple pool is validated on every call; build a ``NamePool`` once
-    to evaluate many formulas or assignments over the same pool.
+    Every name read must be over the algebra and of rank at most
+    ``RANK_BOUND``: the pool's names, the environment's values and the
+    formula's constants.  A plain tuple pool is validated on every call;
+    build a ``NamePool`` once to evaluate many formulas or assignments over
+    the same pool.
     """
     if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
@@ -305,21 +301,19 @@ def truth_value(
             algebra = next((n.algebra for n in (*pool, *values, *constants)), None)
             if algebra is None:
                 raise MixedAlgebras("cannot infer the algebra: no parameters given")
-        pool = NamePool(algebra, pool, rank_bound)
+        pool = NamePool(algebra, pool)
     elif algebra not in (pool.algebra, None):
         raise MixedAlgebras("pool over a different algebra")
-    elif pool.max_rank > rank_bound:
-        raise RankExceeded(f"pool name of rank {pool.max_rank} exceeds bound {rank_bound}")
-    # a pool name is over the pool's algebra and of rank at most max_rank, so
-    # it passes _admit; dropping it leaves the same first failure
+    # a pool name is over the pool's algebra and within RANK_BOUND, so it
+    # passes _admit; dropping it leaves the same first failure
     try:
         pooled = pool.members.issuperset(values)
     except TypeError:  # an unhashable value is no name; _admit refuses it
         pooled = False
     if not pooled:
-        _admit((*values, *constants), pool.algebra, rank_bound, "formula parameter")
+        _admit((*values, *constants), pool.algebra, "formula parameter")
     elif constants:
-        _admit(constants, pool.algebra, rank_bound, "formula parameter")
+        _admit(constants, pool.algebra, "formula parameter")
     try:
         return phi.boolean_route(env, None, pool)
     except KeyError as e:  # the route reads nothing else that can miss
@@ -518,7 +512,6 @@ def forcing_audit(
     algebra: FiniteCBA,
     pool: tuple[BName, ...],
     formulas: tuple[Formula, ...],
-    rank_bound: int = DEFAULT_RANK_BOUND,
 ) -> ForcingAuditReport:
     """Truth values against the oracle, at every atom and assignment.
 
@@ -533,7 +526,7 @@ def forcing_audit(
     """
     report = ForcingAuditReport()
     cases = 0
-    pool = NamePool(algebra, pool, rank_bound)
+    pool = NamePool(algebra, pool)
     names, atoms = pool.names, range(algebra.atom_count)
     hf_pool_at = [tuple(_eval(n, atom) for n in names) for atom in atoms]
     # a name's class is its value at every atom, all the oracle reads of it
@@ -554,7 +547,7 @@ def forcing_audit(
         keys = itertools.product(class_of, repeat=len(fvs))
         for picks, key in zip(assignments, keys):
             env = dict(zip(fvs, picks))
-            value = truth_value(phi, env, algebra, pool, rank_bound)
+            value = truth_value(phi, env, algebra, pool)
             mask = expected.get(key)
             if mask is None:
                 mask = 0
@@ -610,7 +603,6 @@ def fullness_witness(
     env: Mapping[str, BName],
     pool: tuple[BName, ...],
     algebra: FiniteCBA | None = None,
-    rank_bound: int = DEFAULT_RANK_BOUND,
 ) -> BName:
     """A single name realizing the pool-relative existential boolean value.
 
@@ -620,7 +612,7 @@ def fullness_witness(
     if not pool:
         raise EmptyPool("fullness needs a nonempty pool")
     alg = algebra if algebra is not None else pool[0].algebra
-    pool = NamePool(alg, pool, rank_bound)
+    pool = NamePool(alg, pool)
     chosen: list[BName] = []
     atoms: list[int] = []
     for atom in range(alg.atom_count):
@@ -628,7 +620,7 @@ def fullness_witness(
         for cand in pool.names:
             env2 = dict(env)
             env2[var] = cand
-            if truth_value(phi, env2, alg, pool, rank_bound) >> atom & 1:
+            if truth_value(phi, env2, alg, pool) >> atom & 1:
                 pick = cand
                 break
         chosen.append(pick)
@@ -666,7 +658,6 @@ def delta1_audit(
     pool: tuple[BName, ...],
     d0_formulas: tuple[Formula, ...] = (),
     d1_pairs: tuple[tuple[Formula, Formula], ...] = (),
-    rank_bound: int = DEFAULT_RANK_BOUND,
 ) -> Ledger:
     """Elementarity of the lifted name map.
 
@@ -682,16 +673,16 @@ def delta1_audit(
     report = Ledger()
     report.record("bounded_formulas_commute", True, cases=0)
     report.record("sigma1_pairs_pin_values", True, cases=0)
-    source = NamePool(h.source, pool, rank_bound)
+    source = NamePool(h.source, pool)
     lifts = {n: lift_name(h, n) for n in source.names}
-    target = NamePool(h.target, lifts.values(), rank_bound)
+    target = NamePool(h.target, lifts.values())
     for phi in d0_formulas:
         fvs = tuple(sorted(free_variables(phi)))
         for picks in itertools.product(source.names, repeat=len(fvs)):
             env = dict(zip(fvs, picks))
-            lhs = h.apply(truth_value(phi, env, h.source, source, rank_bound))
+            lhs = h.apply(truth_value(phi, env, h.source, source))
             env_lift = {v: lifts[n] for v, n in env.items()}
-            rhs = truth_value(phi, env_lift, h.target, target, rank_bound)
+            rhs = truth_value(phi, env_lift, h.target, target)
             witness = "" if lhs == rhs else (
                 f"bounded formula value moved: {format_element(h.target, lhs)} vs "
                 f"{format_element(h.target, rhs)}"
@@ -701,15 +692,15 @@ def delta1_audit(
         fvs = tuple(sorted(free_variables(pos) | free_variables(neg)))
         for picks in itertools.product(source.names, repeat=len(fvs)):
             env = dict(zip(fvs, picks))
-            vp = truth_value(pos, env, h.source, source, rank_bound)
-            vn = truth_value(neg, env, h.source, source, rank_bound)
+            vp = truth_value(pos, env, h.source, source)
+            vn = truth_value(neg, env, h.source, source)
             witness = ""
             if vn != h.source.neg(vp):
                 witness = "pair is not complementary on the source"
             else:
                 env_lift = {v: lifts[n] for v, n in env.items()}
-                wp = truth_value(pos, env_lift, h.target, target, rank_bound)
-                wn = truth_value(neg, env_lift, h.target, target, rank_bound)
+                wp = truth_value(pos, env_lift, h.target, target)
+                wn = truth_value(neg, env_lift, h.target, target)
                 if not h.target.leq(h.apply(vp), wp) or not h.target.leq(h.apply(vn), wn):
                     witness = "a Sigma-1 inequality failed"
                 elif wn != h.target.neg(wp):

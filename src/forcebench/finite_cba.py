@@ -288,7 +288,6 @@ class FilterSpec:
     algebra: FiniteCBA
     generators: frozenset[int]
     kind: str = "filter"  # "filter" | "ideal"
-    allow_improper: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("filter", "ideal"):
@@ -296,7 +295,7 @@ class FilterSpec:
         for g in self.generators:
             if not self.algebra.contains(g):
                 raise ValueError("generator outside the algebra")
-        if not self.allow_improper and not self.proper:
+        if not self.proper:
             raise ImproperFilter(f"generated {self.kind} is improper")
 
     @property
@@ -368,8 +367,6 @@ def quotient_by_filter(
     """
     if spec.algebra != algebra:
         raise ValueError("filter spec is over a different algebra")
-    if not spec.proper:
-        raise ImproperFilter(f"generated {spec.kind} is improper")
     if spec.kind == "filter":
         m = spec.core
     else:

@@ -417,18 +417,11 @@ class GeneratorChain:
     element_at: Callable[[int], FreeElement]
     generator_at: Callable[[int], str]
 
-    def chain_index(self, name: str, limit: int) -> int | None:
-        for j in range(limit):
-            if self.generator_at(j) == name:
-                return j
-        return None
-
 
 @dataclass(frozen=True)
 class ChainVerdict:
     kind: str  # "lower_bound_zero" | "fails_at"
     index: int | None
-    checked_depth: int
 
     @property
     def is_zero(self) -> bool:
@@ -444,10 +437,16 @@ def chain_vanishing(h: FreeElement, chain: GeneratorChain) -> ChainVerdict:
     support-escape property, which is then reported as a violation rather
     than silently accepted.
     """
-    support = h.support
-    limit = len(support) + 32
-    indices = [chain.chain_index(g, limit) for g in support]
-    k = max((j for j in indices if j is not None), default=-1)
+    # k: the deepest of the first len(support) + 32 chain generators in h's
+    # support, each name at its first index; a name never interned is in none
+    rest, k = h.mask, -1
+    for j in range(rest.bit_count() + 32):
+        if not rest:
+            break
+        key = _KEYS.get(chain.generator_at(j))
+        if key is not None and rest >> key[3] & 1:
+            rest &= ~(1 << key[3])
+            k = j
     depth = k + 2
 
     prev: FreeElement | None = None
@@ -462,11 +461,11 @@ def chain_vanishing(h: FreeElement, chain: GeneratorChain) -> ChainVerdict:
         if prev is not None and not a_n.leq(prev):
             raise ChainNotDescending(n - 1)
         if not h.leq(a_n):
-            return ChainVerdict("fails_at", n, depth)
+            return ChainVerdict("fails_at", n)
         prev = a_n
 
     if h.is_zero:
-        return ChainVerdict("lower_bound_zero", None, depth)
+        return ChainVerdict("lower_bound_zero", None)
     # A nonzero h independent of the step-(k+2) generator that survives to
     # a_{k+2} sits below the universal projection of a_{k+2}, which any chain
     # honoring the declared property makes 0 — so the declaration was false.

@@ -271,10 +271,15 @@ class _Cases:
         self.below, self.above = below, above  # keyed by ds and probes
 
     def packs(self) -> bool:
-        """Whether pi's values are bytes and pi is CompleteHom's own at this
-        call: an override of ``project`` is audited call by call."""
+        """Whether the cases are sampled, pi's values are bytes and pi is
+        CompleteHom's own at this call: ``rows`` alone decides enumerated
+        cases, and an override of ``project`` is audited call by call."""
         h = self.h
-        return type(h).project is CompleteHom.project and h.byte_columns is not None
+        return (
+            not self.enumerated
+            and type(h).project is CompleteHom.project
+            and h.byte_columns is not None
+        )
 
     @functools.cached_property
     def packed(self) -> tuple[tuple[int, int, int], int, int]:

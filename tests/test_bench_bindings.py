@@ -2,23 +2,30 @@
 
 ``bench/tracer.py`` wraps functions by ``(module, attribute path)``; a class
 attribute must sit in the class ``__dict__`` as a function or a property.
-The tracer source is executed into a fresh namespace, so nothing under
-``bench/`` is imported as a package or written to.
+The tracer and workload sources are executed into fresh namespaces, so
+nothing under ``bench/`` is imported as a package or written to.
 """
 import importlib
+import json
 import pathlib
+import random
 import sys
 import types
 
 import pytest
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_namespace(file: str):
+    path = BENCH / file
+    namespace = {"__name__": f"bench_{path.stem}"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
 
 
 def _tracer_namespace():
-    namespace = {"__name__": "bench_tracer"}
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
-    return namespace
+    return _bench_namespace("tracer.py")
 
 
 def _tracer_targets():
@@ -74,13 +81,14 @@ def test_tower_projections_go_through_the_traced_binding(monkeypatch):
 
 def _count_hot_calls(monkeypatch, sweep):
     """Wrap every function of the sweep's hot keys on every binding it has,
-    as the tracer does; returns attribute path -> calls."""
+    as the tracer does; returns attribute path -> calls.  The split
+    ``CompleteHom.project`` keys are left to ``_traced_project``."""
     namespace = _tracer_namespace()
     tables = {**namespace["KERNELS"], **namespace["ENTRY_POINTS"]}
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "forcebench"]
     calls = {}
     for key in namespace["HOT"][sweep]:
-        for module, path in tables[key]:
+        for module, path in tables.get(key, ()):
             owner = importlib.import_module(f"forcebench.{module}")
             *classes, attr = path.split(".")
             for name in classes:
@@ -88,12 +96,13 @@ def _count_hot_calls(monkeypatch, sweep):
             real = owner.__dict__[attr] if classes else getattr(owner, attr)
             calls[path] = 0
 
-            def counted(*args, _real=real, _path=path, **kwargs):
+            def counted(*args, _real=getattr(real, "fget", real), _path=path, **kwargs):
                 calls[_path] += 1
                 return _real(*args, **kwargs)
 
             if classes:
-                monkeypatch.setattr(owner, attr, counted)
+                wrapped = property(counted) if isinstance(real, property) else counted
+                monkeypatch.setattr(owner, attr, wrapped)
             for mod in () if classes else modules:
                 for binding, value in list(vars(mod).items()):
                     if value is real:
@@ -192,3 +201,48 @@ def test_finite_wide_project_key_records_calls(monkeypatch):
         assert retraction_laws_audit(h, exhaustive=False, rng=random.Random(t)).passed
     assert tracer.stats["morphisms.project_wide"][0] > 0
     assert tracer.stats["morphisms.project_narrow"][0] == 0
+
+
+def _thin_finite_sweep(sweep: str):
+    """One input of each kind the sweep's ``bench/workloads.py`` run takes,
+    run by that run with its pinned counts set to the slice's; the gate."""
+    workloads = _bench_namespace("workloads.py")
+    gate = workloads["Gate"]()
+    if sweep == "finite-wide":  # one 17-atom hom through cli.execute and emit_report
+        fiber = workloads["random_surjection"](random.Random(17), 2, 17)
+        objects = [{"kind": "algebra", "name": f"A{n}", "atoms": n} for n in (2, 17)]
+        objects.append({"kind": "hom", "name": "h", "source": "A2", "target": "A17",
+                        "fiber": list(fiber)})
+        audits = [{"audit": a, "target": "h"} for a in ("retraction-laws", "twostep-iso")]
+        doc = json.dumps({"version": 1, "objects": objects, "audits": audits})
+        workloads["_verify_all"](doc, 0, "workspace", len(audits), gate)
+        return gate
+    for pinned in ("LAW_EMBEDDINGS", "ISO_EMBEDDINGS", "TRIANGLES", "SEPARATIVE_POSETS", "TRACES"):
+        workloads[f"NARROW_{pinned}"] = 1
+    inputs = workloads["narrow_inputs"](0, BENCH.parent)  # one triangle, one trace
+    inputs["laws"] = [(2, 4, (0, 1, 1, 0))]
+    inputs["iso"] = [(3, 6, (0, 1, 2, 2, 1, 0))]
+    inputs["posets"] = [[*workloads["separative_posets"](4)][-1]]
+    workloads["run_narrow"](inputs, gate)
+    return gate
+
+
+@pytest.mark.parametrize("sweep", ["finite-narrow", "finite-wide"])
+def test_every_finite_hot_target_records_calls(monkeypatch, sweep):
+    # a traced finite run fails on any hot key whose functions saw no call;
+    # a refactor that dropped the last caller of a hot key on the sweep's
+    # path (say, quotient_hom no longer asking class_of) fails here first
+    from forcebench import tables
+
+    namespace = _tracer_namespace()
+    hot, targets = namespace["HOT"][sweep], {**namespace["KERNELS"], **namespace["ENTRY_POINTS"]}
+    tracer = _traced_project(monkeypatch)
+    calls = _count_hot_calls(monkeypatch, sweep)
+    tables.clear()  # the cold memo tables of a fresh benchmark worker
+    gate = _thin_finite_sweep(sweep)
+    assert gate.failures == [] and gate.attempted
+    project = f"morphisms.project_{sweep.removeprefix('finite-')}"  # split by _traced_project
+    assert project in hot and tracer.stats[project][0]
+    # as the tracer's hot_misses: a key records calls when any of its functions does
+    missed = [k for k in hot if k != project and not any(calls[p] for _, p in targets[k])]
+    assert missed == []

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import random
 import sys
@@ -241,10 +242,47 @@ def test_equality_laws_on_pool():
         assert B2.leq(ab & bc, ac)
 
 
-def test_truth_value_rank_bound():
+def test_truth_value_refuses_a_deep_constant():
     deep = check_name(B2, von_neumann(5))
     with pytest.raises(RankExceeded):
-        truth_value(Atomic("eq", deep, deep), {}, B2, rank_bound=4)
+        truth_value(Atomic("eq", deep, deep), {}, B2)
+
+
+def test_one_bound_refuses_a_deeper_name_wherever_it_enters():
+    c0, top = check_name(B2, EMPTY), check_name(B2, von_neumann(4))
+    deep = check_name(B2, von_neumann(5))
+    assert (top.rank, deep.rank) == (bvm.RANK_BOUND, bvm.RANK_BOUND + 1)
+    pool = standard_name_pool(B2, max_rank=2)[:10]
+    u = Var("u")
+    refused = f"of rank 5 exceeds bound {bvm.RANK_BOUND}"
+    for entry in (
+        lambda: NamePool(B2, pool + (deep,)),
+        lambda: truth_value(Atomic("eq", u, u), {"u": c0}, B2, pool + (deep,)),
+        lambda: forcing_audit(B2, pool + (deep,), standard_formula_pool()),
+    ):
+        with pytest.raises(RankExceeded, match=f"^pool name {refused}$"):
+            entry()
+    for names in (pool, NamePool(B2, pool)):
+        with pytest.raises(RankExceeded, match=f"^formula parameter {refused}$"):
+            truth_value(Atomic("eq", u, u), {"u": deep}, B2, names)
+        with pytest.raises(RankExceeded, match=f"^formula parameter {refused}$"):
+            truth_value(Atomic("eq", deep, u), {"u": c0}, B2, names)
+        # a name at the bound is admitted everywhere
+        assert truth_value(Atomic("eq", top, u), {"u": top}, B2, names) == B2.one
+    assert NamePool(B2, pool + (top,)).members == set(pool) | {top}
+
+
+def test_no_entry_point_takes_a_bound_of_its_own():
+    # the one bound is bvm.RANK_BOUND; no call can carry another
+    params = {
+        truth_value: ["phi", "env", "algebra", "pool"],
+        NamePool: ["algebra", "names"],
+        forcing_audit: ["algebra", "pool", "formulas"],
+        fullness_witness: ["phi", "var", "env", "pool", "algebra"],
+        delta1_audit: ["h", "pool", "d0_formulas", "d1_pairs"],
+    }
+    for fn, names in params.items():
+        assert list(inspect.signature(fn).parameters) == names, fn
 
 
 def test_standard_pool_size_counts_the_standard_pool():
@@ -426,10 +464,8 @@ def test_name_pool_path_keeps_every_check():
     with pytest.raises(MixedAlgebras):
         forcing_audit(B2, pool + (check_name(B1, EMPTY),), standard_formula_pool())
     with pytest.raises(RankExceeded):
-        NamePool(B2, pool, rank_bound=1)
-    # the pool checked against a tighter bound, or a different algebra
-    with pytest.raises(RankExceeded):
-        truth_value(Atomic("eq", u, u), {"u": c0}, B2, names, rank_bound=1)
+        NamePool(B2, pool + (check_name(B2, von_neumann(5)),))
+    # the pool checked against a different algebra
     with pytest.raises(MixedAlgebras):
         truth_value(Atomic("eq", u, u), {"u": c0}, FiniteCBA(4), names)
     # a formula constant of rank above the bound
@@ -489,21 +525,16 @@ def test_name_pool_admits_what_the_plain_pool_admits():
     for phi in phis:
         for env in envs:
             for algebra in (B2, twin, None):  # None: inferred, the pool's algebra first
-                for rank_bound in (0, 1, 2, 3, 4, 6):
-                    plain = _value_or_error(truth_value, phi, env, algebra, pool, rank_bound)
-                    pooled = _value_or_error(truth_value, phi, env, algebra, names, rank_bound)
-                    assert pooled == plain, (phi, env, algebra, rank_bound)
+                plain = _value_or_error(truth_value, phi, env, algebra, pool)
+                pooled = _value_or_error(truth_value, phi, env, algebra, names)
+                assert pooled == plain, (phi, env, algebra)
     # the cases above reach values and each kind of refusal
     outcomes = {
-        _value_or_error(truth_value, phi, env, B2, names, 4)
+        _value_or_error(truth_value, phi, env, B2, names)
         for phi in phis for env in envs
     }
     kinds = {o[0] if isinstance(o, tuple) else int for o in outcomes}
     assert kinds == {int, MixedAlgebras, RankExceeded, AttributeError}
-    # a bound below the pool's own maximal rank names that rank
-    assert _value_or_error(truth_value, phis[0], envs[0], B2, names, 1) == (
-        RankExceeded, "pool name of rank 2 exceeds bound 1"
-    )
 
 
 def test_mix_trivial_antichain():
@@ -727,7 +758,6 @@ def test_name_pool_checks_cached_constants_on_every_call():
             truth_value(deep, {"u": c0}, B2, names)
         with pytest.raises(MixedAlgebras):
             truth_value(foreign, {"u": c0}, B2, names)
-    assert truth_value(deep, {"u": c0}, B2, names, rank_bound=6) == 0
 
 
 # -- the evaluators' contract -------------------------------------------------------

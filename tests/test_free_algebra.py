@@ -205,6 +205,19 @@ def test_chain_vanishing_foreign_support_fails_immediately():
     assert v.kind == "fails_at" and v.index == 1
 
 
+def test_chain_vanishing_probes_the_chain_without_interning_it():
+    # a foreign h fails at step 1; the search for its deepest chain
+    # generator reads the first 33 names and interns none past a_1's
+    chain = GeneratorChain(
+        element_at=lambda n: all_meet(generator(f"probed{k}") for k in range(n)),
+        generator_at=lambda j: f"probed{j}",
+    )
+    v = chain_vanishing(generator("z5"), chain)
+    assert v.kind == "fails_at" and v.index == 1
+    assert "probed0" in free_algebra._KEYS
+    assert not any(f"probed{j}" in free_algebra._KEYS for j in range(1, 40))
+
+
 def test_chain_not_descending_detected():
     chain = GeneratorChain(
         element_at=lambda n: generator(f"x{n-1}"),  # x0, x1, x2, ... not descending

@@ -140,7 +140,7 @@ def test_gap_certificate_witness_is_the_first_failing_stage(monkeypatch):
     # a planted chain test that lets every seed through: each of the six
     # stages fails, and the claim keeps the first
     monkeypatch.setattr(
-        gallery, "chain_vanishing", lambda h, chain: ChainVerdict("lower_bound_zero", None, 0)
+        gallery, "chain_vanishing", lambda h, chain: ChainVerdict("lower_bound_zero", None)
     )
     claim = sup_gap_audit(5).claims["no_constant_below_diagonal"]
     assert (claim.passed, claim.cases, claim.certified_depth) == (False, 6, 5)

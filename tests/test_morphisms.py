@@ -746,6 +746,15 @@ def test_wider_sources_and_overrides_are_audited_call_by_call():
     assert "byte_columns" not in vars(h)  # not built for a hom that never packs
 
 
+@pytest.mark.parametrize("s, t", [(1, 1), (2, 4), (3, 6), (6, 6)])
+def test_enumerated_audits_are_decided_by_rows_alone(s, t):
+    h = CompleteHom(FiniteCBA(s), FiniteCBA(t), tuple(x % s for x in range(t)))
+    k = _Cases(h, True, None, 200)
+    assert k.enumerated and k.rows is not None and not k.packs()
+    assert retraction_laws_audit(h, exhaustive=True).passed
+    assert "byte_columns" not in vars(h)  # pi's byte columns serve sampled cases only
+
+
 PACKED_LAWS = ("meet_translation", "join_preserving", "sub_meet_inequality")
 
 
