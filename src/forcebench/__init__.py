@@ -40,7 +40,7 @@ from .morphisms import (
     retraction_laws_audit,
     stone_dual_quotient,
 )
-from .poset import Poset, boolean_completion, separative_quotient
+from .poset import Poset, boolean_completion
 from .bvm import (
     BName,
     NamePool,

@@ -314,6 +314,15 @@ class CorrespondenceReport(Ledger):
     details: dict = field(default_factory=dict)
 
 
+def _subset_joins(values: list[int]) -> list[int]:
+    """``out[m]``, the join of ``values[x]`` over every x <= m: the zeta transform."""
+    out = list(values)
+    for i in range(len(out).bit_length() - 1):
+        for m in range(len(out)):
+            out[m] |= out[m & ~(1 << i)]
+    return out
+
+
 def direct_limit_correspondence_audit(
     system: IterationSystem,
     depth: int | None = None,
@@ -332,12 +341,11 @@ def direct_limit_correspondence_audit(
     if system.eager:
         report = CorrespondenceReport()
         alg = system.algebra(system.length - 1)
-        elements = list(alg.nonzero_elements())
-        names = [f"t{e}" for e in elements]
-        named = list(zip(elements, names))
-        poset = Poset(
-            tuple(names), frozenset((a, b) for d, a in named for e, b in named if d & ~e == 0)
-        )
+        # t{e} at bit e - 1, under inclusion: its down-set joins its submasks,
+        # its up-set its supermasks (submasks of the complement, read backwards)
+        singletons = [0] + [1 << k for k in range(alg.one)]
+        downs, ups = _subset_joins(singletons), _subset_joins(singletons[::-1])[::-1]
+        poset = Poset.from_masks([f"t{e}" for e in alg.nonzero_elements()], downs[1:], ups[1:])
         completion = boolean_completion(poset)
         ok = completion.algebra.atom_count == alg.atom_count
         witness = "" if ok else "completion has the wrong atom count"
@@ -346,14 +354,18 @@ def direct_limit_correspondence_audit(
             return report
         for check, ok in completion.audit().items():
             report.record(f"completion_{check}", ok)
-        # k(U) = join of the constants in U; its inverse collects constants below
-        images = [(e, completion.embedding[a]) for e, a in named]
-        for m in completion.algebra.elements():
-            k_m = alg.sup(e for e, i in images if i & ~m == 0)
-            back = completion.algebra.sup(i for e, i in images if e & ~k_m == 0)
-            ok = back == m
-            report.record("round_trip", ok, "" if ok else f"moved {m} to {back}")
-        report.details["elements"] = len(elements)
+        # k(m) joins the constants with image in m (an image past the atoms
+        # lies in no m), and m comes back as the join of the images below k(m)
+        images = [0] + [completion.embedding[a] for a in poset.elements]
+        exact = [0] * len(images)
+        for e, image in enumerate(images):
+            if image < len(exact):
+                exact[image] |= e
+        back = _subset_joins(images)
+        for m, k in enumerate(_subset_joins(exact)):
+            ok = back[k] == m
+            report.record("round_trip", ok, "" if ok else f"moved {m} to {back[k]}")
+        report.details["elements"] = len(poset.elements)
         return report
 
     if depth is None or threads is None:

@@ -1,16 +1,17 @@
-"""Finite posets, separative quotients, and boolean completions.
+"""Finite posets and their boolean completions.
 
-Every order question reads each element's down- and up-set, one mask over
-the element indices.  p <=* q (the separative order, Jech ch. 14) when every
-r <= p is compatible with q, so p and q share a separative class exactly when
-they are compatible with the same elements.  The completion of a finite
-poset is the powerset of its minimal elements; the tests keep the separative
-quotient as its oracle, and the equivalence-of-subsets route (density of
-intersections of downward closures) as the quotient's.
+A poset is one down-set and one up-set mask per element, over the element
+indices.  p <=* q (the separative order, Jech ch. 14) when every r <= p is
+compatible with q, so p and q share a separative class exactly when they are
+compatible with the same elements.  The completion of a finite poset is the
+powerset of its minimal elements; the tests keep the separative quotient as
+its oracle, and the equivalence-of-subsets route (density of intersections
+of downward closures) as the quotient's.
 """
 from __future__ import annotations
 
 import functools
+import graphlib
 from dataclasses import dataclass, field
 
 from .finite_cba import FiniteCBA, atom_map
@@ -30,21 +31,18 @@ def _order_masks(elements, pairs) -> tuple[dict[str, int], list[int], list[int]]
     return index, downs, ups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poset:
-    """A finite poset; ``relation`` holds every pair (p, q) with p <= q, and
-    ``downs[k]``/``ups[k]`` the down-/up-set of ``elements[k]`` in ``masks``."""
+    """``downs[k]``/``ups[k]``, the down-/up-set of ``elements[k]``; ``Poset(elements,
+    relation)`` validates ``relation``, every pair (p, q) with p <= q."""
 
     elements: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-    downs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    ups: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    masks: FiniteCBA = field(init=False, repr=False, compare=False)
+    downs: tuple[int, ...] = field(repr=False)
+    ups: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        index, downs, ups = _order_masks(self.elements, self.relation)
-        names, masks = self.elements, FiniteCBA(len(self.elements))
+    def __init__(self, elements: tuple[str, ...], relation: frozenset[tuple[str, str]]) -> None:
+        index, downs, ups = _order_masks(elements, relation)
+        names, masks = tuple(elements), FiniteCBA(len(elements))
         for k, p in enumerate(names):
             if not downs[k] >> k & 1:
                 raise ValueError(f"order not reflexive at {p!r}")
@@ -57,20 +55,41 @@ class Poset:
                 if beyond := downs[j] & ~downs[k]:
                     p, q = names[masks.atom_indices(beyond)[0]], names[j]
                     raise ValueError(f"order not transitive: {p!r} <= {q!r} <= {r!r}")
-        self.__dict__.update(index=index, downs=tuple(downs), ups=tuple(ups), masks=masks)
+        self.__dict__.update(
+            elements=names, index=index, downs=tuple(downs), ups=tuple(ups), masks=masks
+        )
+
+    @classmethod
+    def from_masks(cls, elements, downs, ups) -> "Poset":
+        """The poset of a known order's down- and up-sets, taken as they are."""
+        poset, elements = cls.__new__(cls), tuple(elements)
+        poset.__dict__.update(
+            elements=elements, index={p: k for k, p in enumerate(elements)},
+            downs=tuple(downs), ups=tuple(ups), masks=FiniteCBA(len(elements)),
+        )
+        return poset
 
     @classmethod
     def from_pairs(cls, elements: list[str] | tuple[str, ...], pairs: list[tuple[str, str]]) -> "Poset":
-        """Build from covering pairs, closed by Warshall's algorithm on the down-sets."""
-        elems = tuple(elements)
-        _, downs, _ = _order_masks(elems, pairs)
-        downs = [d | 1 << k for k, d in enumerate(downs)]
-        for k in range(len(downs)):
-            for i, d in enumerate(downs):
-                if d >> k & 1:
-                    downs[i] = d | downs[k]
-        bits = FiniteCBA(len(elems)).atom_indices
-        return cls(elems, frozenset((elems[p], q) for q, d in zip(elems, downs) for p in bits(d)))
+        """Close covering pairs in one topological order, joining each down-set
+        into those above it, then, in reverse, each up-set into those below it;
+        a cycle names its lowest-index element and the next-lowest on it."""
+        _, covers, _ = _order_masks(elements, pairs)
+        bits = FiniteCBA(len(elements)).atom_indices
+        below = [bits(c & ~(1 << k)) for k, c in enumerate(covers)]
+        try:
+            order = list(graphlib.TopologicalSorter(dict(enumerate(below))).static_order())
+        except graphlib.CycleError as cycle:
+            q, p = [elements[k] for k in sorted(set(cycle.args[1]))[:2]]
+            raise ValueError(f"order not antisymmetric on {p!r}, {q!r}") from None
+        downs, ups = [1 << k for k in range(len(elements))], [1 << k for k in range(len(elements))]
+        for q in order:
+            for p in below[q]:
+                downs[q] |= downs[p]
+        for q in reversed(order):
+            for p in below[q]:
+                ups[p] |= ups[q]
+        return cls.from_masks(elements, downs, ups)
 
     @functools.cached_property
     def compat(self) -> tuple[int, ...]:
@@ -83,20 +102,11 @@ class Poset:
     def leq(self, p: str, q: str) -> bool:
         return bool(self.downs[self.index[q]] >> self.index[p] & 1)
 
-    def below(self, p: str) -> frozenset[str]:
-        return self._named(self.downs[self.index[p]])
-
     def down(self, subset: frozenset[str] | set[str]) -> frozenset[str]:
         return self._named(self.masks.sup(self.downs[self.index[q]] for q in subset))
 
     def up(self, subset: frozenset[str] | set[str]) -> frozenset[str]:
         return self._named(self.masks.sup(self.ups[self.index[q]] for q in subset))
-
-    def compatible(self, p: str, q: str) -> bool:
-        return not self.incompatible(p, q)
-
-    def incompatible(self, p: str, q: str) -> bool:
-        return self.downs[self.index[p]] & self.downs[self.index[q]] == 0
 
     def is_dense(self, subset: frozenset[str] | set[str]) -> bool:
         return len(self.up(subset)) == len(self.elements)
@@ -108,32 +118,10 @@ class Poset:
         return self.masks.is_antichain(self.downs[self.index[q]] for q in subset)
 
     def is_maximal_antichain(self, subset: frozenset[str] | set[str]) -> bool:
-        if not self.is_antichain(subset):
-            return False
-        return all(any(self.compatible(p, q) for q in subset) for p in self.elements)
+        return self.is_antichain(subset) and self.is_predense(subset)
 
     def minimal_elements(self) -> tuple[str, ...]:
         return tuple(p for k, p in enumerate(self.elements) if self.downs[k] == 1 << k)
-
-
-@dataclass(frozen=True)
-class SeparativeQuotient:
-    quotient: Poset
-    projection: dict[str, str] = field(hash=False)
-
-
-def separative_quotient(poset: Poset) -> SeparativeQuotient:
-    """The separative quotient and its projection: a class per compatibility
-    mask, and p <=* q when the down-set of p is compatible with q throughout."""
-    classes: dict[int, list[str]] = {}
-    for p, compat in zip(poset.elements, poset.compat):
-        classes.setdefault(compat, []).append(p)
-    names = {p: "|".join(sorted(cls)) for cls in classes.values() for p in cls}
-    rep = {names[cls[0]]: poset.index[cls[0]] for cls in classes.values()}
-    labels = tuple(sorted(rep))
-    below = [(a, poset.downs[rep[a]]) for a in labels]
-    rel = frozenset((a, b) for b in labels for a, d in below if d & ~poset.compat[rep[b]] == 0)
-    return SeparativeQuotient(Poset(labels, rel), names)
 
 
 @dataclass(frozen=True)

@@ -262,9 +262,9 @@ _BUILDERS = {
 POOL_BUDGET = 50_000
 # the most target atoms a twostep-iso presents (about 3 s; each doubling costs ~12x)
 ISO_BUDGET = 512
-# the most last-stage atoms an iterate audits (1.0-1.3 s; 12 take 4.1-5.3 s)
-ITERATE_BUDGET = 11
-# the most poset elements a complete audits (2.5-4 s; the cost grows with their square)
+# the most last-stage atoms an iterate audits (1.3-1.9 s; 13 take about 8 s)
+ITERATE_BUDGET = 12
+# the most poset elements a complete audits (2.5-4.2 s; the cost grows with their square)
 COMPLETE_BUDGET = 6_000
 
 

@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from forcebench.bvm import (
@@ -51,6 +51,56 @@ from forcebench.hf import EMPTY, HF
 from forcebench.morphisms import CompleteHom
 from forcebench.poset import Poset
 from forcebench.two_step import TwoStepAlgebra
+
+
+def reference_closure(elements, pairs) -> tuple[list[int], list[int]]:
+    """The down- and up-set masks of the reflexive-transitive closure of
+    ``pairs`` over ``elements``, by Warshall's algorithm on the down-sets; the
+    up-sets read the closed down-sets bit by bit."""
+    index = {p: k for k, p in enumerate(elements)}
+    downs = [1 << k for k in range(len(elements))]
+    for p, q in pairs:
+        downs[index[q]] |= 1 << index[p]
+    for k in range(len(downs)):
+        for i, d in enumerate(downs):
+            if d >> k & 1:
+                downs[i] = d | downs[k]
+    ups = [sum(1 << j for j, d in enumerate(downs) if d >> k & 1) for k in range(len(downs))]
+    return downs, ups
+
+
+def reference_round_trips(alg: FiniteCBA, completion) -> list[int]:
+    """The eager correspondence audit's round trip, one (element, constant)
+    pair at a time: for each element m of the completion, k(m) joins the
+    constants t{e} whose image lies in m, and m comes back as the join of
+    the images of the constants below k(m)."""
+    images = [(e, completion.embedding[f"t{e}"]) for e in alg.nonzero_elements()]
+    backs = []
+    for m in completion.algebra.elements():
+        k_m = alg.sup(e for e, i in images if i & ~m == 0)
+        backs.append(completion.algebra.sup(i for e, i in images if e & ~k_m == 0))
+    return backs
+
+
+@dataclass(frozen=True)
+class SeparativeQuotient:
+    quotient: Poset
+    projection: dict[str, str] = field(hash=False)
+
+
+def separative_quotient(poset: Poset) -> SeparativeQuotient:
+    """The separative quotient and its projection: a class per compatibility
+    mask, and p <=* q when the down-set of p is compatible with q throughout;
+    the pair constructor checks that the classes are partially ordered."""
+    classes: dict[int, list[str]] = {}
+    for p, compat in zip(poset.elements, poset.compat):
+        classes.setdefault(compat, []).append(p)
+    names = {p: "|".join(sorted(cls)) for cls in classes.values() for p in cls}
+    rep = {names[cls[0]]: poset.index[cls[0]] for cls in classes.values()}
+    labels = tuple(sorted(rep))
+    below = [(a, poset.downs[rep[a]]) for a in labels]
+    rel = frozenset((a, b) for b in labels for a, d in below if d & ~poset.compat[rep[b]] == 0)
+    return SeparativeQuotient(Poset(labels, rel), names)
 
 
 def star_leq(poset: Poset, a: frozenset[str], b: frozenset[str]) -> bool:
@@ -461,9 +511,13 @@ def dense_image_by_scan(completion) -> bool:
 
 
 def is_separative(poset: Poset) -> bool:
+    """Whenever p is not below q, some r <= p has no lower bound in common with q."""
+    def incompatible(r, q):
+        return not any(poset.leq(s, r) and poset.leq(s, q) for s in poset.elements)
+
     for p, q in itertools.product(poset.elements, repeat=2):
         if not poset.leq(p, q):
-            if not any(poset.leq(r, p) and poset.incompatible(r, q) for r in poset.elements):
+            if not any(poset.leq(r, p) and incompatible(r, q) for r in poset.elements):
                 return False
     return True
 

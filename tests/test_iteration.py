@@ -38,7 +38,10 @@ from forcebench.iteration import (
     CofinalityOracle,
 )
 from forcebench.morphisms import CompleteHom, FreeInclusion, hom_from_fiber_map
+from forcebench.poset import Poset
 from forcebench.report import FAIL, INDETERMINATE, PASS
+
+from .oracles import reference_round_trips
 
 
 def doubling_chain():
@@ -237,6 +240,60 @@ def test_correspondence_fails_on_a_dropped_completion_atom(monkeypatch):
     assert report.verdict == FAIL
     assert list(report.claims) == ["completion_atom_count"]
     assert report.claims["completion_atom_count"].witness == "completion has the wrong atom count"
+
+
+def test_constant_thread_poset_is_the_subset_order(monkeypatch):
+    # the poset the eager correspondence audit completes has the masks the
+    # pair constructor validates from every pair d <= e of nonzero elements
+    built = []
+    complete = iteration.boolean_completion
+    monkeypatch.setattr(iteration, "boolean_completion", lambda p: complete(built.append(p) or p))
+    for atoms in range(1, 7):
+        alg = FiniteCBA(atoms)
+        system = build_system([FiniteCBA(1), alg], [CompleteHom(FiniteCBA(1), alg, (0,) * atoms)])
+        assert direct_limit_correspondence_audit(system).passed
+        names = tuple(f"t{e}" for e in alg.nonzero_elements())
+        pairs = frozenset(
+            (f"t{d}", f"t{e}") for d in alg.nonzero_elements() for e in alg.nonzero_elements()
+            if d & ~e == 0
+        )
+        expected, poset = Poset(names, pairs), built[-1]
+        assert (poset.elements, poset.downs, poset.ups) == (names, expected.downs, expected.ups)
+
+
+@pytest.mark.parametrize("atoms", range(1, 9))
+def test_round_trip_matches_the_per_pair_scan(monkeypatch, atoms):
+    # the completion as built, with two constants' images swapped, with an
+    # image past the completion's atoms, and with both: the round_trip claim
+    # reads as the per-pair scan of the same completion says it must
+    alg, rng = FiniteCBA(atoms), random.Random(atoms)
+    system = build_system([FiniteCBA(1), alg], [CompleteHom(FiniteCBA(1), alg, (0,) * atoms)])
+    names = [f"t{e}" for e in alg.nonzero_elements()]
+
+    def swapped(images):
+        a, b = rng.sample(names, 2) if len(names) > 1 else names * 2
+        return {**images, a: images[b], b: images[a]}
+
+    def beyond(images):
+        return {**images, rng.choice(names): images[rng.choice(names)] | 1 << atoms}
+
+    complete, planted, verdicts = iteration.boolean_completion, [], set()
+    for plant in (dict, swapped, beyond, lambda images: beyond(swapped(images))):
+
+        def build(poset, plant=plant):
+            c = complete(poset)
+            planted.append(dataclasses.replace(c, embedding=plant(c.embedding)))
+            return planted[-1]
+
+        monkeypatch.setattr(iteration, "boolean_completion", build)
+        claim = direct_limit_correspondence_audit(system).claims["round_trip"]
+        monkeypatch.undo()
+        backs = reference_round_trips(alg, planted[-1])
+        moved = [(m, back) for m, back in enumerate(backs) if back != m]
+        witness = f"moved {moved[0][0]} to {moved[0][1]}" if moved else ""
+        assert (claim.passed, claim.cases, claim.witness) == (not moved, 1 << atoms, witness)
+        verdicts.add(claim.passed)
+    assert verdicts == {True, False}
 
 
 def test_correspondence_lazy_constant_reaches():

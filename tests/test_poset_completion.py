@@ -1,15 +1,21 @@
 import dataclasses
 import itertools
+import json
 import random
+import re
 
 import pytest
 
+from forcebench.errors import ValidationError
 from forcebench.finite_cba import FiniteCBA
-from forcebench.poset import Poset, boolean_completion, separative_quotient
+from forcebench.poset import Poset, boolean_completion
+from forcebench.workspace import parse_workspace
 
 from .oracles import (
     dense_image_by_scan,
     is_separative,
+    reference_closure,
+    separative_quotient,
     star_equiv_classes_of_singletons,
     star_leq,
 )
@@ -65,6 +71,61 @@ def test_poset_validation_names_the_defect(build, message):
     with pytest.raises(ValueError) as raised:
         build()
     assert str(raised.value) == message
+
+
+def _named_cycle(message, elements):
+    """The indices of the pair an antisymmetry failure names, lower first."""
+    p, q = re.fullmatch(r"order not antisymmetric on '(.+)', '(.+)'", message).groups()
+    return elements.index(q), elements.index(p)
+
+
+def test_from_pairs_closes_as_warshall_does():
+    # every set of pairs, cycles included, on up to 4 elements, then seeded
+    # random cover sets on up to 40 elements that follow a shuffled order, not
+    # the index order: the topological closure keeps Warshall's masks, and a
+    # cycle names its lowest element and the next-lowest one that lies on it
+    cases = []
+    for n in range(1, 5):
+        labels = [f"p{k}" for k in range(n)]
+        ordered = [(a, b) for a in labels for b in labels if a != b]
+        for bits in range(1 << len(ordered)):
+            cases.append((labels, [pair for k, pair in enumerate(ordered) if bits >> k & 1]))
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        labels = [f"r{k}" for k in range(n)]
+        rank = rng.sample(labels, n)
+        covers = [sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        cases.append((labels, [(rank[i], rank[j]) for i, j in covers]))
+    orders = 0
+    for labels, pairs in cases:
+        downs, ups = reference_closure(labels, pairs)
+        if any(d & u & ~(1 << k) for k, (d, u) in enumerate(zip(downs, ups))):
+            with pytest.raises(ValueError) as raised:
+                Poset.from_pairs(labels, pairs)
+            q, p = _named_cycle(str(raised.value), labels)
+            assert downs[q] >> p & 1 and ups[q] >> p & 1 and q < p
+            continue
+        poset = Poset.from_pairs(labels, pairs)
+        assert (poset.downs, poset.ups) == (tuple(downs), tuple(ups)), (labels, pairs)
+        orders += 1
+    assert orders == 1 + 3 + 25 + 543 + 200  # the labelled acyclic digraphs, then the random ones
+
+
+def test_two_disjoint_cycles_name_a_pair_on_one_of_them():
+    elements = ["c", "a", "e", "b", "d"]
+    pairs = [("a", "b"), ("b", "a"), ("c", "d"), ("d", "e"), ("e", "c")]
+    with pytest.raises(ValueError) as raised:
+        Poset.from_pairs(elements, pairs)
+    named = {elements[k] for k in _named_cycle(str(raised.value), elements)}
+    assert named <= {"a", "b"} or named <= {"c", "d", "e"}
+    doc = {"version": 1, "audits": [], "objects": [
+        {"kind": "poset", "name": "P", "elements": elements, "order": [list(p) for p in pairs]}
+    ]}
+    with pytest.raises(ValidationError) as parsed:
+        parse_workspace(json.dumps(doc))
+    assert parsed.value.obj == "P"
+    assert parsed.value.reason == str(raised.value)
 
 
 def _planted(completion, **images):
@@ -139,21 +200,23 @@ def test_dense_contains_maximal_antichain_and_predense():
 
 def test_order_questions_match_their_definitions_on_small_posets():
     # every poset on 4 elements embedded in a linear extension: each answer
-    # read from the masks against its definition over the relation pairs
+    # read from the masks against its definition over the pairs of the
+    # reference closure
     labels = ["p0", "p1", "p2", "p3"]
     idx_pairs = [(i, j) for i in range(4) for j in range(4) if i < j]
     subsets = [frozenset(c) for r in range(5) for c in itertools.combinations(labels, r)]
     for bits in range(1 << len(idx_pairs)):
         pairs = [(labels[i], labels[j]) for k, (i, j) in enumerate(idx_pairs) if bits >> k & 1]
         p = Poset.from_pairs(labels, pairs)
-        rel = p.relation
+        downs, _ = reference_closure(labels, pairs)
+        rel = {(r, q) for q, d in zip(labels, downs) for k, r in enumerate(labels) if d >> k & 1}
 
         def compatible(a, b):
             return any((r, a) in rel and (r, b) in rel for r in labels)
 
         for a, b in itertools.product(labels, repeat=2):
             assert p.leq(a, b) == ((a, b) in rel)
-            assert p.compatible(a, b) == compatible(a, b) != p.incompatible(a, b)
+            assert (p.compat[p.index[a]] >> p.index[b] & 1 == 1) == compatible(a, b)
         assert p.minimal_elements() == tuple(
             a for a in labels if all((b, a) not in rel or b == a for b in labels)
         )
@@ -167,7 +230,7 @@ def test_order_questions_match_their_definitions_on_small_posets():
             assert p.is_maximal_antichain(sub) == (
                 antichain and all(any(compatible(a, q) for q in sub) for a in labels)
             )
-        assert p.below("p3") == frozenset(r for r in labels if (r, "p3") in rel)
+        assert p.down({"p3"}) == frozenset(r for r in labels if (r, "p3") in rel)
 
 
 def test_separative_quotient_antichain_identity():

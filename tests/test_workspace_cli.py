@@ -644,29 +644,52 @@ def test_iterate_records_the_iteration_laws(doc, target, laws):
 
 
 def test_iterate_over_the_atom_budget_checks_no_case():
-    # 1 -> 12 atoms: the audit of the 4,095 constant threads takes 4.1-5.3 s;
+    # 1 -> 13 atoms: the audit of the 8,191 constant threads takes about 8 s;
     # the last stage's atoms are counted, not completed
-    doc = _system_doc([1, 12], [[0] * 12])
+    doc = _system_doc([1, 13], [[0] * 13])
     started = time.perf_counter()
     (result,) = execute(doc, "iterate").results
     assert time.perf_counter() - started < 5
-    note = f"not run: 12 last-stage atoms, over the budget {workspace.ITERATE_BUDGET}"
+    note = f"not run: 13 last-stage atoms, over the budget {workspace.ITERATE_BUDGET}"
     assert result.as_json() == {
         "name": "iterate", "target": "sys", "verdict": INDETERMINATE, "witnesses": [],
         "certified_depth": None, "details": {"cases": 0, "note": note},
     }
-    # 1 -> 11 atoms (1.0-1.3 s) is the largest system that runs
+    # 1 -> 12 atoms (1.3-1.9 s) is the largest system that runs
     spec = workspace.AUDITS["iterate"]
-    eleven = _system_doc([1, 11], [[0] * 11]).resolve("sys")
-    assert spec.size(eleven, {}) == workspace.ITERATE_BUDGET == 11
+    twelve = _system_doc([1, 12], [[0] * 12]).resolve("sys")
+    assert spec.size(twelve, {}) == workspace.ITERATE_BUDGET == 12
 
 
 def test_iterate_at_the_atom_budget_passes():
-    # 1 -> 11 atoms: every claim runs, on the 2,047 constant threads
-    doc = _system_doc([1, 11], [[0] * 11])
+    # 1 -> 12 atoms: every claim runs, on the 4,095 constant threads
+    doc = _system_doc([1, 12], [[0] * 12])
     (result,) = execute(doc, "iterate").results
     assert (result.verdict, result.witnesses) == (PASS, ())
-    assert result.details["elements"] == 2047
+    assert result.details["elements"] == 4095
+
+
+def test_eager_iterate_and_the_demo_never_build_a_pair_set(monkeypatch):
+    # the pair constructor is the one place a poset's pairs are spelled out;
+    # parsing closes covers into masks and iterate builds its constant
+    # threads' order from masks, so neither reaches it
+    def refuse(*_):
+        raise AssertionError("a pair set was built")
+
+    monkeypatch.setattr(Poset, "__init__", refuse)
+    (result,) = execute(parse_workspace(DEMO.read_text()), "iterate").results
+    assert (result.verdict, result.details["elements"]) == (PASS, 15)
+
+
+@pytest.mark.parametrize("shape", ["chain", "antichain"])
+def test_a_ten_thousand_element_poset_parses_within_the_ceiling(shape):
+    elements = [f"e{k}" for k in range(10_000)]
+    order = list(zip(elements, elements[1:])) if shape == "chain" else []
+    decl = {"kind": "poset", "name": "P", "elements": elements, "order": order}
+    started = time.perf_counter()
+    poset = parse_workspace(minimal_doc(", " + json.dumps(decl))).resolve("P")
+    assert time.perf_counter() - started < 5
+    assert poset.minimal_elements() == (("e0",) if shape == "chain" else tuple(elements))
 
 
 def test_incoherent_constant_is_a_witness_not_an_error():
@@ -692,16 +715,11 @@ def test_incoherent_constant_is_a_witness_not_an_error():
 
 def test_complete_over_the_element_budget_checks_no_case():
     # a 6,001-element antichain: the completion's three passes over its
-    # elements take 2.5-4 s at the budget and grow with its square; the
-    # elements are counted instead.  The poset is built from its reflexive
-    # pairs, since parsing closes the order by Warshall's algorithm, itself
-    # quadratic in the elements.
-    doc = parse_workspace(minimal_doc(
-        ', {"kind": "poset", "name": "P", "elements": ["a"]}',
-        '[{"audit": "complete", "target": "P"}]',
-    ))
+    # elements take 2.5-4.2 s at the budget and grow with its square; the
+    # elements are counted instead
     elements = [f"a{k}" for k in range(6001)]
-    doc.objects["P"] = Poset(tuple(elements), frozenset((a, a) for a in elements))
+    decl = {"kind": "poset", "name": "P", "elements": elements}
+    doc = parse_workspace(minimal_doc(", " + json.dumps(decl)))
     started = time.perf_counter()
     (result,) = execute(doc, "complete").results
     assert time.perf_counter() - started < 5
