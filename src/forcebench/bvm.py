@@ -122,12 +122,17 @@ class Formula:
         return tuple(formula_constants(self))
 
     @cached_property
+    def variables(self) -> tuple[str, ...]:
+        """The free variables, sorted: slots ``0..k-1`` of a route's ``bound``."""
+        return tuple(sorted(free_variables(self)))
+
+    @cached_property
     def boolean_route(self):
-        return _boolean(self, {}, 0)
+        return _boolean(self, {v: i for i, v in enumerate(self.variables)}, len(self.variables))
 
     @cached_property
     def oracle_route(self):
-        return _oracle(self, {}, 0)
+        return _oracle(self, {v: i for i, v in enumerate(self.variables)}, len(self.variables))
 
 
 @dataclass(frozen=True)
@@ -310,27 +315,29 @@ def truth_value(
         pooled = pool.members.issuperset(values)
     except TypeError:  # an unhashable value is no name; _admit refuses it
         pooled = False
-    if not pooled:
-        _admit((*values, *constants), pool.algebra, "formula parameter")
-    elif constants:
-        _admit(constants, pool.algebra, "formula parameter")
+    _admit(constants if pooled else (*values, *constants), pool.algebra, "formula parameter")
     try:
-        return phi.boolean_route(env, None, pool)
-    except KeyError as e:  # the route reads nothing else that can miss
-        raise KeyError(f"unbound variable {e.args[0]!r}") from None
+        return phi.boolean_route(_slots(phi, env), pool)
+    except KeyError as e:  # the slot of a variable env lacks
+        raise KeyError(f"unbound variable {phi.variables[e.args[0]]!r}") from None
+
+
+def _slots(phi: Formula, env: Mapping) -> dict[int, object]:
+    """env by slot; a route raises KeyError(slot) on reading a missing one."""
+    return {i: env[v] for i, v in enumerate(phi.variables) if v in env}
 
 
 # -- compiled routes ---------------------------------------------------------------
 #
 # Each formula compiles to ``boolean_route`` and ``oracle_route``, nested
-# closures ``run(env, bound, ctx)`` called with bound None; ctx is the
-# NamePool or the tuple of pool values.  A subformula is compiled at its
-# binder ``depth``, with ``scope`` mapping each variable bound there to the
-# depth of its innermost binder: its slot in the list ``bound``, which the
-# outermost binder makes per evaluation.  A free variable is read by name
-# from env, which neither route writes to.  The routes share only this
-# lookup, since the forcing audit compares them.  A bad term or subformula
-# fails compilation.
+# closures ``run(bound, ctx)``; ctx is the NamePool or the tuple of pool
+# values.  ``bound`` holds the k free variables (``Formula.variables``) in
+# slots ``0..k-1``; a binder at ``depth`` writes slot ``depth``, from k on.
+# ``scope`` maps each variable to its slot there.  ``truth_grid`` hands in a
+# padded list per assignment, ``truth_value`` and ``hf_satisfies`` a dict
+# (``_slots``).  The routes read nothing else and share only this lookup,
+# since the forcing audit compares them.  A bad term or subformula fails
+# compilation.
 #
 # The boolean route's connectives and binders are int operations under the
 # pool's ``one``: every value is a bitmask within it, so complement is
@@ -340,34 +347,22 @@ def truth_value(
 
 
 def _relation(rel, left, right, scope: dict[str, int], literal):
-    """``run(env, bound, ctx)``: rel of two terms; ``literal`` reads a non-variable."""
+    """``run(bound, ctx)``: rel of two terms; ``literal`` reads a non-variable."""
     if isinstance(left, Var) and isinstance(right, Var):
-        a, b = left.name, right.name
-        i, j = scope.get(a), scope.get(b)
-        if i is None and j is None:
-            return lambda env, bound, ctx: rel(env[a], env[b])
-        if i is None:
-            return lambda env, bound, ctx: rel(env[a], bound[j])
-        if j is None:
-            return lambda env, bound, ctx: rel(bound[i], env[b])
-        return lambda env, bound, ctx: rel(bound[i], bound[j])
+        i, j = scope[left.name], scope[right.name]
+        return lambda bound, ctx: rel(bound[i], bound[j])
     get_left, get_right = _term(left, scope, literal), _term(right, scope, literal)
-    return lambda env, bound, ctx: rel(get_left(env, bound), get_right(env, bound))
+    return lambda bound, ctx: rel(get_left(bound), get_right(bound))
 
 
 def _term(term, scope: dict[str, int], literal):
-    if not isinstance(term, Var):
-        return literal(term)
-    name, slot = term.name, scope.get(term.name)
-    if slot is None:
-        return lambda env, bound: env[name]
-    return lambda env, bound: bound[slot]
+    return operator.itemgetter(scope[term.name]) if isinstance(term, Var) else literal(term)
 
 
 def _name_term(term):
     if not isinstance(term, BName):
         raise TypeError(f"not a term: {term!r}")
-    return lambda env, bound: term
+    return lambda bound: term
 
 
 def _boolean(phi, scope: dict[str, int], depth: int):
@@ -377,57 +372,62 @@ def _boolean(phi, scope: dict[str, int], depth: int):
         return _relation(rel, phi.left, phi.right, scope, _name_term)
     if isinstance(phi, Not):
         body = _boolean(phi.body, scope, depth)
-        return lambda env, bound, pool: pool.one & ~body(env, bound, pool)
+        return lambda bound, pool: pool.one & ~body(bound, pool)
     if isinstance(phi, (And, Or)):
         parts = tuple(_boolean(p, scope, depth) for p in phi.parts)
 
-        def meet(env, bound, pool):
+        def meet(bound, pool):
             total = pool.one
             for p in parts:
-                total &= p(env, bound, pool)
+                total &= p(bound, pool)
             return total
 
-        def join(env, bound, pool):
+        def join(bound, pool):
             total = 0
             for p in parts:
-                total |= p(env, bound, pool)
+                total |= p(bound, pool)
             return total
 
         return meet if isinstance(phi, And) else join
     if not isinstance(phi, (BoundedExists, BoundedForall, Exists)):
         raise TypeError(f"not a formula: {phi!r}")
-    size, body = quantifier_depth(phi), _boolean(phi.body, {**scope, phi.var: depth}, depth + 1)
+    body = _boolean(phi.body, {**scope, phi.var: depth}, depth + 1)
 
     if isinstance(phi, Exists):  # as over a name holding every pool name at 1
 
-        def exists_in_pool(env, bound, pool):
-            bound = [None] * size if bound is None else bound
+        def exists_in_pool(bound, pool):
             total = 0
             for sub in pool.names:
                 bound[depth] = sub
-                total |= body(env, bound, pool)
+                total |= body(bound, pool)
             return total
 
         return exists_in_pool
     of = _term(phi.bound, scope, _name_term)
 
-    def exists(env, bound, pool):
-        bound = [None] * size if bound is None else bound
+    def exists(bound, pool):
         total = 0
-        for sub, p in of(env, bound).entries:
+        for sub, p in of(bound).entries:
             bound[depth] = sub
-            total |= p & body(env, bound, pool)
+            total |= p & body(bound, pool)
         return total
 
-    def forall(env, bound, pool):
-        bound = [None] * size if bound is None else bound
+    def forall(bound, pool):
         total = pool.one  # so ~p needs no mask
-        for sub, p in of(env, bound).entries:
+        for sub, p in of(bound).entries:
             bound[depth] = sub
-            total &= ~p | body(env, bound, pool)
+            total &= ~p | body(bound, pool)
         return total
 
     return forall if isinstance(phi, BoundedForall) else exists
+
+
+def truth_grid(phi: Formula, pool: NamePool) -> list[int]:
+    """phi's boolean value at each assignment of pool names to its variables,
+    in ``itertools.product`` order; it admits nothing, unlike truth_value."""
+    route, pad = phi.boolean_route, [None] * quantifier_depth(phi)
+    grid = itertools.product(pool.names, repeat=len(phi.variables))
+    return [route([*picks, *pad], pool) for picks in grid]
 
 
 # -- evaluation and the oracle ---------------------------------------------------
@@ -457,13 +457,16 @@ def hf_satisfies(
     """Classical satisfaction over hereditarily finite sets: the audit oracle."""
     if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
-    return phi.oracle_route(env, None, pool_values)
+    try:
+        return phi.oracle_route(_slots(phi, env), pool_values)
+    except KeyError as e:  # the slot of a variable env lacks
+        raise KeyError(phi.variables[e.args[0]]) from None
 
 
 def _hf_literal(term):
     if isinstance(term, BName):
         raise TypeError("oracle formulas must be closed by the environment")
-    return lambda env, bound: term
+    return lambda bound: term
 
 
 def _oracle(phi, scope: dict[str, int], depth: int):
@@ -473,24 +476,23 @@ def _oracle(phi, scope: dict[str, int], depth: int):
         return _relation(rel, phi.left, phi.right, scope, _hf_literal)
     if isinstance(phi, Not):
         body = _oracle(phi.body, scope, depth)
-        return lambda env, bound, pool: not body(env, bound, pool)
+        return lambda bound, pool: not body(bound, pool)
     if isinstance(phi, (And, Or)):
         parts = tuple(_oracle(p, scope, depth) for p in phi.parts)
         test = all if isinstance(phi, And) else any
-        return lambda env, bound, pool: test(p(env, bound, pool) for p in parts)
+        return lambda bound, pool: test(p(bound, pool) for p in parts)
     if not isinstance(phi, (BoundedExists, BoundedForall, Exists)):
         raise TypeError(f"not a formula: {phi!r}")
-    size, forall = quantifier_depth(phi), isinstance(phi, BoundedForall)
+    forall = isinstance(phi, BoundedForall)
     body = _oracle(phi.body, {**scope, phi.var: depth}, depth + 1)
     of = None if isinstance(phi, Exists) else _term(phi.bound, scope, _hf_literal)
 
-    def quantify(env, bound, pool):
-        bound = [None] * size if bound is None else bound
+    def quantify(bound, pool):
         # ∃ is True at the first member that satisfies the body, ∀ False at
         # the first that fails it
-        for m in pool if of is None else of(env, bound):
+        for m in pool if of is None else of(bound):
             bound[depth] = m
-            if (not body(env, bound, pool)) is forall:
+            if (not body(bound, pool)) is forall:
                 return not forall
         return forall
 
@@ -519,10 +521,12 @@ def forcing_audit(
     when the evaluated sets classically satisfy the formula there.  Any
     divergence is a hard failure.
 
-    ``truth_value`` runs once per assignment.  The oracle, a pure function
-    of the formula and the values at the atom, runs once per formula, atom
-    and distinct tuple of free-variable values there; each case then reads
-    its answer as one bit of the assignment's expected atom mask.
+    Per formula, ``truth_grid`` gives every assignment's value at once.  The
+    oracle, a pure function of the formula and the values at the atom, runs
+    once per atom and distinct tuple of free-variable values there; its
+    answers make each assignment's expected atom mask, compared with the
+    grid in one ``==``.  ``truth_value`` runs on the diagonal (every free
+    variable set to one pool name) and must agree with the grid.
     """
     report = ForcingAuditReport()
     cases = 0
@@ -531,43 +535,43 @@ def forcing_audit(
     hf_pool_at = [tuple(_eval(n, atom) for n in names) for atom in atoms]
     # a name's class is its value at every atom, all the oracle reads of it
     classes: dict[tuple[HF, ...], int] = {}
-    class_of = [
-        classes.setdefault(tuple(_eval(n, atom) for atom in atoms), len(classes))
-        for n in names
-    ]
+    class_of = [classes.setdefault(tuple(_eval(n, a) for a in atoms), len(classes)) for n in names]
     joint = list(classes)  # joint[c][atom]: the value of class c at the atom
     for phi in formulas:
-        fvs = tuple(sorted(free_variables(phi)))
-        cases += len(atoms) * len(names) ** len(fvs)
-        # for this formula only: the oracle's answer per (atom, values) and
-        # the atoms where it holds per tuple of classes
+        _admit(phi.constants, algebra, "formula parameter")
+        fvs, k = phi.variables, len(phi.variables)
+        cases += len(atoms) * len(names) ** k
+        values = truth_grid(phi, pool)
+        # the oracle's answer per (atom, values), and the atoms where it holds
+        # per tuple of classes, numbered in the order the grid meets them
         answers: dict[tuple, bool] = {}
         expected: dict[tuple[int, ...], int] = {}
-        assignments = itertools.product(names, repeat=len(fvs))
-        keys = itertools.product(class_of, repeat=len(fvs))
-        for picks, key in zip(assignments, keys):
-            env = dict(zip(fvs, picks))
-            value = truth_value(phi, env, algebra, pool)
-            mask = expected.get(key)
-            if mask is None:
-                mask = 0
-                for atom in atoms:
-                    values = tuple(joint[c][atom] for c in key)
-                    oracle = answers.get((atom, values))
-                    if oracle is None:
-                        oracle = hf_satisfies(phi, dict(zip(fvs, values)), hf_pool_at[atom])
-                        answers[atom, values] = oracle
-                    mask |= oracle << atom
-                expected[key] = mask
-            if value == mask:
-                continue
+        for key in itertools.product(range(len(joint)), repeat=k):
+            expected[key] = 0
             for atom in atoms:
-                forced, oracle = bool(value >> atom & 1), bool(mask >> atom & 1)
-                if oracle != forced:
-                    report.divergences.append(
-                        f"atom {atom}: boolean route says {forced}, oracle says {oracle} "
-                        f"({phi!r} @ {[format_name(n) for n in env.values()]})"
-                    )
+                at = tuple(joint[c][atom] for c in key)
+                if (atom, at) not in answers:
+                    answers[atom, at] = hf_satisfies(phi, dict(zip(fvs, at)), hf_pool_at[atom])
+                expected[key] |= answers[atom, at] << atom
+        masks = list(map(expected.__getitem__, itertools.product(class_of, repeat=k)))
+        if values != masks:
+            grid = itertools.product(names, repeat=k)
+            for picks, value, mask in zip(grid, values, masks):
+                for atom in atoms:
+                    forced, oracle = bool(value >> atom & 1), bool(mask >> atom & 1)
+                    if oracle != forced:
+                        report.divergences.append(
+                            f"atom {atom}: boolean route says {forced}, oracle says {oracle} "
+                            f"({phi!r} @ {[format_name(n) for n in picks]})"
+                        )
+        step = sum(len(names) ** j for j in range(k)) or 1  # (i, .., i) is at i * step
+        for name, grid_value in zip(names, values[::step]):
+            value = truth_value(phi, dict.fromkeys(fvs, name), algebra, pool)
+            if value != grid_value:
+                report.divergences.append(
+                    f"truth_value says {format_element(algebra, value)}, the grid "
+                    f"{format_element(algebra, grid_value)} ({phi!r} @ {[format_name(name)] * k})"
+                )
     first = report.divergences[0] if report.divergences else ""
     report.record("truth_values_match_oracle", not report.divergences, first, cases)
     return report
@@ -714,15 +718,10 @@ def delta1_audit(
 # -- shipped pools -----------------------------------------------------------------
 
 
-def _standard_labels(algebra: FiniteCBA) -> tuple[int, ...]:
-    labels = sorted(set(algebra.atoms()) | {algebra.one})
-    return tuple(labels)
-
-
 def standard_name_pool(algebra: FiniteCBA, max_rank: int = 3) -> tuple[BName, ...]:
     """The deterministic shipped pool: layered partial functions over a small
     frontier of lower-rank names, with at most two entries each."""
-    labels = _standard_labels(algebra)
+    labels = tuple(sorted(set(algebra.atoms()) | {algebra.one}))
     c0 = check_name(algebra, EMPTY)
     seen: set[BName] = {c0}
     frontier = [c0]

@@ -103,8 +103,8 @@ def atom_map(images: Sequence[int]) -> Callable[[int], int]:
     """x -> the join of ``images[k]`` over the set bits k of x.
 
     Every finite homomorphism and reindexing is such a map on atoms.  It
-    reads one byte-indexed table per 8 atoms, in one expression up to 8
-    tables: one lookup per byte of x.  Bits past ``len(images)`` are ignored.
+    reads one byte-indexed table per 8 atoms: in one expression up to 8
+    tables, else once per nonzero byte.  Bits past ``len(images)`` are ignored.
     The map keeps its tables, lowest byte first, as ``tables``.
     """
     tables = [subset_join_table(images[base : base + 8]) for base in range(0, len(images), 8)]
@@ -113,13 +113,13 @@ def atom_map(images: Sequence[int]) -> Callable[[int], int]:
     if len(full) < len(_STRAIGHT_LINE):
         mapped = _STRAIGHT_LINE[len(full)](*full, last, top)
     else:
-        shift = 8 * len(full)
+        shift, low = 8 * len(full), (1 << 8 * len(full)) - 1
 
         def mapped(x: int) -> int:
             out = last[x >> shift & top]
-            for table in full:
-                out |= table[x & 0xFF]
-                x >>= 8
+            for table, byte in zip(full, (x & low).to_bytes(len(full), "little")):
+                if byte:
+                    out |= table[byte]
             return out
 
     mapped.tables = tables

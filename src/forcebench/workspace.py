@@ -262,9 +262,9 @@ _BUILDERS = {
 POOL_BUDGET = 50_000
 # the most target atoms a twostep-iso presents (about 3 s; each doubling costs ~12x)
 ISO_BUDGET = 512
-# the most last-stage atoms an iterate audits (1.3-1.9 s; 13 take about 8 s)
+# the most last-stage atoms an iterate audits (about 0.5 s; 13 take about 1.5 s)
 ITERATE_BUDGET = 12
-# the most poset elements a complete audits (2.5-4.2 s; the cost grows with their square)
+# the most poset elements a complete audits (0.8-1.1 s; the cost grows with their square)
 COMPLETE_BUDGET = 6_000
 
 

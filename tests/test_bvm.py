@@ -42,7 +42,7 @@ from forcebench.errors import (
     NotRegular,
     RankExceeded,
 )
-from forcebench.finite_cba import FiniteCBA, Ultrafilter, ultrafilters
+from forcebench.finite_cba import FiniteCBA, Ultrafilter, format_element, ultrafilters
 from forcebench.hf import EMPTY
 from forcebench.morphisms import hom_from_fiber_map, identity_hom
 from forcebench.report import INDETERMINATE
@@ -323,11 +323,12 @@ def test_forcing_audit_b4_random_pools():
         assert report.passed, (seed, report.divergences[:2])
 
 
-def test_forcing_audit_calls_truth_value_per_assignment_and_oracle_per_distinct_values(
+def test_forcing_audit_calls_truth_value_on_the_diagonal_and_oracle_per_distinct_values(
     monkeypatch,
 ):
     # the per-layer trace counts these two module-level calls; an audit that
-    # bypassed either would read as a layer that did no work
+    # bypassed either would read as a layer that did no work.  The grid
+    # decides every assignment, and truth_value checks it on the diagonal
     calls = {"truth_value": 0, "hf_satisfies": 0}
     for name in calls:
         def counted(*args, _real=getattr(bvm, name), _name=name, **kwargs):
@@ -352,7 +353,7 @@ def test_forcing_audit_calls_truth_value_per_assignment_and_oracle_per_distinct_
     oracle_calls = sum(d ** len(free_variables(phi)) for phi in formulas for d in distinct)
     assert report.passed
     assert report.cases == assignments * B2.atom_count
-    assert calls["truth_value"] == assignments
+    assert calls["truth_value"] == n * len(formulas)
     assert calls["hf_satisfies"] == oracle_calls == 130
 
 
@@ -399,7 +400,13 @@ def test_forcing_audit_matches_a_per_case_loop_under_a_wrong_truth_value(monkeyp
     def flip_atom_0(phi, env, *args, _real=bvm.truth_value):
         return _real(phi, env, *args) ^ (tuple(env.values()) == target)
 
-    monkeypatch.setattr(bvm, "truth_value", flip_atom_0)
+    def flipped_grid(phi, pool, _real=bvm.truth_grid):
+        # the audit's grid, wrong at the target assignment; the target is off
+        # the diagonal, so truth_value there agrees with the grid
+        picks = itertools.product(pool.names, repeat=len(phi.variables))
+        return [value ^ (p == target) for p, value in zip(picks, _real(phi, pool))]
+
+    monkeypatch.setattr(bvm, "truth_grid", flipped_grid)
     formulas = _DIFFERENTIAL_FORMULAS
     report = forcing_audit(algebra, pool, formulas)
     expected = _per_case_divergences(algebra, pool, formulas, flip_atom_0, reference_hf_satisfies)
@@ -407,6 +414,84 @@ def test_forcing_audit_matches_a_per_case_loop_under_a_wrong_truth_value(monkeyp
     assert len(expected) == sum(free_variables(phi) == {"u", "v"} for phi in formulas) == 10
     assert all(d.startswith("atom 0:") for d in expected)
     assert report.divergences == expected and not report.passed
+
+
+@pytest.mark.parametrize("pools", _DIFFERENTIAL_POOLS)
+def test_forcing_audit_reads_a_wrong_truth_value_on_the_diagonal(monkeypatch, pools):
+    algebra, pool = _DIFFERENTIAL_POOLS[pools]()
+    names = NamePool(algebra, pool).names
+    target = names[2]
+
+    def flip_atom_0(phi, env, *args, _real=bvm.truth_value):
+        return _real(phi, env, *args) ^ (list(env.values()) == [target, target])
+
+    monkeypatch.setattr(bvm, "truth_value", flip_atom_0)
+    formulas = _DIFFERENTIAL_FORMULAS
+    report = forcing_audit(algebra, pool, formulas)
+    # the grid is right and the oracle agrees with it; truth_value, wrong at
+    # (target, target), disagrees with the grid once per formula in u and v
+    expected = []
+    for phi in formulas:
+        if phi.variables == ("u", "v"):
+            right = truth_value(phi, {"u": target, "v": target}, algebra, pool)
+            expected.append(
+                f"truth_value says {format_element(algebra, right ^ 1)}, the grid "
+                f"{format_element(algebra, right)} ({phi!r} @ {[bvm.format_name(target)] * 2})"
+            )
+    assert len(expected) == 10
+    assert report.divergences == expected and not report.passed
+    assert report.claims["truth_values_match_oracle"].witness == expected[0]
+
+
+def _grid_formulas(algebra):
+    """The shipped formulas, and one each that is unbounded, in one variable,
+    closed, with a constant, and in three variables with u shadowed."""
+    u, v, w, x = Var("u"), Var("v"), Var("w"), Var("x")
+    return standard_formula_pool() + (
+        Exists("x", Atomic("mem", u, x)),
+        BoundedForall("z", u, Atomic("sub", Var("z"), u)),
+        Exists("x", Not(Atomic("mem", x, x))),
+        Atomic("mem", check_name(algebra, EMPTY), v),
+        BoundedExists("u", u, And((Atomic("mem", u, w), Atomic("sub", v, w)))),
+    )
+
+
+_GRID_POOLS = {
+    "B1-standard": lambda: (B1, standard_name_pool(B1, max_rank=3)),
+    "B2-standard": lambda: (B2, standard_name_pool(B2, max_rank=2)[:24]),
+    "B4-standard": lambda: (FiniteCBA(4), standard_name_pool(FiniteCBA(4), max_rank=2)[:24]),
+    "B3-random": lambda: (FiniteCBA(3), random_name_pool(FiniteCBA(3), 10, 2, random.Random(11))),
+}
+
+
+@pytest.mark.parametrize("pools", _GRID_POOLS)
+def test_truth_grid_equals_truth_value_at_every_assignment(pools):
+    algebra, pool = _GRID_POOLS[pools]()
+    names = NamePool(algebra, pool)
+    arities = []
+    for phi in _grid_formulas(algebra):
+        fvs = sorted(free_variables(phi))
+        assert list(phi.variables) == fvs
+        grid = bvm.truth_grid(phi, names)
+        picks = list(itertools.product(names.names, repeat=len(fvs)))
+        assert len(grid) == len(picks) == len(pool) ** len(fvs)
+        assert grid == [truth_value(phi, dict(zip(fvs, p)), algebra, names) for p in picks], phi
+        arities.append(len(fvs))
+    assert sorted(set(arities)) == [0, 1, 2, 3]
+
+
+def test_forcing_audit_admits_each_formulas_constants():
+    pool = standard_name_pool(B2, max_rank=2)[:10]
+    u = Var("u")
+    deep = check_name(B2, von_neumann(5))
+    foreign = check_name(B1, EMPTY)
+    refused = f"^formula parameter of rank 5 exceeds bound {bvm.RANK_BOUND}$"
+    for phi in (Atomic("eq", deep, u), Atomic("mem", deep, deep)):
+        with pytest.raises(RankExceeded, match=refused):
+            forcing_audit(B2, pool, standard_formula_pool() + (phi,))
+    for phi in (Atomic("eq", foreign, u), Not(Atomic("sub", foreign, foreign))):
+        with pytest.raises(MixedAlgebras, match="^formula parameter over a different algebra$"):
+            forcing_audit(B2, pool, standard_formula_pool() + (phi,))
 
 
 @pytest.mark.parametrize("pools", _DIFFERENTIAL_POOLS)

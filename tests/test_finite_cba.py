@@ -210,6 +210,30 @@ def test_atom_map_matches_bit_loop(width):
         assert mapped(x) == by_bits(x), (width, x)
 
 
+@pytest.mark.parametrize("width", [65, 71, 128, 513, 1000, 4096])
+def test_wide_atom_map_matches_a_bit_by_bit_join(width):
+    # the loop above 8 tables reads x's low bytes at once and skips the zero ones
+    rng = random.Random(width)
+    images = [rng.getrandbits(width) for _ in range(width)]
+    mapped = atom_map(images)
+
+    def by_bits(x):
+        out = 0
+        for k in range(width):
+            if x >> k & 1:
+                out |= images[k]
+        return out
+
+    sparse = [sum(1 << rng.randrange(width) for _ in range(count)) for count in (1, 2, 5, 30)]
+    base = 8 * ((width - 1) // 8)  # the first atom of the last table
+    xs = [0, (1 << width) - 1, (1 << width) - (1 << base), 0xFF << 64, *sparse]
+    xs += [rng.getrandbits(width) for _ in range(20)]
+    # bits past len(images) are ignored
+    xs += [x | rng.getrandbits(70) << width for x in xs]
+    for x in xs:
+        assert mapped(x) == by_bits(x), (width, x)
+
+
 def _hom_table(atoms, rng):
     """The images of a random atom map on every element of a t-atom algebra."""
     images = [1 << rng.randrange(6) for _ in range(atoms)]

@@ -655,7 +655,7 @@ def test_iterate_over_the_atom_budget_checks_no_case():
         "name": "iterate", "target": "sys", "verdict": INDETERMINATE, "witnesses": [],
         "certified_depth": None, "details": {"cases": 0, "note": note},
     }
-    # 1 -> 12 atoms (1.3-1.9 s) is the largest system that runs
+    # 1 -> 12 atoms (about 0.5 s) is the largest system that runs
     spec = workspace.AUDITS["iterate"]
     twelve = _system_doc([1, 12], [[0] * 12]).resolve("sys")
     assert spec.size(twelve, {}) == workspace.ITERATE_BUDGET == 12
