@@ -114,7 +114,7 @@ class Var:
 
 
 class Formula:
-    """A formula node; it collects its constants and compiles its two routes
+    """A formula node; it collects its constants and compiles its routes
     (see "compiled routes" below) once, on first use, and keeps them."""
 
     @cached_property
@@ -129,6 +129,11 @@ class Formula:
     @cached_property
     def boolean_route(self):
         return _boolean(self, {v: i for i, v in enumerate(self.variables)}, len(self.variables))
+
+    @cached_property
+    def grid_route(self):  # the row is the last free variable's slot
+        k = len(self.variables)
+        return _boolean(self, {v: i for i, v in enumerate(self.variables)}, k, k - 1)
 
     @cached_property
     def oracle_route(self):
@@ -261,9 +266,11 @@ class NamePool:
     over the whole pool: an environment drawn from the pool is admitted by
     one set test, and only the formula's constants (``Formula.constants``)
     and any environment value outside the pool are checked one by one.
+    ``rows`` keeps, per (kernel, row on the left, fixed name), an atom's
+    values over ``names`` for ``truth_grid``, for as long as the pool lives.
     """
 
-    __slots__ = ("algebra", "names", "members", "one")
+    __slots__ = ("algebra", "names", "members", "one", "rows")
 
     def __init__(self, algebra: FiniteCBA, names: Iterable[BName]):
         names = tuple(names)
@@ -272,6 +279,7 @@ class NamePool:
         self.names = tuple(sorted(names, key=BName.sort_key))
         self.members = frozenset(names)
         self.one = algebra.one
+        self.rows: dict[tuple, list[int]] = {}
 
 
 def _admit(names: tuple[BName, ...], algebra: FiniteCBA, what: str) -> None:
@@ -295,8 +303,8 @@ def truth_value(
     Every name read must be over the algebra and of rank at most
     ``RANK_BOUND``: the pool's names, the environment's values and the
     formula's constants.  A plain tuple pool is validated on every call;
-    build a ``NamePool`` once to evaluate many formulas or assignments over
-    the same pool.
+    build a ``NamePool`` once to evaluate many assignments over one pool.
+    The route is ``truth_grid``'s evaluator, compiled with no row slot.
     """
     if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
@@ -329,28 +337,28 @@ def _slots(phi: Formula, env: Mapping) -> dict[int, object]:
 
 # -- compiled routes ---------------------------------------------------------------
 #
-# Each formula compiles to ``boolean_route`` and ``oracle_route``, nested
+# Each formula compiles to ``oracle_route`` and two boolean routes, nested
 # closures ``run(bound, ctx)``; ctx is the NamePool or the tuple of pool
 # values.  ``bound`` holds the k free variables (``Formula.variables``) in
 # slots ``0..k-1``; a binder at ``depth`` writes slot ``depth``, from k on.
 # ``scope`` maps each variable to its slot there.  ``truth_grid`` hands in a
-# padded list per assignment, ``truth_value`` and ``hf_satisfies`` a dict
-# (``_slots``).  The routes read nothing else and share only this lookup,
-# since the forcing audit compares them.  A bad term or subformula fails
-# compilation.
+# padded list, ``truth_value`` and ``hf_satisfies`` a dict (``_slots``).  The
+# routes read nothing else and share only this lookup, since the forcing
+# audit compares them.  A bad term or subformula fails compilation.
 #
-# The boolean route's connectives and binders are int operations under the
-# pool's ``one``: every value is a bitmask within it, so complement is
-# ``one & ~x``, a meet starts from ``one`` and a join from 0.  Its atoms go
-# through the memo kernels ``_tv_eq``/``_tv_mem``/``_tv_sub``, which keep
-# the algebra's ``sup``/``inf``/``neg``.
+# ``_boolean`` is the one boolean evaluator, compiled along a ``row`` slot it
+# never reads: none for ``boolean_route``, the last free variable's for
+# ``grid_route``.  A value that varies along the row is a list over
+# ``pool.names``, any other one int, hoisted out of the row.  Values are
+# bitmasks under the pool's ``one``: complement is ``one ^ x``, a meet starts
+# from ``one`` and a join from 0.  Atoms go through the memo kernels
+# ``_tv_eq``/``_tv_mem``/``_tv_sub``, an atom's row with one side fixed once
+# per pool (``NamePool.rows``); a binder over the row variable evaluates its
+# body once per distinct entry name.
 
 
 def _relation(rel, left, right, scope: dict[str, int], literal):
     """``run(bound, ctx)``: rel of two terms; ``literal`` reads a non-variable."""
-    if isinstance(left, Var) and isinstance(right, Var):
-        i, j = scope[left.name], scope[right.name]
-        return lambda bound, ctx: rel(bound[i], bound[j])
     get_left, get_right = _term(left, scope, literal), _term(right, scope, literal)
     return lambda bound, ctx: rel(get_left(bound), get_right(bound))
 
@@ -365,69 +373,91 @@ def _name_term(term):
     return lambda bound: term
 
 
-def _boolean(phi, scope: dict[str, int], depth: int):
+def _lift(op, a, b):
+    """op on two values, each one int or a row of them."""
+    if isinstance(a, int) and isinstance(b, int):
+        return op(a, b)
+    return list(map(op, *(itertools.repeat(x) if isinstance(x, int) else x for x in (a, b))))
+
+
+def _boolean(phi, scope: dict[str, int], depth: int, row: int | None = None):
     """phi's boolean value, by int operations under ``pool.one``."""
     if isinstance(phi, Atomic):
         rel = {"eq": _tv_eq, "mem": _tv_mem, "sub": _tv_sub}[phi.op]
-        return _relation(rel, phi.left, phi.right, scope, _name_term)
+        left, right = (isinstance(t, Var) and scope[t.name] == row for t in (phi.left, phi.right))
+        if not (left or right):
+            return _relation(rel, phi.left, phi.right, scope, _name_term)
+        if left and right:
+            return lambda bound, pool: [rel(x, x) for x in pool.names]
+        fixed = _term(phi.right if left else phi.left, scope, _name_term)
+
+        def atom_row(bound, pool):
+            key = (rel, left, name := fixed(bound))
+            out = pool.rows.get(key)
+            if out is None:  # a racing thread computes an equal row
+                out = [rel(x, name) if left else rel(name, x) for x in pool.names]
+                out = pool.rows.setdefault(key, out)
+            return out
+
+        return atom_row
     if isinstance(phi, Not):
-        body = _boolean(phi.body, scope, depth)
-        return lambda bound, pool: pool.one & ~body(bound, pool)
+        body = _boolean(phi.body, scope, depth, row)
+        return lambda bound, pool: _lift(operator.xor, pool.one, body(bound, pool))
     if isinstance(phi, (And, Or)):
-        parts = tuple(_boolean(p, scope, depth) for p in phi.parts)
+        op = operator.and_ if isinstance(phi, And) else operator.or_
+        parts = tuple(_boolean(p, scope, depth, row) for p in phi.parts)
 
-        def meet(bound, pool):
-            total = pool.one
+        def connective(bound, pool):
+            total = pool.one if op is operator.and_ else 0
             for p in parts:
-                total &= p(bound, pool)
+                total = _lift(op, total, p(bound, pool))
             return total
 
-        def join(bound, pool):
-            total = 0
-            for p in parts:
-                total |= p(bound, pool)
-            return total
-
-        return meet if isinstance(phi, And) else join
+        return connective
     if not isinstance(phi, (BoundedExists, BoundedForall, Exists)):
         raise TypeError(f"not a formula: {phi!r}")
-    body = _boolean(phi.body, {**scope, phi.var: depth}, depth + 1)
+    body = _boolean(phi.body, {**scope, phi.var: depth}, depth + 1, row)
+    forall = isinstance(phi, BoundedForall)
+    outer, inner = (operator.and_, operator.or_) if forall else (operator.or_, operator.and_)
+    of = None if isinstance(phi, Exists) else _term(phi.bound, scope, _name_term)
 
-    if isinstance(phi, Exists):  # as over a name holding every pool name at 1
-
-        def exists_in_pool(bound, pool):
-            total = 0
-            for sub in pool.names:
-                bound[depth] = sub
-                total |= body(bound, pool)
-            return total
-
-        return exists_in_pool
-    of = _term(phi.bound, scope, _name_term)
-
-    def exists(bound, pool):
-        total = 0
-        for sub, p in of(bound).entries:
+    def quantify(bound, pool):  # ~p needs no mask, as a ∀ total starts at pool.one
+        total = pool.one if forall else 0
+        # an unbounded ∃ is as over a name holding every pool name at 1
+        entries = zip(pool.names, itertools.repeat(pool.one)) if of is None else of(bound).entries
+        for sub, p in entries:
             bound[depth] = sub
-            total |= p & body(bound, pool)
+            total = _lift(outer, total, _lift(inner, ~p if forall else p, body(bound, pool)))
         return total
 
-    def forall(bound, pool):
-        total = pool.one  # so ~p needs no mask
-        for sub, p in of(bound).entries:
-            bound[depth] = sub
-            total &= ~p | body(bound, pool)
-        return total
+    def per_column(bound, pool):
+        values, out = {}, []
+        for i, x in enumerate(pool.names):
+            total = pool.one if forall else 0
+            for sub, p in x.entries:
+                b = values.get(sub)
+                if b is None:
+                    bound[depth] = sub
+                    b = values[sub] = body(bound, pool)
+                b = b[i] if isinstance(b, list) else b
+                total = total & (~p | b) if forall else total | p & b
+            out.append(total)
+        return out
 
-    return forall if isinstance(phi, BoundedForall) else exists
+    over_row = of is not None and isinstance(phi.bound, Var) and scope[phi.bound.name] == row
+    return per_column if over_row else quantify
 
 
 def truth_grid(phi: Formula, pool: NamePool) -> list[int]:
     """phi's boolean value at each assignment of pool names to its variables,
-    in ``itertools.product`` order; it admits nothing, unlike truth_value."""
-    route, pad = phi.boolean_route, [None] * quantifier_depth(phi)
-    grid = itertools.product(pool.names, repeat=len(phi.variables))
-    return [route([*picks, *pad], pool) for picks in grid]
+    in ``itertools.product`` order; it admits nothing, unlike truth_value.
+    ``grid_route`` runs once per tuple of all but the last, along the last."""
+    k, n, pad = len(phi.variables), len(pool.names), [None] * (1 + quantifier_depth(phi))
+    if not k:
+        return [phi.boolean_route(pad, pool)]
+    grid = itertools.product(pool.names, repeat=k - 1)
+    rows = (phi.grid_route([*picks, *pad], pool) for picks in grid)
+    return list(itertools.chain.from_iterable(r if isinstance(r, list) else [r] * n for r in rows))
 
 
 # -- evaluation and the oracle ---------------------------------------------------

@@ -445,14 +445,25 @@ def test_forcing_audit_reads_a_wrong_truth_value_on_the_diagonal(monkeypatch, po
 
 def _grid_formulas(algebra):
     """The shipped formulas, and one each that is unbounded, in one variable,
-    closed, with a constant, and in three variables with u shadowed."""
-    u, v, w, x = Var("u"), Var("v"), Var("w"), Var("x")
+    closed, with a constant, and in three variables with u shadowed; then
+    one per branch of the grid route, whose row is the last variable: an
+    atom on the row's diagonal, a constant beside the row, binders over the
+    row whose body does and does not read it, an unbounded ∃ whose body
+    reads it, and a negated binder."""
+    u, v, w, x, z = Var("u"), Var("v"), Var("w"), Var("x"), Var("z")
+    c1 = check_name(algebra, frozenset({EMPTY}))
     return standard_formula_pool() + (
         Exists("x", Atomic("mem", u, x)),
         BoundedForall("z", u, Atomic("sub", Var("z"), u)),
         Exists("x", Not(Atomic("mem", x, x))),
         Atomic("mem", check_name(algebra, EMPTY), v),
         BoundedExists("u", u, And((Atomic("mem", u, w), Atomic("sub", v, w)))),
+        Atomic("mem", v, v),
+        Or((Atomic("sub", v, c1), Atomic("eq", u, c1))),
+        BoundedExists("z", v, Atomic("mem", z, v)),
+        BoundedForall("z", v, Or((Atomic("mem", u, z), Atomic("eq", z, c1)))),
+        Exists("x", And((Atomic("mem", x, v), Not(Atomic("sub", x, u))))),
+        Not(BoundedForall("z", u, Atomic("mem", z, v))),
     )
 
 
@@ -461,6 +472,9 @@ _GRID_POOLS = {
     "B2-standard": lambda: (B2, standard_name_pool(B2, max_rank=2)[:24]),
     "B4-standard": lambda: (FiniteCBA(4), standard_name_pool(FiniteCBA(4), max_rank=2)[:24]),
     "B3-random": lambda: (FiniteCBA(3), random_name_pool(FiniteCBA(3), 10, 2, random.Random(11))),
+    # not closed under subnames: binders fix atom rows at names outside it
+    "B2-no-empty": lambda: (B2, standard_name_pool(B2, max_rank=2)[1:24]),
+    "B2-empty": lambda: (B2, ()),
 }
 
 
@@ -478,6 +492,71 @@ def test_truth_grid_equals_truth_value_at_every_assignment(pools):
         assert grid == [truth_value(phi, dict(zip(fvs, p)), algebra, names) for p in picks], phi
         arities.append(len(fvs))
     assert sorted(set(arities)) == [0, 1, 2, 3]
+
+
+def test_the_grid_enters_the_atomic_kernels_per_row_not_per_assignment(monkeypatch):
+    # warm, each kernel entry is a memo hit that the routes make themselves:
+    # the grid enters once per (relation, side, fixed name) row of the pool
+    # and per binder body at a distinct entry name, and truth_value once per
+    # atomic occurrence on the diagonal.  A route that fell back to one
+    # evaluation per assignment enters once per assignment and occurrence
+    pool = standard_name_pool(B2, max_rank=2)[:24]
+    forcing_audit(B2, pool, standard_formula_pool())
+    calls = dict.fromkeys(("eq", "mem", "sub"), 0)
+    for op in calls:
+        def counted(n0, n1, _real=getattr(bvm, f"_tv_{op}"), _op=op):
+            calls[_op] += 1
+            return _real(n0, n1)
+
+        monkeypatch.setattr(bvm, f"_tv_{op}", counted)
+    assert forcing_audit(B2, pool, standard_formula_pool()).passed
+    # n names holding e entries in all, over d distinct entry names, and q
+    # the sum of squared entry counts.  Rows: u = v, u ∈ v, u ⊆ v and v ⊆ u
+    # (n each), z = u at each u and distinct z (formula 7), w ⊆ z at each
+    # entry w and distinct z (formula 10); the diagonal adds the rest
+    n = len(pool)
+    e = sum(len(x.entries) for x in pool)
+    d = len({sub for x in pool for sub, _ in x.entries})
+    q = sum(len(x.entries) ** 2 for x in pool)
+    assert (n, e, d, q) == (24, 34, 4, 56)
+    assert calls == {
+        "eq": n * n + n * d + 3 * n + e,
+        "mem": n * n + 2 * n + 2 * e,
+        "sub": 2 * n * n + d * e + 3 * n + q,
+    } == {"eq": 778, "mem": 692, "sub": 1416}
+
+
+def test_truth_grid_shares_one_pool_across_threads():
+    # two threads fill the atom rows of one pool at once, with the same
+    # formula objects; each reads the reference evaluator's grids
+    shared = NamePool(B2, standard_name_pool(B2, max_rank=2)[:12])
+    formulas = _grid_formulas(B2)
+    expected = [
+        [
+            reference_truth_value(phi, dict(zip(phi.variables, picks)), B2, shared.names)
+            for picks in itertools.product(shared.names, repeat=len(phi.variables))
+        ]
+        for phi in formulas
+    ]
+    barrier = threading.Barrier(2)
+    results = [None] * 2
+
+    def worker(i):
+        barrier.wait(timeout=30)
+        results[i] = [bvm.truth_grid(phi, shared) for phi in formulas]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected, expected]
 
 
 def test_forcing_audit_admits_each_formulas_constants():
@@ -860,6 +939,11 @@ def test_unbound_variable_raises_only_when_reached():
     assert truth_value(BoundedExists("z", c0, Atomic("eq", x, z)), {}, B2) == 0
     assert hf_satisfies(BoundedExists("z", EMPTY, Atomic("eq", x, z)), {}) is False
     assert hf_satisfies(BoundedForall("z", Var("y"), Atomic("eq", x, z)), {"y": EMPTY}) is True
+    # nor when the missing variable is the last, the grid's row slot
+    u, v = Var("u"), Var("v")
+    phi = And((Atomic("eq", u, u), BoundedExists("z", c0, Atomic("eq", v, z))))
+    assert phi.variables[-1] == "v"
+    assert truth_value(phi, {"u": c0}, B2) == 0
 
 
 def test_non_formulas_and_non_terms_raise_type_errors():
