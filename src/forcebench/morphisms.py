@@ -95,6 +95,23 @@ class CompleteHom:
         )
 
 
+def own_maps(h: CompleteHom) -> bool:
+    """Whether h's class keeps CompleteHom's own ``apply`` and ``project``,
+    whose values are those of h's ``atom_map`` tables: audits may read them
+    there, and audit an override call by call."""
+    return type(h).apply is CompleteHom.apply and type(h).project is CompleteHom.project
+
+
+def value_tables(h: CompleteHom) -> tuple[list[int], list[int]]:
+    """i at every element of the source (b at index b) and pi at every
+    element of the target (c at index c): h's own tables when ``own_maps(h)``,
+    else asked call by call.  Only for homs with at most 8 atoms a side,
+    whose maps keep one table each."""
+    if own_maps(h):
+        return h._apply.tables[0], h._project.tables[0]
+    return list(map(h.apply, h.source.elements())), list(map(h.project, h.target.elements()))
+
+
 def identity_hom(algebra: FiniteCBA) -> CompleteHom:
     return CompleteHom(algebra, algebra, tuple(range(algebra.atom_count)))
 
@@ -230,7 +247,9 @@ class _Cases:
     the first 16 of them, and the atoms where a law ranges over generators.
     Lists of target elements come with their projections (cs/pcs, ...);
     ``below`` and ``above`` map an element to projections below and above it.
-    When both sides are enumerated (``enumerated``), ``rows`` packs the
+    When both sides are enumerated (``enumerated``), ``ibs`` and ``pcs`` are
+    ``value_tables(h)``: read from h's own tables unless h overrides a map,
+    which is then asked at every element.  ``rows`` packs the
     projections for the laws over pairs (``finite_cba.ByteRows``; None when
     some value is not a byte), and the scans build ``below`` and ``above``.
     When sampled and ``packs()``, ``images`` reads pi on a whole case list
@@ -246,7 +265,7 @@ class _Cases:
         self.enumerated = cs is None
         if cs is None:  # both sides enumerated
             bs, cs = list(B.elements()), list(C.elements())
-            ibs, pcs = [h.apply(b) for b in bs], [h.project(c) for c in cs]
+            ibs, pcs = value_tables(h)
             below = above = None
             self.apply, self.project = ibs.__getitem__, pcs.__getitem__
             self.ds, self.pds, self.b_partners = cs, pcs, bs
@@ -271,15 +290,9 @@ class _Cases:
         self.below, self.above = below, above  # keyed by ds and probes
 
     def packs(self) -> bool:
-        """Whether the cases are sampled, pi's values are bytes and pi is
-        CompleteHom's own at this call: ``rows`` alone decides enumerated
-        cases, and an override of ``project`` is audited call by call."""
-        h = self.h
-        return (
-            not self.enumerated
-            and type(h).project is CompleteHom.project
-            and h.byte_columns is not None
-        )
+        """Whether the cases are sampled, pi's values are bytes and h has
+        ``own_maps`` at this call: ``rows`` alone decides enumerated cases."""
+        return not self.enumerated and own_maps(self.h) and self.h.byte_columns is not None
 
     @functools.cached_property
     def packed(self) -> tuple[tuple[int, int, int], int, int]:
@@ -558,11 +571,12 @@ def _filters_to_filters(k: _Cases):
     cases = sum(covers) + len(probes) * len(k.b_partners)
     if k.rows is not None and _filters_packed(k):
         return True, "", cases
+    joins_hold = k.packs() and _filter_joins_batched(k, probes)
     for c, pc in probes:  # monotonicity on covers c < c | a is monotonicity on all c <= d
         above = [k.pcs[c | a] for a in atoms if not c & a] if k.enumerated else k.above[c]
         if any(p & pc != pc for p in above):
             return False, k.at(c=c), cases
-        for b in k.b_partners:
+        for b in () if joins_hold else k.b_partners:
             b |= pc
             if k.project(c | k.apply(b)) != b:
                 return False, k.at(b=b, c=c), cases
@@ -583,6 +597,26 @@ def _filters_packed(k: _Cases) -> bool:
         if (rows.join_row(ib) ^ b * rows.ones) & rows.at_most(b) & ~0xFF:  # c = 0 is no probe
             return False
     return True
+
+
+def _filter_joins_batched(k: _Cases, probes: list[tuple[int, int]]) -> bool:
+    """pi(c ∨ i(b ∨ pi(c))) = b ∨ pi(c) at every sampled probe c and b of
+    ``b_partners``, read from pi's byte tables: the probes with equal pi(c)
+    share i(b ∨ pi(c)), so one batch per (b, distinct pi(c)); only where
+    ``packs()``."""
+    groups: dict[int, list[int]] = {}
+    for c, pc in probes:
+        groups.setdefault(pc, []).append(c)
+    w = len(k.h.byte_columns)
+    batches = [
+        (pc, _side_by_side(cs, w), int.from_bytes(b"\x01" * len(cs), "little"))
+        for pc, cs in groups.items()
+    ]
+    return all(
+        k.images(operator.or_, k.apply(b | pc), xs) == (b | pc) * ones
+        for b in k.b_partners
+        for pc, xs, ones in batches
+    )
 
 
 def _generics_to_generics(k: _Cases):

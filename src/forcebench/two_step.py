@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .finite_cba import FiniteCBA, Restriction, Ultrafilter, atom_map, byte_rows, format_element
-from .morphisms import EXHAUSTIVE_MAX_ATOMS, CompleteHom, require_regular
+from .morphisms import EXHAUSTIVE_MAX_ATOMS, CompleteHom, own_maps, require_regular, value_tables
 from .report import Ledger, bits, draws
 
 
@@ -164,9 +164,11 @@ class GenericQuotient:
     view: Restriction = field(init=False)
 
     def __post_init__(self) -> None:
-        require_regular(self.hom)
-        target = self.hom.target
-        mask = self.hom.apply(1 << self.atom)
+        h = self.hom
+        require_regular(h)
+        target = h.target
+        # i(atom) is h's own atom image unless h overrides a map
+        mask = h._atom_image[self.atom] if own_maps(h) else h.apply(1 << self.atom)
         if target.atom_count <= EXHAUSTIVE_MAX_ATOMS:
             view = _narrow_view(target, mask)
         else:
@@ -307,15 +309,16 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     exhaustive = C.atom_count <= EXHAUSTIVE_MAX_ATOMS
     probe = list(C.elements()) if exhaustive else [0, C.one, *drawn]
     # phi and every class map are evaluated once over the probe, and each
-    # claim reads phi by subscript from phi_of: on the exhaustive probe the
-    # list of its values (c sits at index c), above it a memo for this audit
+    # claim reads phi by subscript from phi_of: on the exhaustive probe phi's
+    # own atom_map table (c sits at index c), above it a memo for this audit
     # only, one entry per operand it asks for.  The exhaustive probe reads
     # each class map and the support from the tables of the shared view and
-    # sum, indexed the same way.  Packed one byte per element in ``rows`` (the
-    # sum has C's atoms, at most 6), phi may decide that a claim holds; else it scans.
+    # sum, and i and pi from ``value_tables(h)``, indexed the same way.  Packed
+    # one byte per element in ``rows`` (the sum has C's atoms, at most 6), phi
+    # may decide that a claim holds; else it scans.
     one, sum_one = C.one, two.algebra.one
     if exhaustive:
-        phi_of = phis = list(map(phi, probe))
+        phi_of = phis = phi.tables[0]
         classes = [q.view.to_sub_table for q in quotients]
         table = two.supports
         supports = (table[p & sum_one] for p in phis)  # support ignores bits past the sum
@@ -344,7 +347,8 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
         (c for c, p in zip(probe, phis) if phi_of[one & ~c] != sum_one & ~p), None
     )
     iso.record("complement_preserved", bad is None, _at(C, bad), len(probe))
-    projected = rows and byte_rows(list(map(h.project, probe)))
+    applied, projected = value_tables(h) if rows else (None, None)
+    projected = rows and byte_rows(projected)
     support_at = rows and bytes(two.supports) * (256 // (sum_one + 1))  # at every byte
     packed = projected and projected.raw == rows.raw.translate(support_at)
     bad = None if packed else next((c for c, s in zip(probe, supports) if s != h.project(c)), None)
@@ -363,7 +367,7 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
     iso.record("join_preserved", bad is None, witness, len(pairs))
     i_sum = two.embedding.apply
     # phi ignores bits past C's atoms, so masking keeps a stray bit readable
-    phi_applied = rows and bytes(h.apply(b) & one for b in B.elements()).translate(phi_at)
+    phi_applied = rows and bytes(ib & one for ib in applied).translate(phi_at)
     bad = None if phi_applied and phi_applied == two.indicators else next(
         (b for b in B.elements() if phi_of[h.apply(b) & one] != i_sum(b)), None
     )
@@ -465,8 +469,8 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
     if max(C0.atom_count, C1.atom_count) <= QUOTIENT_ENUMERATED_ATOMS:
         c0s, c1s = list(C0.elements()), list(C1.elements())
         pairs = _class_pairs(c0s, q0.view.mask)
-        apply = list(map(j.apply, c0s)).__getitem__  # j at c sits at index c
-        project = list(map(j.project, c1s)).__getitem__
+        applied, projected = value_tables(j)  # j at c sits at index c
+        apply, project = applied.__getitem__, projected.__getitem__
         class0, class1 = q0.view.to_sub_table.__getitem__, q1.view.to_sub_table.__getitem__
     else:  # 64 seeded elements of C0 and of C1, then 64 offsets in C0
         c0s, c1s, offsets = draws(bits, None, 1, 64, C0.atom_count, C1.atom_count, C0.atom_count)

@@ -783,3 +783,32 @@ def test_a_defect_in_a_shared_byte_table_fails_alike_with_and_without_packing(s,
     packed, scanned = ledgers
     assert packed == scanned
     assert not any(packed[law][0] for law in PACKED_LAWS), packed
+
+
+@pytest.mark.parametrize("s, t", [(2, 17), (3, 40), (8, 64)])
+def test_sampled_filter_joins_are_batched_and_scanned_only_on_a_mismatch(monkeypatch, s, t):
+    # one packed batch per (b, distinct pi(c)) decides an honest pass with no
+    # project call; a defect in pi's byte table fails both routes alike
+    class CallByCall(CompleteHom):
+        def project(self, c):
+            return super().project(c)
+
+    asked, project = [], CompleteHom.project
+    monkeypatch.setattr(CompleteHom, "project", lambda self, c: asked.append(c) or project(self, c))
+    B, C, fiber = FiniteCBA(s), FiniteCBA(t), tuple(x % s for x in range(t))
+    k = _Cases(CompleteHom(B, C, fiber), False, random.Random(t), 200)
+    asked.clear()
+    assert k.packs() and _filters_to_filters(k)[0] and asked == []
+    # pi gains a source atom outside b ∨ pi(c) at c ∨ i(b ∨ pi(c)), c the first probe
+    c, pc = k.probes[0], k.pprobes[0]
+    b = next(b | pc for b in k.b_partners if b | pc != B.one)
+    x, extra = c | k.apply(b), (B.one & ~b) & -(B.one & ~b)
+    outcomes = []
+    for cls in (CompleteHom, CallByCall):
+        h = cls(B, C, fiber)
+        h._project.tables[0][x & 0xFF] |= extra  # before any use reads the table
+        k = _Cases(h, False, random.Random(t), 200)
+        assert k.packs() == (cls is CompleteHom)
+        outcomes.append(_filters_to_filters(k))
+    packed, scanned = outcomes
+    assert packed == scanned and not packed[0] and packed[1].startswith("b="), packed

@@ -504,7 +504,10 @@ def _class_of_wrong_at(monkeypatch, size, element, wrong):
 def _phi_wrong_at(monkeypatch, element, flip=1):
     def atom_map(images):
         honest = finite_cba.atom_map(images)
-        return lambda c: honest(c) ^ flip * (c == element)
+        wrong = lambda c: honest(c) ^ flip * (c == element)  # noqa: E731
+        if len(honest.tables) == 1:  # one table holds phi at every element: the defect too
+            wrong.tables = [list(map(wrong, range(len(honest.tables[0]))))]
+        return wrong
 
     monkeypatch.setattr(two_step, "atom_map", atom_map)
 
@@ -674,6 +677,119 @@ def test_iso_audit_counts_atoms_of_the_sum_not_of_the_target():
     iso = two_step_iso_audit(h)
     assert iso.two.algebra.atom_count == 10
     assert not iso.claims["bijective_on_atoms"].passed
+
+
+# -- enumerated audits read a plain hom's own value tables ---------------------------
+
+
+def _counted_maps(monkeypatch):
+    """CompleteHom's own apply and project rebound at class level, as the
+    bench tracer rebinds them, to count their calls per (map, hom): a plain
+    hom keeps its own maps, so the table routes stay open."""
+    from collections import Counter
+
+    calls, apply, project = Counter(), CompleteHom.apply, CompleteHom.project
+
+    def counted_apply(self, b):
+        calls["apply", self] += 1
+        return apply(self, b)
+
+    def counted_project(self, c):
+        calls["project", self] += 1
+        return project(self, c)
+
+    monkeypatch.setattr(CompleteHom, "apply", counted_apply)
+    monkeypatch.setattr(CompleteHom, "project", counted_project)
+    return calls
+
+
+def _doubling_triangle(j_class):
+    """The triangle over the 2 -> 4 doubling whose leg j is the 4 -> 8 doubling,
+    built as a ``j_class``."""
+    j = j_class(FiniteCBA(4), FiniteCBA(8), (0, 0, 1, 1, 2, 2, 3, 3))
+    return Triangle(doubling_hom(), doubling_hom().then(j), j)
+
+
+def test_enumerated_audits_read_a_plain_homs_tables_not_its_maps(monkeypatch):
+    calls = _counted_maps(monkeypatch)
+    h = _iso_hom(CompleteHom, "exhaustive")
+    assert retraction_laws_audit(h).passed
+    # only meet_counterexample asks: i(pi(c)), then pi at c, at d and at d ∧ c
+    assert calls == {("apply", h): 1, ("project", h): 4}
+    assert two_step_iso_audit(h).passed  # builds the sum of h's shape, if not yet built
+    calls.clear()
+    assert two_step_iso_audit(h).passed
+    assert calls == {}
+    q = quotient_hom(_doubling_triangle(CompleteHom), Ultrafilter(B2, 0))
+    assert q.passed
+    # no leg is asked; the quotient hom, the map under audit, once per element
+    assert calls == {("apply", q.hom): 16, ("project", q.hom): 256}
+
+
+@pytest.mark.parametrize(
+    "method, element, wrong, failures",
+    [
+        (
+            "project", 0b011010, lambda p: p ^ 1,
+            [
+                "expand_dominates: c={1,3,4}", "meet_translation: b={0} c={1,3,4}",
+                "meet_translation_join_form: b={0} c={1,3,4}", "join_preserving: c={1} d={3,4}",
+                "sub_meet_inequality: c={3} d={1,3,4}", "embedding_from_retraction: b={1}",
+                "stone_open_image: c={1,3,4}", "filters_to_filters: c={1,3}",
+            ],
+        ),
+        (
+            "apply", 0b010, lambda ib: ib | 1,
+            [
+                "retract_section: b={1}", "meet_translation: b={1} c={0}",
+                "embedding_from_retraction: b={1}", "generic_preimage: target atom 0",
+                "filters_to_filters: b={1} c={1}",
+            ],
+        ),
+    ],
+    ids=["project", "apply"],
+)
+def test_enumerated_cases_ask_an_overriding_map_at_every_element(method, element, wrong, failures):
+    from forcebench.morphisms import _Cases
+
+    h = _iso_hom(_wrong_at(method, element, wrong), "exhaustive")
+    k = _Cases(h, True, None, 200)
+    assert k.enumerated
+    assert k.ibs == list(map(h.apply, range(8))) and k.pcs == list(map(h.project, range(64)))
+    assert retraction_laws_audit(h).failures == failures
+
+
+@pytest.mark.parametrize("size", ["exhaustive", "sampled"])
+def test_generic_quotient_asks_an_overriding_apply_for_its_mask(size):
+    # i at atom 1 drops its lowest target atom; the fibers, and so regularity, stay
+    h = _iso_hom(_wrong_at("apply", 0b010, lambda ib: ib & ib - 1), size)
+    honest = _iso_hom(CompleteHom, size)
+    for atom in range(3):
+        mask = GenericQuotient(honest, atom).view.mask
+        expected = mask & mask - 1 if atom == 1 else mask
+        assert GenericQuotient(h, atom).view.mask == expected != 0
+
+
+@pytest.mark.parametrize(
+    "element, witness", [(0b0001, "c={0}"), (0b0101, "c={0,2}"), (0b1111, "c={0,1,2,3}")]
+)
+def test_quotient_hom_asks_an_overriding_j_project_call_by_call(element, witness):
+    tri = _doubling_triangle(_wrong_at("project", element, lambda p: p ^ 1))
+    q = quotient_hom(tri, Ultrafilter(B2, 0))
+    assert q.failures == [f"retraction_law: {witness}"]
+    assert q.claims["retraction_law"].cases == 256
+    assert quotient_hom(tri, Ultrafilter(B2, 1)).passed  # j is asked only inside atom 0's class
+
+
+def test_no_audit_changes_a_homs_tables():
+    h = _iso_hom(CompleteHom, "exhaustive")
+    i0 = CompleteHom(B2, h.source, (0, 1, 1))
+    tri = Triangle(i0, i0.then(h), h)
+    maps = [m for g in (i0, tri.i1, h) for m in (g._apply, g._project)]
+    before = [[list(table) for table in m.tables] for m in maps]
+    assert retraction_laws_audit(h).passed and two_step_iso_audit(h).passed
+    assert all(quotient_hom(tri, Ultrafilter(B2, a)).passed for a in range(2))
+    assert [m.tables for m in maps] == before
 
 
 # -- shape-determined work is done once per shape -----------------------------------
