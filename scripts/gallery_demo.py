@@ -29,7 +29,7 @@ def main() -> int:
     t2 = ConstantThread(2, ~generator("y1") & generator("y0"))
     print("  sample family member t_2 at coordinates 0..3:")
     for n in range(4):
-        print(f"    {n}: {format_free(coordinate(tower.system, t2, n))}")
+        print(f"    {n}: {format_free(coordinate(tower, t2, n))}")
 
     for label, audit in (
         ("supremum gap", sup_gap_audit),

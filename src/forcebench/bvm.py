@@ -711,7 +711,7 @@ def delta1_audit(
     lifts = {n: lift_name(h, n) for n in source.names}
     target = NamePool(h.target, lifts.values())
     for phi in d0_formulas:
-        fvs = tuple(sorted(free_variables(phi)))
+        fvs = phi.variables
         for picks in itertools.product(source.names, repeat=len(fvs)):
             env = dict(zip(fvs, picks))
             lhs = h.apply(truth_value(phi, env, h.source, source))

@@ -359,11 +359,12 @@ class Restriction:
 
 def quotient_by_filter(
     algebra: FiniteCBA, spec: FilterSpec
-) -> tuple[Restriction, "QuotientMap"]:
+) -> tuple[Restriction, Callable[[int], int]]:
     """B modulo the symmetric-difference equivalence a Δ b ∈ I.
 
     For a finite algebra the quotient by the ideal dual to a filter with core
-    m is the restriction B|m, with class map c -> c ∧ m.
+    m is the restriction B|m, with class map c -> c ∧ m; returns the view and
+    that map, its ``to_sub``.
     """
     if spec.algebra != algebra:
         raise ValueError("filter spec is over a different algebra")
@@ -372,15 +373,4 @@ def quotient_by_filter(
     else:
         m = algebra.neg(spec.core)
     view = Restriction(algebra, m)
-    return view, QuotientMap(view)
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    view: Restriction
-
-    def __call__(self, c: int) -> int:
-        return self.view.to_sub(c)
-
-    def same_class(self, c: int, d: int) -> bool:
-        return (c ^ d) & self.view.mask == 0
+    return view, view.to_sub

@@ -9,7 +9,6 @@ invisible to pointwise meets) are phrased as support-escape certificates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvariantViolation
@@ -43,19 +42,9 @@ def base_gen(n: int) -> str:
     return f"x{n}"
 
 
-@dataclass(frozen=True, eq=False)
-class FreshTower:
-    """Stages Free(X ∪ {y0..y_{n-1}}) with inclusion steps."""
-
-    depth: int
-    system: IterationSystem
-
-    def stage_algebra(self, n: int) -> FreeAlgebra:
-        return self.system.algebra(n)
-
-
-def build_fresh_tower(depth: int) -> FreshTower:
-    """The tower, materialized and audited to ``depth``.
+def build_fresh_tower(depth: int) -> IterationSystem:
+    """The tower: stages Free(X ∪ {y0..y_{n-1}}) with inclusion steps, as an
+    iteration system materialized and audited to ``depth``.
 
     Freshness at every audited stage: the new generator and its complement
     both project to 1, the finite form of a forced-nontrivial quotient.
@@ -80,7 +69,7 @@ def build_fresh_tower(depth: int) -> FreshTower:
             raise InvariantViolation(f"fresh generator {fresh_gen(n)} does not project to 1")
         if step.project(~y) != FREE_ONE:
             raise InvariantViolation(f"the complement of {fresh_gen(n)} does not project to 1")
-    return FreshTower(depth, system)
+    return system
 
 
 def _prefix_meets(term: Callable[[int], FreeElement]) -> Callable[[int], FreeElement]:
@@ -106,7 +95,7 @@ def _fresh_chain() -> GeneratorChain:
     )
 
 
-def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
+def sup_gap_audit(depth: int, tower: IterationSystem | None = None) -> Ledger:
     """The direct limit's pointwise supremum outruns the true supremum.
 
     The family t_n (constant from stage n, seeded "the n-th fresh generator
@@ -118,8 +107,7 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
     """
     if depth < 3:
         raise ValueError("the gap needs depth at least 3")
-    tower = tower or build_fresh_tower(depth)
-    system = tower.system
+    system = tower or build_fresh_tower(depth)
     report = Ledger()
     fresh_meet = _prefix_meets(lambda k: generator(fresh_gen(k)))
 
@@ -144,7 +132,7 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
             report.record("pairwise_incompatible", not witness, witness, depth=depth)
 
     for n in range(0, depth):
-        join = tower.stage_algebra(n).zero
+        join = system.algebra(n).zero
         for m in range(1, n + 2):
             join = join | coordinate(system, family[m], n)
         witness = "" if join.is_one else f"pointwise join falls short at coordinate {n}"
@@ -174,7 +162,7 @@ def sup_gap_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
     return report
 
 
-def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
+def wedge_meet_audit(depth: int, tower: IterationSystem | None = None) -> Ledger:
     """Two incompatible threads whose coordinatewise meets never vanish.
 
     With the descending base cylinders a_n and fresh generators d_n, the
@@ -184,8 +172,7 @@ def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
     """
     if depth < 3:
         raise ValueError("the wedge needs depth at least 3")
-    tower = tower or build_fresh_tower(depth)
-    system = tower.system
+    system = tower or build_fresh_tower(depth)
     report = Ledger()
 
     # a(n) = x0 ∧ ... ∧ x_{n-1}; f(n) and g(n) meet d_m ∨ a_m and ¬d_m ∨ a_m
@@ -237,6 +224,6 @@ def wedge_meet_audit(depth: int, tower: FreshTower | None = None) -> Ledger:
         f"x0 candidate fails at chain step {verdict.index}",
         depth=depth,
     )
-    ok = chain_vanishing(tower.stage_algebra(0).zero, chain).is_zero
+    ok = chain_vanishing(system.algebra(0).zero, chain).is_zero
     report.record("zero_is_the_only_survivor", ok, "" if ok else "zero fails", depth=depth)
     return report

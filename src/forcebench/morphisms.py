@@ -168,7 +168,7 @@ def restrict(h: CompleteHom, c: int) -> RestrictedEmbedding:
 def stone_dual_quotient(h: CompleteHom) -> tuple[int, ...]:
     """Partition of target ultrafilters by the dual map; one class per source atom."""
     require_regular(h)
-    return tuple(h._atom_image[s] for s in range(h.source.atom_count))
+    return h._atom_image
 
 
 # -- free-algebra inclusions ---------------------------------------------------
@@ -622,7 +622,9 @@ def _filter_joins_batched(k: _Cases, probes: list[tuple[int, int]]) -> bool:
 def _generics_to_generics(k: _Cases):
     """pi sends each target atom to the source atom under it."""
     fiber = k.h.fiber
-    bad = next((t for t, s in enumerate(fiber) if k.project(1 << t) != 1 << s), None)
+    # pi at the atoms, as the cases hold it: the sampled probes are the atoms
+    pis = map(k.pcs.__getitem__, k.h.target.atoms()) if k.enumerated else k.pprobes
+    bad = next((t for t, (s, p) in enumerate(zip(fiber, pis)) if p != 1 << s), None)
     return bad is None, "" if bad is None else f"atom {bad}", len(fiber)
 
 

@@ -80,19 +80,6 @@ class TwoStepAlgebra:
             out |= val << offset
         return out
 
-    def elements_from_columns(self, columns: list[list[int]], count: int) -> list[int]:
-        """``element_from_family`` on ``count`` families at once, given as one
-        column of values per base atom (``columns[a][i]``: family i at atom a)."""
-        if len(columns) != self.presentation.base.atom_count:
-            raise ShapeMismatch("family must pick one value per base atom")
-        if any(col and (min(col) < 0 or max(col) > top) for col, top in zip(columns, self.tops)):
-            for family in zip(*columns):  # raises at the first family out of its fiber
-                self.element_from_family(family)
-        out = [0] * count
-        for col, offset in zip(columns, self.offsets):
-            out = [x | val << offset for x, val in zip(out, col)]
-        return out
-
     def family_of(self, element: int) -> tuple[int, ...]:
         return tuple(
             (element >> offset) & top for offset, top in zip(self.offsets, self.tops)
@@ -103,14 +90,12 @@ class TwoStepAlgebra:
         return self.embedding.project(element)
 
     @functools.cached_property
-    def supports(self) -> tuple[int, ...]:
-        """``support`` of every element (c at index c), computed on first
-        use; only sensible for small sums."""
-        return tuple(map(self.support, self.algebra.elements()))
+    def supports(self) -> tuple[int, ...]:  # ``support`` at every element; at most 8 atoms
+        return tuple(value_tables(self.embedding)[1])
 
     @functools.cached_property
     def indicators(self) -> bytes:  # ``indicator`` at every base element; at most 8 atoms
-        return bytes(map(self.indicator, self.presentation.base.elements()))
+        return bytes(value_tables(self.embedding)[0])
 
     def tv_equals_one(self, element: int) -> int:
         """The base value of "c = 1": atoms whose fiber part is full."""
@@ -240,15 +225,16 @@ def canonical_representative(
         raise NotMaximalAntichain("representative families index maximal antichains")
     if len(antichain) != len(family):
         raise ShapeMismatch("one family member per antichain element")
+    classes = list(zip(map(h.apply, antichain), family))  # (i(a), c_a)
     c = 0
-    for a, c_a in zip(antichain, family):
-        c |= h.apply(a) & c_a
-    for a, c_a in zip(antichain, family):
-        if (c ^ c_a) & h.apply(a):
+    for ia, c_a in classes:
+        c |= ia & c_a
+    for ia, c_a in classes:
+        if (c ^ c_a) & ia:
             raise InvariantViolation("representative misses its class")
     for t in range(h.target.atom_count):
         other = c ^ (1 << t)
-        if all((other ^ c_a) & h.apply(a) == 0 for a, c_a in zip(antichain, family)):
+        if all((other ^ c_a) & ia == 0 for ia, c_a in classes):
             raise InvariantViolation("perturbed element also matches every class")
     return c
 
@@ -336,7 +322,7 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
         q.view.packed_to_sub == rows.packed >> offset & top * rows.ones
         for q, offset, top in zip(quotients, two.offsets, two.tops)
     ):
-        expected = two.elements_from_columns(classes, len(probe))
+        expected = list(map(two.element_from_family, zip(*classes)))  # raises at the first bad one
         bad = next((c for c, p, e in zip(probe, phis, expected) if p != e), None)
     iso.record("phi_is_the_class_family", bad is None, _at(C, bad), len(probe))
 
@@ -469,24 +455,25 @@ def quotient_hom(t: Triangle, u: Ultrafilter) -> QuotientHomResult:
     if max(C0.atom_count, C1.atom_count) <= QUOTIENT_ENUMERATED_ATOMS:
         c0s, c1s = list(C0.elements()), list(C1.elements())
         pairs = _class_pairs(c0s, q0.view.mask)
-        applied, projected = value_tables(j)  # j at c sits at index c
-        apply, project = applied.__getitem__, projected.__getitem__
+        tables = (*value_tables(j), *value_tables(hom))  # j and j/G at c sit at index c
+        apply, project, hom_apply, hom_project = (table.__getitem__ for table in tables)
         class0, class1 = q0.view.to_sub_table.__getitem__, q1.view.to_sub_table.__getitem__
     else:  # 64 seeded elements of C0 and of C1, then 64 offsets in C0
         c0s, c1s, offsets = draws(bits, None, 1, 64, C0.atom_count, C1.atom_count, C0.atom_count)
         # pairs in one class: d differs from c only off the class mask
         pairs = [(c, c ^ (x & ~q0.view.mask)) for c, x in zip(c0s, offsets)]
         apply, project, class0, class1 = j.apply, j.project, q0.class_of, q1.class_of
+        hom_apply, hom_project = hom.apply, hom.project
     same = q1.same_class
     bad = next(((c, d) for c, d in pairs if not same(apply(c), apply(d))), None)
     witness = "" if bad is None else f"{_at(C0, bad[0])} {_at(C0, bad[1], 'd')}"
     result.record("well_defined_on_classes", bad is None, witness, len(pairs))
-    bad = next((c for c in c0s if hom.apply(q0.class_of(c)) != q1.class_of(apply(c))), None)
+    bad = next((c for c in c0s if hom_apply(q0.class_of(c)) != q1.class_of(apply(c))), None)
     result.record("intertwines_class_maps", bad is None, _at(C0, bad), len(c0s))
     result.record("regular", hom.regular, "" if hom.regular else "not regular")
     # retraction law: pi_{j/G}([c]) = [pi_j(c)]
     mask = q1.view.mask
-    bad = next((c for c in c1s if hom.project(class1(c)) != class0(project(c & mask))), None)
+    bad = next((c for c in c1s if hom_project(class1(c)) != class0(project(c & mask))), None)
     result.record("retraction_law", bad is None, _at(C1, bad), len(c1s))
     return result
 

@@ -55,6 +55,18 @@ def test_tracer_binding_resolves(module, path):
         assert isinstance(getattr(owner, attr, None), types.FunctionType), path
 
 
+def test_tracer_memo_tables_are_registered_tables():
+    # the tracer reads each MEMO_TABLES entry with len() only after a traced
+    # run; a renamed table would show up there as a crash
+    from forcebench import tables
+
+    registered = set(tables.COMPUTED + tables.INTERNING)
+    for key, (module, attribute) in _tracer_namespace()["MEMO_TABLES"].items():
+        owner = importlib.import_module(f"forcebench.{module}")
+        assert hasattr(owner, attribute), key
+        assert (module, attribute) in registered, key
+
+
 def test_tower_projections_go_through_the_traced_binding(monkeypatch):
     # the tracer times tower projections as free_algebra.project by
     # rebinding morphisms.free_project; a step that bypassed that name would

@@ -12,21 +12,21 @@ from forcebench.iteration import ConstantThread, coordinate
 
 def test_tower_minimal():
     tower = build_fresh_tower(2)
-    assert tower.stage_algebra(1).generators >= {"y0"}
-    step = tower.system.step_at(0)
+    assert tower.algebra(1).generators >= {"y0"}
+    step = tower.step_at(0)
     assert step.project(generator("y0")) == FREE_ONE
     assert step.project(~generator("y0")) == FREE_ONE
 
 
 def test_tower_projection_example():
     tower = build_fresh_tower(4)
-    inc = tower.system.hom(0, 1)
+    inc = tower.hom(0, 1)
     assert inc.project(generator("x0") & generator("y0")) == generator("x0")
 
 
 def test_tower_commutation_audited():
     tower = build_fresh_tower(6)
-    assert tower.system.audited_depth == 6
+    assert tower.audited_depth == 6
 
 
 def test_tower_depth_guard():
@@ -47,7 +47,7 @@ def test_sup_gap_family_values():
     assert report.passed
     # t_1(0) = projection of the first fresh generator = 1
     t1 = ConstantThread(1, ~generator("y0"))
-    assert coordinate(tower.system, t1, 0) == FREE_ONE
+    assert coordinate(tower, t1, 0) == FREE_ONE
 
 
 def test_sup_gap_pairwise_meet_witness():
@@ -55,8 +55,8 @@ def test_sup_gap_pairwise_meet_witness():
     s1 = ~generator("y0")
     s2 = ~generator("y1") & generator("y0")
     tower = build_fresh_tower(4)
-    c1 = coordinate(tower.system, ConstantThread(1, s1), 2)
-    c2 = coordinate(tower.system, ConstantThread(2, s2), 2)
+    c1 = coordinate(tower, ConstantThread(1, s1), 2)
+    c2 = coordinate(tower, ConstantThread(2, s2), 2)
     assert (c1 & c2).is_zero
 
 
@@ -100,7 +100,7 @@ def test_family_fails_stage_antichain_precondition():
         family.append(ConstantThread(n, seed))
     for stage in range(0, 5):
         with pytest.raises(NotAntichainAtStage):
-            antichain_sup_audit(tower.system, family, stage=stage, depth=6)
+            antichain_sup_audit(tower, family, stage=stage, depth=6)
 
 
 # (passed, cases, witness, certified_depth) of every claim at depth 5

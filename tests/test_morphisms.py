@@ -321,6 +321,19 @@ def test_audit_fails_when_project_drops_an_atom_image(width):
     assert report.claims["generics_to_generics"].witness == "atom 2"
 
 
+def test_generics_read_pi_at_the_atoms_from_the_cases(monkeypatch):
+    # project rebound at class level, as the bench tracer binds it: the
+    # sampled probes are the atoms, already projected, so the law asks pi at
+    # none of the 40 target atoms again (932 calls when it asked each one);
+    # an overriding project is still caught, as the test above shows
+    asked, project = [], CompleteHom.project
+    monkeypatch.setattr(CompleteHom, "project", lambda self, c: asked.append(c) or project(self, c))
+    h = CompleteHom(FiniteCBA(3), FiniteCBA(40), tuple(t % 3 for t in range(40)))
+    report = retraction_laws_audit(h)
+    assert report.passed and report.claims["generics_to_generics"].cases == 40
+    assert len(asked) == 892
+
+
 LAW_SIZES = [(1, 1), (1, 2), (2, 4), (3, 6), (6, 6), (4, 8), (5, 17), (8, 40), (8, 64)]
 
 
