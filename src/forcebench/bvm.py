@@ -13,7 +13,7 @@ import operator
 import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping
 
 from .errors import EmptyPool, MixedAlgebras, NotAntichain, RankExceeded
@@ -261,23 +261,20 @@ class NamePool:
     """A name pool validated once: one algebra, every rank within ``RANK_BOUND``.
 
     ``names`` are in ``BName.sort_key`` order; unbounded quantifiers range
-    over them, and ``members`` holds them as a set.  Handed to
-    ``truth_value`` in place of a plain tuple, it spares each call the pass
-    over the whole pool: an environment drawn from the pool is admitted by
-    one set test, and only the formula's constants (``Formula.constants``)
-    and any environment value outside the pool are checked one by one.
+    over them.  Handed to ``truth_value`` in place of a plain tuple, it
+    spares each call the pass over the whole pool: only the environment's
+    values and the formula's constants (``Formula.constants``) are checked.
     ``rows`` keeps, per (kernel, row on the left, fixed name), an atom's
     values over ``names`` for ``truth_grid``, for as long as the pool lives.
     """
 
-    __slots__ = ("algebra", "names", "members", "one", "rows")
+    __slots__ = ("algebra", "names", "one", "rows")
 
     def __init__(self, algebra: FiniteCBA, names: Iterable[BName]):
         names = tuple(names)
         _admit(names, algebra, "pool name")
         self.algebra = algebra
         self.names = tuple(sorted(names, key=BName.sort_key))
-        self.members = frozenset(names)
         self.one = algebra.one
         self.rows: dict[tuple, list[int]] = {}
 
@@ -317,13 +314,7 @@ def truth_value(
         pool = NamePool(algebra, pool)
     elif algebra not in (pool.algebra, None):
         raise MixedAlgebras("pool over a different algebra")
-    # a pool name is over the pool's algebra and within RANK_BOUND, so it
-    # passes _admit; dropping it leaves the same first failure
-    try:
-        pooled = pool.members.issuperset(values)
-    except TypeError:  # an unhashable value is no name; _admit refuses it
-        pooled = False
-    _admit(constants if pooled else (*values, *constants), pool.algebra, "formula parameter")
+    _admit((*values, *constants), pool.algebra, "formula parameter")
     try:
         return phi.boolean_route(_slots(phi, env), pool)
     except KeyError as e:  # the slot of a variable env lacks
@@ -647,14 +638,19 @@ def fullness_witness(
         raise EmptyPool("fullness needs a nonempty pool")
     alg = algebra if algebra is not None else pool[0].algebra
     pool = NamePool(alg, pool)
+
+    @cache
+    def value(cand: BName) -> int:  # asked at most once per candidate
+        env2 = dict(env)
+        env2[var] = cand
+        return truth_value(phi, env2, alg, pool)
+
     chosen: list[BName] = []
     atoms: list[int] = []
     for atom in range(alg.atom_count):
         pick = pool.names[0]
         for cand in pool.names:
-            env2 = dict(env)
-            env2[var] = cand
-            if truth_value(phi, env2, alg, pool) >> atom & 1:
+            if value(cand) >> atom & 1:
                 pick = cand
                 break
         chosen.append(pick)
@@ -751,7 +747,7 @@ def delta1_audit(
 def standard_name_pool(algebra: FiniteCBA, max_rank: int = 3) -> tuple[BName, ...]:
     """The deterministic shipped pool: layered partial functions over a small
     frontier of lower-rank names, with at most two entries each."""
-    labels = tuple(sorted(set(algebra.atoms()) | {algebra.one}))
+    labels = tuple(sorted((set(algebra.atoms()) | {algebra.one}) - {0}))  # 1 is 0 on 0 atoms
     c0 = check_name(algebra, EMPTY)
     seen: set[BName] = {c0}
     frontier = [c0]

@@ -425,8 +425,6 @@ def omega_length_oracle() -> CofinalityOracle:
 class RcsVerdict:
     member: bool | None  # None = indeterminate
     reason: str
-    stage: int | None = None
-    depth: int | None = None
 
 
 def rcs_membership(
@@ -444,37 +442,33 @@ def rcs_membership(
     membership.
     """
     if isinstance(thread, ConstantThread):
-        return RcsVerdict(True, "constant thread", stage=thread.stage)
+        return RcsVerdict(True, "constant thread")
     if isinstance(thread, VectorThread):
         try:
             thread_validate(system, thread, depth)
         except CoherenceFailure as failure:
             a, b = failure.stages
-            return RcsVerdict(False, f"not a thread: not coherent at ({a},{b})", stage=b)
+            return RcsVerdict(False, f"not a thread: not coherent at ({a},{b})")
         return RcsVerdict(True, "finite-length threads are eventually constant")
     if isinstance(thread, RuleThread) and thread.constant_from is not None:
-        stages = list(system.stages(depth))
-        for b in stages:
+        for b in system.stages(depth):
             if b >= thread.constant_from:
                 expected = system.hom(thread.constant_from, b).apply(
                     coordinate(system, thread, thread.constant_from)
                 )
                 if coordinate(system, thread, b) != expected:
-                    return RcsVerdict(
-                        None, f"declared constancy fails at stage {b}", stage=b
-                    )
-        return RcsVerdict(True, "eventually constant (declared, audited)", depth=stages[-1])
-    stages = list(system.stages(depth))
+                    return RcsVerdict(None, f"declared constancy fails at stage {b}")
+        return RcsVerdict(True, "eventually constant (declared, audited)")
     saw_unknown = False
-    for a in stages:
+    for a in system.stages(depth):
         answer = oracle(a, coordinate(system, thread, a))
         if answer == "forces":
-            return RcsVerdict(True, "a coordinate forces countable cofinality", stage=a)
+            return RcsVerdict(True, "a coordinate forces countable cofinality")
         if answer == "unknown":
             saw_unknown = True
     if saw_unknown:
-        return RcsVerdict(None, "oracle undecided on every audited coordinate", depth=stages[-1])
-    return RcsVerdict(False, "no coordinate forces countable cofinality", depth=stages[-1])
+        return RcsVerdict(None, "oracle undecided on every audited coordinate")
+    return RcsVerdict(False, "no coordinate forces countable cofinality")
 
 
 # -- quotients of iteration systems ----------------------------------------------------------

@@ -158,11 +158,8 @@ def disjointify_sg_audit(trace: ModelTrace) -> DisjointifyReport:
 class RestrictionReport(Ledger):
     """Claims ``restriction_law`` and ``upward_completion`` (one case per antichain)."""
 
-    element: int
     lhs: int  # sg of the restricted trace (transported membership)
     rhs: int  # sg(trace) ∧ b, re-expressed inside the restriction
-    closure_gaps: list[str] = field(default_factory=list)
-    restricted: ModelTrace | None = None
 
     equal = claim_passed("restriction_law")
     upward_ok = claim_passed("upward_completion")
@@ -174,8 +171,7 @@ def restriction_audit(trace: ModelTrace, b: int) -> RestrictionReport:
     Downward the designations map along A -> A ∧ b with membership
     transported (a ∧ b counts as in the restricted carrier exactly when a was
     in the carrier); upward each restricted antichain is completed by ¬b.
-    Both transformations are exercised; carrier-closure deviations from the
-    literal restricted trace are reported, never assumed away.
+    Both transformations are exercised.
     """
     alg = trace.algebra
     if b == 0 or b not in trace.carrier:
@@ -186,46 +182,22 @@ def restriction_audit(trace: ModelTrace, b: int) -> RestrictionReport:
     lhs = view.algebra.one
     for d in trace.designated_predense:
         lhs &= view.algebra.sup(view.to_sub(x & b) for x in d if x in trace.carrier)
-    report = RestrictionReport(b, lhs, view.to_sub(sg_value(trace) & b))
+    report = RestrictionReport(lhs, view.to_sub(sg_value(trace) & b))
     witness = f"fails below element {b}"
     ok = report.lhs == report.rhs
     report.record("restriction_law", ok, "" if ok else witness)
 
-    # literal restricted trace, with its closure gaps reported
-    carrier_r = frozenset(view.to_sub(c & b) for c in trace.carrier)
-    for c in trace.carrier:
-        if c & b not in trace.carrier:
-            report.closure_gaps.append(
-                f"carrier not closed under meet with {format_element(alg, b)}: "
-                f"{format_element(alg, c)}"
-            )
-            break
-    predense_r = tuple(
-        tuple(sorted({view.to_sub(x & b) for x in d} - {0}))
-        for d in trace.designated_predense
-    )
+    # upward: a restricted maximal antichain plus ¬b is maximal above
     antichains_r = tuple(
         tuple(sorted({view.to_sub(x & b) for x in a} - {0}))
         for a in trace.designated_antichains
     )
-    report.restricted = ModelTrace(
-        view.algebra,
-        carrier_r,
-        designated_predense=predense_r,
-        designated_antichains=antichains_r,
-        kappa=trace.kappa,
-        delta=trace.delta,
-    )
-
-    # upward: a restricted maximal antichain plus ¬b is maximal above
     report.record("upward_completion", True, cases=0)
     for a_r in antichains_r:
         lifted = tuple(view.from_sub(x) for x in a_r)
         completed = lifted + ((alg.neg(b),) if alg.neg(b) != 0 else ())
         ok = alg.is_maximal_antichain(completed)
         report.record("upward_completion", ok, "" if ok else witness)
-    if alg.neg(b) != 0 and alg.neg(b) not in trace.carrier:
-        report.closure_gaps.append("complement of the restriction element not in carrier")
     return report
 
 

@@ -246,9 +246,7 @@ def canonical_representative(
 class TwoStepIso(Ledger):
     """An explicit isomorphism between B*(C/G-dot) and C, with its audit."""
 
-    hom: CompleteHom
     two: TwoStepAlgebra
-    quotients: tuple[GenericQuotient, ...]
 
 
 # the iso audit enumerates its probe up to EXHAUSTIVE_MAX_ATOMS target atoms,
@@ -278,7 +276,7 @@ def two_step_iso_audit(h: CompleteHom, rng: random.Random | None = None) -> TwoS
         two = _checked_sum(presentation)
     else:
         two = build_two_step(presentation)
-    iso = TwoStepIso(h, two, quotients)
+    iso = TwoStepIso(two)
 
     # the class family of c is determined atomwise: target atom t lands at
     # (fiber[t], rank of t inside its fiber), an atom permutation

@@ -269,7 +269,7 @@ def test_one_bound_refuses_a_deeper_name_wherever_it_enters():
             truth_value(Atomic("eq", deep, u), {"u": c0}, B2, names)
         # a name at the bound is admitted everywhere
         assert truth_value(Atomic("eq", top, u), {"u": top}, B2, names) == B2.one
-    assert NamePool(B2, pool + (top,)).members == set(pool) | {top}
+    assert set(NamePool(B2, pool + (top,)).names) == set(pool) | {top}
 
 
 def test_no_entry_point_takes_a_bound_of_its_own():
@@ -286,7 +286,7 @@ def test_no_entry_point_takes_a_bound_of_its_own():
 
 
 def test_standard_pool_size_counts_the_standard_pool():
-    for atoms in range(1, 6):
+    for atoms in range(6):
         for max_rank in range(6):
             pool = standard_name_pool(FiniteCBA(atoms), max_rank)
             assert bvm.standard_pool_size(atoms, max_rank) == len(pool), (atoms, max_rank)
@@ -653,8 +653,8 @@ def _value_or_error(fn, *args, **kwargs):
 
 
 def test_name_pool_admits_what_the_plain_pool_admits():
-    # a NamePool admits an environment drawn from it by one set test; every
-    # other input must meet the same checks, with the same error, as the
+    # a NamePool checks only the environment and the formula's constants;
+    # every input must meet the same checks, with the same error, as the
     # plain tuple pool that is validated on each call
     pool = standard_name_pool(B2, max_rank=2)[:10]
     names = NamePool(B2, pool)
@@ -663,7 +663,7 @@ def test_name_pool_admits_what_the_plain_pool_admits():
     outside = name_from_pairs(B2, [(check_name(B2, von_neumann(3)), 0b01), (pool[2], 0b11)])
     on_twin = BName(twin, ((check_name(twin, von_neumann(3)), 0b10), (pool[1], 0b01)))
     deep = check_name(B2, von_neumann(5))
-    assert outside not in names.members and on_twin not in names.members
+    assert outside not in names.names and on_twin not in names.names
     assert on_twin.algebra is twin and twin is not B2
     phis = (
         Atomic("mem", u, v),
@@ -776,6 +776,26 @@ def test_fullness_equals_existential_randomized():
 def test_fullness_empty_pool():
     with pytest.raises(EmptyPool):
         fullness_witness(Atomic("eq", Var("x"), Var("x")), "x", {}, ())
+
+
+def test_fullness_witness_asks_each_pool_name_once(monkeypatch):
+    # the first pool name is c0, false at every atom; names[1] realizes atom 0
+    # and names[2] atom 1, so a scan per atom would ask c0 and names[1] twice
+    c0 = check_name(B2, EMPTY)
+    names = NamePool(B2, standard_name_pool(B2, max_rank=2)[:8]).names
+    phi = Not(Atomic("eq", Var("x"), c0))
+    assert names[0] == c0
+    asked = []
+    real = bvm.truth_value
+
+    def counting(phi, env, *args):
+        asked.append(env["x"])
+        return real(phi, env, *args)
+
+    monkeypatch.setattr(bvm, "truth_value", counting)
+    w = fullness_witness(phi, "x", {}, names)
+    assert asked == list(names[:3])
+    assert w == mix(B2, [0b01, 0b10], [names[1], names[2]])
 
 
 def test_lift_identity_is_identity():

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import forcebench.gallery as gallery
@@ -145,3 +149,14 @@ def test_gap_certificate_witness_is_the_first_failing_stage(monkeypatch):
     claim = sup_gap_audit(5).claims["no_constant_below_diagonal"]
     assert (claim.passed, claim.cases, claim.certified_depth) == (False, 6, 5)
     assert claim.witness == "stage-0 seed slipped through the chain"
+
+
+def test_gallery_demo_script_passes_both_audits():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gallery_demo.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--depth", "4"], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert "supremum gap: PASS" in lines
+    assert "pointwise-meet incompatibility: PASS" in lines

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from forcebench.errors import LabelOutOfRange, NotInCarrier, NotMaximal, NotPredense
-from forcebench.finite_cba import FiniteCBA
+from forcebench.finite_cba import FiniteCBA, Restriction
 from forcebench.morphisms import hom_from_fiber_map, identity_hom
 from forcebench.report import INDETERMINATE
 from forcebench.semigen import (
@@ -217,7 +217,7 @@ def test_restriction_b4_example():
     report = restriction_audit(t, 0b0101)
     assert report.equal
     # both sides are the class of {0}
-    assert report.lhs == report.restricted.algebra.one & report.lhs
+    assert report.lhs == Restriction(B4, 0b0101).algebra.one & report.lhs
     view_atoms = (0, 2)
     assert report.lhs == 0b01  # atom 0 of the restriction = parent atom 0
 

@@ -235,6 +235,30 @@ def test_zero_case_audit_is_indeterminate():
     assert not report.passed
 
 
+def test_zero_atom_bvm_audit_is_indeterminate_and_the_run_goes_on(tmp_path):
+    # on 0 atoms 1 is 0, which labels no entry: the pool is the empty check name
+    ws = tmp_path / "zero.json"
+    ws.write_text(json.dumps({
+        "version": 1,
+        "objects": [{"kind": "algebra", "name": "Z", "atoms": 0},
+                    {"kind": "algebra", "name": "B", "atoms": 1}],
+        "audits": [{"audit": "bvm-audit", "target": "Z"}, {"audit": "bvm-audit", "target": "B"}],
+    }))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "forcebench", "--workspace", str(ws), "--command", "verify-all",
+         "--format", "json"],
+        capture_output=True, text=True, cwd=str(REPO), env=env,
+    )
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    zero, one = json.loads(out.stdout)["results"]
+    assert (zero["target"], zero["verdict"]) == ("Z", INDETERMINATE)
+    assert zero["details"] == {"cases": 0, "pool": 1}
+    assert (one["target"], one["verdict"]) == ("B", PASS)
+
+
 def test_machine_report_identical_across_hash_seeds():
     outputs = set()
     for hash_seed in ("0", "1", "2"):
