@@ -44,8 +44,8 @@ from forcebench.errors import (
 )
 from forcebench.finite_cba import FiniteCBA, Ultrafilter, format_element, ultrafilters
 from forcebench.hf import EMPTY
-from forcebench.morphisms import hom_from_fiber_map, identity_hom
-from forcebench.report import INDETERMINATE
+from forcebench.morphisms import CompleteHom, hom_from_fiber_map, identity_hom
+from forcebench.report import INDETERMINATE, PASS
 
 from .oracles import (
     empty_name,
@@ -279,7 +279,7 @@ def test_no_entry_point_takes_a_bound_of_its_own():
         NamePool: ["algebra", "names"],
         forcing_audit: ["algebra", "pool", "formulas"],
         fullness_witness: ["phi", "var", "env", "pool", "algebra"],
-        delta1_audit: ["h", "pool", "d0_formulas", "d1_pairs"],
+        delta1_audit: ["h", "pool", "d0_formulas"],
     }
     for fn, names in params.items():
         assert list(inspect.signature(fn).parameters) == names, fn
@@ -845,17 +845,12 @@ def test_delta1_audit_atomic_and_bounded():
         BoundedExists("z", Var("u"), Atomic("eq", Var("z"), Var("v"))),
         BoundedForall("z", Var("u"), Atomic("mem", Var("z"), Var("v"))),
     )
-    d1 = (
-        (Exists("x", Atomic("eq", Var("x"), Var("u"))),
-         Not(Exists("x", Atomic("eq", Var("x"), Var("u"))))),
-    )
-    # the Sigma-1 flagged pair must itself be Sigma-1; build a genuine pair
+    # a Sigma-1 formula and its negation commute as any other formula
     pos = Exists("x", Atomic("mem", Var("u"), Var("x")))
     neg_equiv = Not(pos)
-    report = delta1_audit(h, pool, d0_formulas=d0, d1_pairs=((pos, neg_equiv),))
+    report = delta1_audit(h, pool, d0_formulas=d0 + (pos, neg_equiv))
     assert report.passed, report.failures[:3]
-    assert report.claims["bounded_formulas_commute"].cases > 0
-    assert report.claims["sigma1_pairs_pin_values"].cases > 0
+    assert report.claims["bounded_formulas_commute"].cases == 4 * 12**2 + 2 * 12
 
 
 def test_delta1_identity_hom_trivial():
@@ -864,7 +859,73 @@ def test_delta1_identity_hom_trivial():
     report = delta1_audit(h, pool, d0_formulas=standard_formula_pool())
     commute = report.claims["bounded_formulas_commute"]
     assert commute.passed and commute.cases > 0
-    assert report.verdict == INDETERMINATE  # no Sigma-1 pairs were given
+    assert report.verdict == PASS
+
+
+SIGMA1 = Exists("x", Atomic("mem", Var("u"), Var("x")))
+D1_FORMULAS = standard_formula_pool() + (SIGMA1, Not(SIGMA1))
+
+
+@pytest.mark.parametrize("fiber", [(1, 0), (1, 0, 1, 0)])
+def test_delta1_audit_passes_along_an_atom_permuting_hom(fiber):
+    # lifting reorders the sorted pool; each assignment is read at its lifted names
+    h = hom_from_fiber_map(B2, FiniteCBA(len(fiber)), fiber)
+    report = delta1_audit(h, standard_name_pool(B2, max_rank=2)[:12], D1_FORMULAS)
+    assert report.verdict == PASS
+    assert report.claims["bounded_formulas_commute"].cases == 10 * 12**2 + 2 * 12
+
+
+def test_delta1_audit_fails_on_an_apply_override():
+    class GainsAtom0(CompleteHom):  # i({2,3}) gains atom 0
+        def apply(self, b):
+            out = super().apply(b)
+            return out | 1 if out == 0b1100 else out
+
+    h = GainsAtom0(B2, FiniteCBA(4), (0, 0, 1, 1))
+    commute = delta1_audit(h, standard_name_pool(B2, max_rank=2)[:12], D1_FORMULAS).claims[
+        "bounded_formulas_commute"
+    ]
+    assert not commute.passed and commute.cases == 1464
+    assert commute.witness == "bounded formula value moved: {0,2,3} vs {2,3}"
+
+
+def test_delta1_audit_fails_when_lift_name_leaves_a_label_unlifted(monkeypatch):
+    h = hom_from_fiber_map(B2, FiniteCBA(4), [0, 0, 1, 1])
+    d, real = dot_d(), bvm.lift_name
+
+    def unlifted_label(h, n):  # d's one entry keeps its source label
+        if n is not d:
+            return real(h, n)
+        ((sub, p),) = n.entries
+        return BName(h.target, [(real(h, sub), p)])
+
+    monkeypatch.setattr(bvm, "lift_name", unlifted_label)
+    pool = standard_name_pool(B2, max_rank=2)[:12]
+    assert d in pool
+    commute = delta1_audit(h, pool, D1_FORMULAS).claims["bounded_formulas_commute"]
+    assert not commute.passed and commute.cases == 1464
+    assert commute.witness == "bounded formula value moved: {2,3} vs {1,2,3}"
+
+
+def test_delta1_audit_calls_no_truth_value(monkeypatch):
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    calls, real = [], bvm.truth_value
+    monkeypatch.setattr(bvm, "truth_value", counting)
+    h = hom_from_fiber_map(B2, FiniteCBA(4), [0, 0, 1, 1])
+    report = delta1_audit(h, standard_name_pool(B2, max_rank=2)[:12], D1_FORMULAS)
+    assert report.verdict == PASS and calls == []
+
+
+def test_delta1_audit_without_formulas_is_indeterminate():
+    h = hom_from_fiber_map(B2, FiniteCBA(4), [0, 0, 1, 1])
+    report = delta1_audit(h, standard_name_pool(B2, max_rank=2)[:12], ())
+    assert report.verdict == INDETERMINATE
+    assert {name: c.cases for name, c in report.claims.items()} == {
+        "bounded_formulas_commute": 0
+    }
 
 
 def test_bounded_exists_unfolds_membership_example():

@@ -382,6 +382,19 @@ def test_rcs_declared_constancy_audited():
     assert v2.member is None
 
 
+def test_lazy_system_refuses_a_negative_depth():
+    # a verdict read from zero coordinates would decide nothing
+    system = free_tower(6)
+    plain = RuleThread(lambda n: generator("x0"))
+    declared = RuleThread(lambda n: generator("x0"), constant_from=0)
+    for t in (plain, declared):
+        with pytest.raises(ValueError, match="^depth -1 is negative$"):
+            rcs_membership(system, t, omega_length_oracle(), depth=-1)
+        with pytest.raises(ValueError, match="^depth -1 is negative$"):
+            thread_validate(system, t, depth=-1)
+    assert list(system.stages(0)) == [0]
+
+
 @pytest.mark.parametrize(
     "oracle",
     [omega_length_oracle(), CofinalityOracle(lambda stage, elem: "refutes")],
