@@ -12,7 +12,7 @@ import itertools
 import operator
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from typing import Iterable, Mapping
 
@@ -683,12 +683,24 @@ def lift_name(h: CompleteHom, n: BName) -> BName:
     return lift(n)
 
 
+def _lift_constants(h: CompleteHom, phi):
+    """phi with every constant c replaced by ``lift_name(h, c)``."""
+    if isinstance(phi, BName):
+        return lift_name(h, phi)
+    if isinstance(phi, tuple):
+        return tuple(_lift_constants(h, x) for x in phi)
+    if isinstance(phi, Formula) and phi.constants:  # else phi keeps its compiled routes
+        return type(phi)(*(_lift_constants(h, getattr(phi, f.name)) for f in fields(phi)))
+    return phi
+
+
 def delta1_audit(
     h: CompleteHom,
     pool: tuple[BName, ...],
     d0_formulas: tuple[Formula, ...] = (),
 ) -> Ledger:
-    """Elementarity of the lifted name map: i(‖φ(τ)‖) = ‖φ(iτ)‖.
+    """Elementarity of the lifted name map: i(‖φ(τ, c)‖) = ‖φ(iτ, ic)‖,
+    each formula constant c lifted as the pool is.
 
     Unbounded quantifiers are pool-relative on the source and
     lifted-pool-relative on the target.  A pool-relative ∃ is a finite join
@@ -712,11 +724,10 @@ def delta1_audit(
             continue
         _admit(phi.constants, h.source, "formula parameter")
         moved = list(map(h.apply, truth_grid(phi, source)))
-        _admit(phi.constants, h.target, "formula parameter")
         at = [0]  # each source assignment's place in the target grid
         for _ in range(k):
             at = [a * len(target.names) + o for a in at for o in order]
-        lifted = list(map(truth_grid(phi, target).__getitem__, at))
+        lifted = list(map(truth_grid(_lift_constants(h, phi), target).__getitem__, at))
         witness = ""
         if moved != lifted:
             lhs, rhs = next((a, b) for a, b in zip(moved, lifted) if a != b)

@@ -37,10 +37,10 @@ class FreeElement:
     __slots__ = ()
 
     def __and__(self, other: "FreeElement") -> "FreeElement":
-        return _and(self, other)
+        return _apply(self, other, 0)
 
     def __or__(self, other: "FreeElement") -> "FreeElement":
-        return _or(self, other)
+        return _apply(self, other, 1)
 
     def __invert__(self) -> "FreeElement":
         return _not(self)
@@ -61,7 +61,7 @@ class FreeElement:
         return self is _TRUE
 
     def leq(self, other: "FreeElement") -> bool:
-        return _and(self, _not(other)) is _FALSE
+        return _apply(self, _not(other), 0) is _FALSE
 
     @property
     def support(self) -> frozenset[str]:
@@ -139,40 +139,21 @@ def _branch(a: _Node, b: _Node):
     return b, a, a, b.lo, b.hi
 
 
-def _and(a, b):
-    if a is _FALSE or b is _FALSE:
-        return _FALSE
-    if a is _TRUE:
-        return b
-    if b is _TRUE:
-        return a
-    if a is b:
-        return a
+def _apply(a, b, op: int):
+    """a ∧ b for op 0, a ∨ b for op 1: the leaf whose uid is op absorbs and
+    the other leaf is the unit."""
     ua, ub = a.uid, b.uid
-    key = ua << _HI_SHIFT | ub << 2 if ua < ub else ub << _HI_SHIFT | ua << 2
+    if ua == op or ub == op:
+        return a if ua == op else b
+    if ua < 2 or a is b:
+        return b
+    if ub < 2:
+        return a
+    key = (ua << _HI_SHIFT | ub << 2 if ua < ub else ub << _HI_SHIFT | ua << 2) | op
     out = _APPLY_MEMO.get(key)
     if out is None:
         top, a0, a1, b0, b1 = _branch(a, b)
-        out = _make(top.key, _and(a0, b0), _and(a1, b1))
-        _APPLY_MEMO[key] = out
-    return out
-
-
-def _or(a, b):
-    if a is _TRUE or b is _TRUE:
-        return _TRUE
-    if a is _FALSE:
-        return b
-    if b is _FALSE:
-        return a
-    if a is b:
-        return a
-    ua, ub = a.uid, b.uid
-    key = (ua << _HI_SHIFT | ub << 2 if ua < ub else ub << _HI_SHIFT | ua << 2) | 1
-    out = _APPLY_MEMO.get(key)
-    if out is None:
-        top, a0, a1, b0, b1 = _branch(a, b)
-        out = _make(top.key, _or(a0, b0), _or(a1, b1))
+        out = _make(top.key, _apply(a0, b0, op), _apply(a1, b1, op))
         _APPLY_MEMO[key] = out
     return out
 
@@ -207,7 +188,7 @@ def _exists_outside(node, kept: int, gone: int):
     out = _QUANT_MEMO.get(key)
     if out is None:
         lo, hi = _exists_outside(node.lo, kept, gone), _exists_outside(node.hi, kept, gone)
-        out = _make(node.key, lo, hi) if mine >> node.key[3] & 1 else _or(lo, hi)
+        out = _make(node.key, lo, hi) if mine >> node.key[3] & 1 else _apply(lo, hi, 1)
         _QUANT_MEMO[key] = out
     return out
 

@@ -308,14 +308,6 @@ def _unrefuted(system, threads, projections, depth, stage, g) -> str:
 # -- direct limit against its completion ------------------------------------------------
 
 
-@dataclass
-class CorrespondenceReport(Ledger):
-    """The audit's claims; ``details`` counts elements (finite) or holds a
-    verdict per thread (lazy)."""
-
-    details: dict = field(default_factory=dict)
-
-
 def _subset_joins(values: list[int]) -> list[int]:
     """``out[m]``, the join of ``values[x]`` over every x <= m: the zeta transform."""
     out = list(values)
@@ -325,79 +317,40 @@ def _subset_joins(values: list[int]) -> list[int]:
     return out
 
 
-def direct_limit_correspondence_audit(
-    system: IterationSystem,
-    depth: int | None = None,
-    threads: list[Thread] | None = None,
-) -> CorrespondenceReport:
-    """Finite length: the completion of the constant-thread poset matches the
-    threads that are sups of the constants below them, through the two maps
-    (join of a regular-open set of constants / constants below a thread).
-
-    Lazy: for each supplied thread, the best constant below it at each stage
-    is computed through the projections; either the joins reach the thread
-    (membership evidence) or every stage yields zero (a gap certificate).
-    Each thread is one case of one claim, which a thread the joins reach
-    only partly fails.
+def direct_limit_correspondence_audit(system: IterationSystem) -> Ledger:
+    """The completion of the constant-thread poset matches the threads that
+    are sups of the constants below them, through the two maps (join of a
+    regular-open set of constants / constants below a thread).  Eager
+    systems only; a lazy system raises ``NotEager``.
     """
-    if system.eager:
-        report = CorrespondenceReport()
-        alg = system.algebra(system.length - 1)
-        # t{e} at bit e - 1, under inclusion: its down-set joins its submasks,
-        # its up-set its supermasks (submasks of the complement, read backwards)
-        singletons = [0] + [1 << k for k in range(alg.one)]
-        downs, ups = _subset_joins(singletons), _subset_joins(singletons[::-1])[::-1]
-        poset = Poset.from_masks([f"t{e}" for e in alg.nonzero_elements()], downs[1:], ups[1:])
-        completion = boolean_completion(poset)
-        ok = completion.algebra.atom_count == alg.atom_count
-        witness = "" if ok else "completion has the wrong atom count"
-        report.record("completion_atom_count", ok, witness)
-        if not ok:
-            return report
-        for check, ok in completion.audit().items():
-            report.record(f"completion_{check}", ok)
-        # k(m) joins the constants with image in m (an image past the atoms
-        # lies in no m), and m comes back as the join of the images below k(m)
-        images = [0] + [completion.embedding[a] for a in poset.elements]
-        exact = [0] * len(images)
-        for e, image in enumerate(images):
-            if image < len(exact):
-                exact[image] |= e
-        back = _subset_joins(images)
-        for m, k in enumerate(_subset_joins(exact)):
-            ok = back[k] == m
-            report.record("round_trip", ok, "" if ok else f"moved {m} to {back[k]}")
-        report.details["elements"] = len(poset.elements)
+    if not system.eager:
+        raise NotEager("the direct-limit correspondence needs an eager system")
+    report = Ledger()
+    alg = system.algebra(system.length - 1)
+    # t{e} at bit e - 1, under inclusion: its down-set joins its submasks,
+    # its up-set its supermasks (submasks of the complement, read backwards)
+    singletons = [0] + [1 << k for k in range(alg.one)]
+    downs, ups = _subset_joins(singletons), _subset_joins(singletons[::-1])[::-1]
+    poset = Poset.from_masks([f"t{e}" for e in alg.nonzero_elements()], downs[1:], ups[1:])
+    completion = boolean_completion(poset)
+    ok = completion.algebra.atom_count == alg.atom_count
+    witness = "" if ok else "completion has the wrong atom count"
+    report.record("completion_atom_count", ok, witness)
+    if not ok:
         return report
-
-    if depth is None or threads is None:
-        raise ValueError("lazy audits need a depth and explicit threads")
-    report = CorrespondenceReport()
-    report.record("threads_reached_or_gapped", True, cases=0)
-    details = []
-    for i, t in enumerate(threads):
-        # constraints reach one coordinate past the last seed stage, so the
-        # boundary seed is not vacuously unconstrained
-        best = [largest_constant_below(system, t, s, depth) for s in range(depth + 1)]
-        verdict, witness = "gap", ""
-        if any(best):
-            # join the constants and compare coordinatewise
-            verdict = "members-evidence"
-            for n in range(depth + 1):
-                join = system.algebra(n).zero
-                for s, b in enumerate(best):
-                    if b:
-                        join = join | coordinate(system, ConstantThread(s, b), n)
-                if join != coordinate(system, t, n):
-                    verdict = "partial"
-                    witness = (
-                        f"thread {i}: the constants below it join short of it at "
-                        f"stage {n} (depth {depth})"
-                    )
-                    break
-        details.append({"verdict": verdict, "depth": depth})
-        report.record("threads_reached_or_gapped", verdict != "partial", witness)
-    report.details["threads"] = details
+    for check, ok in completion.audit().items():
+        report.record(f"completion_{check}", ok)
+    # k(m) joins the constants with image in m (an image past the atoms
+    # lies in no m), and m comes back as the join of the images below k(m)
+    images = [0] + [completion.embedding[a] for a in poset.elements]
+    exact = [0] * len(images)
+    for e, image in enumerate(images):
+        if image < len(exact):
+            exact[image] |= e
+    back = _subset_joins(images)
+    for m, k in enumerate(_subset_joins(exact)):
+        ok = back[k] == m
+        report.record("round_trip", ok, "" if ok else f"moved {m} to {back[k]}")
     return report
 
 

@@ -137,6 +137,9 @@ def _is_natural(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+_NATURALS = (_is_natural, "items must be nonnegative integers")
+
+
 def _natural(decl, key: str, default=None) -> int:
     value = decl[key] if default is None else decl.get(key, default)
     if not _is_natural(value):
@@ -179,7 +182,7 @@ def _build_poset(doc: WorkspaceDoc, decl) -> Poset:
 def _build_hom(doc: WorkspaceDoc, decl) -> CompleteHom:
     source = _ref(doc, decl, "source", "algebra")
     target = _ref(doc, decl, "target", "algebra")
-    return CompleteHom(source, target, tuple(_list(decl, "fiber")))
+    return CompleteHom(source, target, tuple(_list(decl, "fiber", item=_NATURALS)))
 
 
 def _build_free(doc: WorkspaceDoc, decl) -> FreeAlgebra:
@@ -224,14 +227,13 @@ def _build_trace(doc: WorkspaceDoc, decl) -> ModelTrace:
     def elems(seq):
         return tuple(parse_element(algebra, x) for x in seq)
 
-    naturals = (_is_natural, "items must be nonnegative integers")
-    delta = _list(decl, "delta", [0], item=naturals)
+    delta = _list(decl, "delta", [0], item=_NATURALS)
     lists = (lambda x: isinstance(x, list), "items must be lists of elements")
     dicts = (lambda x: isinstance(x, dict), "items must be {antichain, labels} objects")
     names = [
         OrdinalName(
             algebra, elems(_list(n, "antichain", owner=decl["name"])),
-            tuple(_list(n, "labels", owner=decl["name"], item=naturals)),
+            tuple(_list(n, "labels", owner=decl["name"], item=_NATURALS)),
         )
         for n in _list(decl, "ordinal_names", [], item=dicts)
     ]
@@ -287,7 +289,7 @@ def _complete(poset, request, rng, depth):
     completion = boolean_completion(poset)
     ledger = Ledger()
     for check, ok in completion.audit().items():
-        ledger.record(check, ok)
+        ledger.record(check, ok, cases=len(poset.elements))
     yield request["audit"], request["target"], ledger, {"atoms": completion.algebra.atom_count}
 
 
@@ -336,7 +338,8 @@ def _iterate(system, request, rng, depth):
         ledger.absorb(_quotient_tails(system, gamma, constants))
     for k in system.stages():
         ledger.absorb(cofinal_reindex_audit(system, tuple(sorted({k, last}))))
-    yield request["audit"], request["target"], ledger, {"length": system.length, **ledger.details}
+    details = {"length": system.length, "elements": alg.one}
+    yield request["audit"], request["target"], ledger, details
 
 
 def _quotient_tails(system, gamma, constants) -> Ledger:

@@ -907,6 +907,31 @@ def test_delta1_audit_fails_when_lift_name_leaves_a_label_unlifted(monkeypatch):
     assert commute.witness == "bounded formula value moved: {2,3} vs {1,2,3}"
 
 
+def test_delta1_audit_lifts_formula_constants(monkeypatch):
+    # u ∈ d with d = {(∅̌, {0})}: the target reads d at its lift, which the
+    # pool (d left out) does not lift for it
+    d, real = dot_d(), bvm.lift_name
+    pool = tuple(n for n in standard_name_pool(B2, max_rank=2)[:12] if n is not d)
+    phi = Atomic("mem", Var("u"), d)
+
+    def commute(fiber):
+        h = hom_from_fiber_map(B2, FiniteCBA(len(fiber)), fiber)
+        return delta1_audit(h, pool, (phi,)).claims["bounded_formulas_commute"]
+
+    for fiber in ((1, 0), (1, 0, 1, 0)):
+        assert (commute(fiber).passed, commute(fiber).cases) == (True, 11)
+
+    def unlifted_label(h, n):  # d's one entry keeps its source label
+        if n is not d:
+            return real(h, n)
+        ((sub, p),) = n.entries
+        return BName(h.target, [(real(h, sub), p)])
+
+    monkeypatch.setattr(bvm, "lift_name", unlifted_label)
+    assert commute((1, 0)).witness == "bounded formula value moved: {1} vs {0}"
+    assert commute((1, 0, 1, 0)).witness == "bounded formula value moved: {1,3} vs {0}"
+
+
 def test_delta1_audit_calls_no_truth_value(monkeypatch):
     def counting(*args):
         calls.append(args)

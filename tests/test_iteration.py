@@ -39,7 +39,7 @@ from forcebench.iteration import (
 )
 from forcebench.morphisms import CompleteHom, FreeInclusion, hom_from_fiber_map
 from forcebench.poset import Poset
-from forcebench.report import FAIL, INDETERMINATE, PASS
+from forcebench.report import FAIL
 
 from .oracles import reference_round_trips
 
@@ -296,49 +296,9 @@ def test_round_trip_matches_the_per_pair_scan(monkeypatch, atoms):
     assert verdicts == {True, False}
 
 
-def test_correspondence_lazy_constant_reaches():
-    system = free_tower(6)
-    t = ConstantThread(1, generator("y0"))
-    report = direct_limit_correspondence_audit(system, depth=5, threads=[t])
-    assert report.details["threads"][0]["verdict"] == "members-evidence"
-    assert report.verdict == PASS
-    assert report.claims["threads_reached_or_gapped"].cases == 1
-
-
-def test_correspondence_lazy_gap_certificate():
-    system = free_tower(8)
-
-    def rule(n):
-        return all_meet(generator(f"y{k}") for k in range(n)) if n else system.algebra(0).one
-
-    t = RuleThread(rule, description="all fresh generators")
-    report = direct_limit_correspondence_audit(system, depth=6, threads=[t])
-    assert report.details["threads"][0]["verdict"] == "gap"
-    assert report.verdict == PASS
-
-
-def test_correspondence_lazy_partial_thread_fails():
-    # x0 or (y0 and ... and y_{n-1}): the constant x0 lies below it, but no
-    # constant reaches the shrinking meets of fresh generators
-    system = free_tower(8)
-
-    def rule(n):
-        meets = all_meet(generator(f"y{k}") for k in range(n)) if n else system.algebra(0).one
-        return generator("x0") | meets
-
-    reaches = ConstantThread(1, generator("y0"))
-    partial = RuleThread(rule, description="x0 or all fresh generators")
-    report = direct_limit_correspondence_audit(system, depth=5, threads=[reaches, partial])
-    assert [d["verdict"] for d in report.details["threads"]] == ["members-evidence", "partial"]
-    assert report.verdict == FAIL
-    claim = report.claims["threads_reached_or_gapped"]
-    assert claim.cases == 2
-    assert "thread 1" in claim.witness and "depth 5" in claim.witness
-
-
-def test_correspondence_lazy_without_threads_is_indeterminate():
-    report = direct_limit_correspondence_audit(free_tower(4), depth=3, threads=[])
-    assert report.verdict == INDETERMINATE
+def test_correspondence_refuses_a_lazy_system():
+    with pytest.raises(NotEager):
+        direct_limit_correspondence_audit(free_tower(4))
 
 
 def test_rcs_constant_member():

@@ -89,3 +89,7 @@ def test_law_audit_returns_a_ledger(name):
     report = AUDITS[name]()
     assert isinstance(report, Ledger) and report.claims
     assert all(claim.passed for claim in report.claims.values()), report.failures
+
+
+def test_correspondence_audit_returns_exactly_a_ledger():
+    assert type(direct_limit_correspondence_audit(_system())) is Ledger

@@ -235,6 +235,17 @@ def test_zero_case_audit_is_indeterminate():
     assert not report.passed
 
 
+def test_complete_on_an_empty_poset_is_indeterminate(tmp_path, capsys):
+    ws = tmp_path / "empty.json"
+    ws.write_text(minimal_doc(
+        ', {"kind": "poset", "name": "P", "elements": []}',
+        audits='[{"audit": "complete", "target": "P"}]',
+    ))
+    code = main(["--workspace", str(ws), "--command", "verify-all", "--format", "json"])
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert (code, result["verdict"], result["details"]) == (1, INDETERMINATE, {"atoms": 0})
+
+
 def test_zero_atom_bvm_audit_is_indeterminate_and_the_run_goes_on(tmp_path):
     # on 0 atoms 1 is 0, which labels no entry: the pool is the empty check name
     ws = tmp_path / "zero.json"
@@ -506,13 +517,25 @@ def _trace_with(field):
             "[]",
             "M: delta items must be nonnegative integers",
         ),
+        (
+            '{"kind": "algebra", "name": "C", "atoms": 3}, '
+            '{"kind": "hom", "name": "h", "source": "B", "target": "C", "fiber": [true, false, 1]}',
+            "[]",
+            "h: fiber items must be nonnegative integers",
+        ),
+        (
+            '{"kind": "hom", "name": "h", "source": "B", "target": "B", "fiber": [0.0, 0]}',
+            "[]",
+            "h: fiber items must be nonnegative integers",
+        ),
         ("", '[{"audit": "bvm-audit"}]', "audits: bvm-audit needs a target algebra"),
         ("", '[{"audit": "complete", "target": "B"}]', "B: expected a poset, found an algebra"),
     ],
     ids=[
         "missing-field", "trace-element", "name-label", "object-name", "audit-target",
         "bool-atoms", "poset-order-triple", "hom-source-list", "trace-kappa-string",
-        "poset-elements-int", "trace-delta-string", "trace-delta-item", "audit-without-target",
+        "poset-elements-int", "trace-delta-string", "trace-delta-item", "hom-fiber-bool",
+        "hom-fiber-float", "audit-without-target",
         "audit-target-of-the-wrong-kind",
     ],
 )
